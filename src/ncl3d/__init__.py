@@ -64,6 +64,7 @@ from .sim import (  # noqa: F401
     Report,
     SimulationError,
     Trace,
+    VectorError,
     Wave,
     check_delay_insensitivity,
     load_vectors,

@@ -85,6 +85,17 @@ def _parse_alphas(spec: str) -> List[float]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _single_alpha(spec: str) -> float:
     values = _parse_alphas(spec)
     if len(values) != 1:
@@ -460,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exhaustive", action="store_true",
                     help="force exhaustive verification past width 4")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=10,
+    sp.add_argument("--trials", type=_positive_int, default=10,
                     help="random delay assignments to try (default %(default)s)")
     model_opts(sp)
     out_opt(sp)

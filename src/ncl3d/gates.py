@@ -4,7 +4,9 @@ A threshold gate asserts its output when its set condition is satisfied,
 deasserts it only after every input has deasserted, and holds its previous
 value in between. The set condition is a positive-unate Boolean function,
 stored canonically as a minimal sorted sum of products over input indices,
-so two specs that compute the same function compare equal.
+so two specs that compute the same function compare equal. Each spec also
+compiles that rule into a truth table indexed by input mask, the one gate
+kernel every evaluator (next_output, settle, simulate) reads.
 
 Regular gates follow the THmn naming scheme: n inputs, output asserted once
 m of them are asserted. A trailing ``w`` section gives integer weights to
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -113,6 +116,20 @@ class GateSpec:
             if count is not None and count < 1:
                 raise GateError(f"{self.name}: transistor counts must be >= 1")
 
+    @cached_property
+    def table(self) -> Tuple[int, ...]:
+        """Next output for each input mask (bit i is input i).
+
+        1 where the set function holds, 0 at mask 0 (every input low, so the
+        gate resets) and -1 elsewhere (the gate holds its output).  Built
+        once per spec; not a field, so equality, hash and repr ignore it.
+        """
+        return tuple(
+            1 if any(all(mask >> i & 1 for i in prod) for prod in self.products)
+            else 0 if mask == 0 else -1
+            for mask in range(1 << self.arity)
+        )
+
     @property
     def max_stack(self) -> int:
         """Longest series chain in the set network, in devices."""
@@ -125,22 +142,23 @@ class GateSpec:
         )
 
 
-def eval_set(spec: GateSpec, inputs: Sequence[int]) -> int:
-    """Evaluate the set condition (no hysteresis) on 0/1 inputs."""
+def _table_entry(spec: GateSpec, inputs: Sequence[int]) -> int:
     if len(inputs) != spec.arity:
         raise GateError(
             f"{spec.name} expects {spec.arity} inputs, got {len(inputs)}"
         )
-    return int(any(all(inputs[i] for i in prod) for prod in spec.products))
+    return spec.table[sum(1 << i for i, v in enumerate(inputs) if v)]
+
+
+def eval_set(spec: GateSpec, inputs: Sequence[int]) -> int:
+    """Evaluate the set condition (no hysteresis) on 0/1 inputs."""
+    return int(_table_entry(spec, inputs) == 1)
 
 
 def next_output(spec: GateSpec, inputs: Sequence[int], prev: int) -> int:
     """One hysteresis step: set wins, all-deasserted resets, else hold."""
-    if eval_set(spec, inputs):
-        return 1
-    if not any(inputs):
-        return 0
-    return prev
+    nxt = _table_entry(spec, inputs)
+    return prev if nxt < 0 else nxt
 
 
 def transistor_counts(spec: GateSpec) -> Tuple[int, int]:

@@ -273,12 +273,20 @@ class Netlist:
     # -- evaluation ----------------------------------------------------------
 
     def _compiled(self):
-        """Topo-ordered (spec, input tuple, output net) rows for settle."""
+        """Net index map and topo-ordered settle rows.
+
+        Each row is (truth table, ((pin bit, net index), ...), output net
+        index, instance name); the pin bits build the row's input mask.
+        """
         if self._rows is None:
-            self._rows = tuple(
-                (self.spec(inst.kind), inst.ins, inst.out, inst.name)
+            index = {net: i for i, net in enumerate(self.nets)}
+            rows = tuple(
+                (self.spec(inst.kind).table,
+                 tuple((1 << k, index[p]) for k, p in enumerate(inst.ins)),
+                 index[inst.out], inst.name)
                 for inst in self.topo_order()
             )
+            self._rows = (index, rows)
         return self._rows
 
 
@@ -297,39 +305,32 @@ def settle(
     pass suffices on an acyclic graph; a second pass verifies that and
     raises NonConvergenceError otherwise.
     """
-    values: Dict[str, int] = {}
+    index, rows = netlist._compiled()
+    nets = netlist.nets
     state = state or {}
     frozen = frozen or {}
-    for net in netlist.nets:
-        values[net] = state.get(net, 0)
+    values = [state.get(net, 0) for net in nets]
     for r in netlist.external_rails():
-        values[r] = rails.get(r, 0)
-    values.update(frozen)
-    rows = netlist._compiled()
-    for spec, ins, out, _ in rows:
-        if out in frozen:
-            continue
-        prev = values[out]
-        iv = [values[p] for p in ins]
-        if any(all(iv[i] for i in prod) for prod in spec.products):
-            values[out] = 1
-        elif not any(iv):
-            values[out] = 0
-        else:
-            values[out] = prev
-    for spec, ins, out, name in rows:
-        if out in frozen:
-            continue
-        iv = [values[p] for p in ins]
-        if any(all(iv[i] for i in prod) for prod in spec.products):
-            nxt = 1
-        elif not any(iv):
-            nxt = 0
-        else:
-            nxt = values[out]
-        if nxt != values[out]:
-            raise NonConvergenceError(f"net {out} (gate {name}) did not settle")
-    return values
+        values[index[r]] = rails.get(r, 0)
+    if frozen:
+        pinned = {index[net] for net in frozen if net in index}
+        for i in pinned:
+            values[i] = frozen[nets[i]]
+        rows = [row for row in rows if row[2] not in pinned]
+    for verify in (False, True):
+        for table, pins, out, name in rows:
+            mask = 0
+            for bit, i in pins:
+                if values[i]:
+                    mask |= bit
+            nxt = table[mask]
+            if nxt >= 0 and nxt != values[out]:
+                if verify:
+                    raise NonConvergenceError(f"net {nets[out]} (gate {name}) did not settle")
+                values[out] = nxt
+    result = dict(zip(nets, values))
+    result.update(frozen)
+    return result
 
 
 # Net values plus gate hysteresis state; for these gates the two coincide

@@ -7,13 +7,22 @@ after the gate's propagation delay (transport semantics).  Events with
 equal timestamps apply in insertion order, so a run is a pure function
 of (system, vectors, delays).
 
+Each gate keeps an input mask (bit k is input pin k).  A net change
+flips the mask bits of the pins it feeds and looks the new mask up in
+the gate's compiled truth table (``GateSpec.table``), the same kernel
+``settle`` and ``next_output`` use; rise and fall delays are resolved
+once per gate before the run.
+
 The environment is infinitely fast: the producer answers the first
 bank's request and the consumer acknowledges word completion in the
-same timestep they are observed.
+same timestep they are observed.  It reads only the request net and
+the output rails, so it runs only in timesteps that changed one of
+them; any other timestep would show it what it has already acted on.
 """
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .netlist import FormatError
@@ -35,6 +44,10 @@ class DeadlockError(SimulationError):
 
 class EventLimitError(SimulationError):
     pass
+
+
+class VectorError(SimulationError, ValueError):
+    """An input vector does not fit the pipeline's input ports."""
 
 
 Delay = Union[int, Tuple[int, int]]
@@ -154,12 +167,12 @@ def _as_bit_vectors(system: PipelineSystem, vectors) -> List[Dict[str, int]]:
     for k, vec in enumerate(vectors):
         if isinstance(vec, int):
             if vec < 0 or vec >= (1 << len(names)):
-                raise ValueError(f"vector {k} out of range for {len(names)} inputs")
+                raise VectorError(f"vector {k} ({vec}) out of range for {len(names)} inputs")
             out.append({n: (vec >> i) & 1 for i, n in enumerate(names)})
         else:
             missing = [n for n in names if n not in vec]
             if missing:
-                raise ValueError(f"vector {k} missing bits for {missing}")
+                raise VectorError(f"vector {k} missing bits for {missing}")
             out.append({n: 1 if vec[n] else 0 for n in names})
     return out
 
@@ -184,22 +197,29 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
             names.append(out)
     idx = {n: i for i, n in enumerate(names)}
 
-    # compiled gate rows: (name, input ids, output id, products as id tuples)
-    gates = []
-    readers: List[List[int]] = [[] for _ in names]
-    for g in nl.gates:
-        gi = len(gates)
-        ins = tuple(idx[n] for n in g.ins)
-        products = tuple(tuple(ins[i] for i in p) for p in nl.spec(g.kind).products)
-        gates.append((g.name, ins, idx[g.out], products))
-        for i in dict.fromkeys(ins):
-            readers[i].append(gi)
+    # Per-gate kernel state: truth table, input mask, hysteresis state,
+    # output net and (fall, rise) delays.  readers[net] lists (gate, bits)
+    # with bits OR-ing every pin of the gate that the net feeds.
+    tables: List[Tuple[int, ...]] = []
+    outs: List[int] = []
+    edge_delays: List[Tuple[int, int]] = []
+    readers: List[List[Tuple[int, int]]] = [[] for _ in names]
+    for gi, g in enumerate(nl.gates):
+        tables.append(nl.spec(g.kind).table)
+        outs.append(idx[g.out])
+        edge_delays.append((delays.delay_for(g.name, 0), delays.delay_for(g.name, 1)))
+        pins: Dict[int, int] = {}
+        for k, n in enumerate(g.ins):
+            pins[idx[n]] = pins.get(idx[n], 0) | 1 << k
+        for net, bits in pins.items():
+            readers[net].append((gi, bits))
     inv_map = {idx[src]: idx[out] for out, src in system.inverters.items()}
 
     values = [0] * len(names)
     for n, v in system.reset_state().items():
         values[idx[n]] = v
-    state = [values[row[2]] for row in gates]
+    state = [values[out] for out in outs]
+    masks = [sum(1 << k for k, n in enumerate(g.ins) if values[idx[n]]) for g in nl.gates]
 
     req = idx[system.request_net]
     ack = idx[system.ack_net]
@@ -209,12 +229,10 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     out_rails = [(idx[p.rail1], idx[p.rail0]) for p in system.outputs]
 
     heap: List[Tuple[int, int, int, int]] = []
-    seq = 0
+    seq = count()                 # tie-break: same-time events in push order
 
     def push(t: int, net: int, v: int) -> None:
-        nonlocal seq
-        heappush(heap, (t, seq, net, v))
-        seq += 1
+        heappush(heap, (t, next(seq), net, v))
 
     records: List[Tuple[int, str, int]] = []
     waves: List[Wave] = []
@@ -267,9 +285,11 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     limit = max_events if max_events is not None else 50 * (len(vectors) + 2) * max(len(names), 1)
     popped = 0
 
+    env_nets = {req, *(r for pair in out_rails for r in pair)}
     run_env(0)
     while heap:
         t = heap[0][0]
+        env_changed = False
         while heap and heap[0][0] == t:
             _, _, net, v = heappop(heap)
             popped += 1
@@ -279,20 +299,19 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                 continue
             values[net] = v
             records.append((t, names[net], v))
-            for gi in readers[net]:
-                name, ins, out, products = gates[gi]
-                if any(all(values[i] for i in p) for p in products):
-                    nxt = 1
-                elif not any(values[i] for i in ins):
-                    nxt = 0
-                else:
-                    nxt = state[gi]
-                if nxt != state[gi]:
+            if net in env_nets:
+                env_changed = True
+            for gi, bits in readers[net]:
+                mask = masks[gi] | bits if v else masks[gi] & ~bits
+                masks[gi] = mask
+                nxt = tables[gi][mask]
+                if nxt >= 0 and nxt != state[gi]:
                     state[gi] = nxt
-                    push(t + delays.delay_for(name, nxt), out, nxt)
+                    heappush(heap, (t + edge_delays[gi][nxt], next(seq), outs[gi], nxt))
             if net in inv_map:
                 push(t, inv_map[net], 1 - v)
-        run_env(t)
+        if env_changed:
+            run_env(t)
 
     done = (prod_next == len(vectors) and prod_phase == "data"
             and cons_phase == "data" and len(waves) == len(vectors))

@@ -10,14 +10,17 @@ bundled reference measurements.
 """
 import dataclasses
 import itertools
+import os
 import random
 import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import ncl3d
 from conftest import record
 from ncl3d import (
     DEFAULT_CATALOG,
@@ -332,10 +335,16 @@ def test_10_command_determinism(tmp_path):
         ("multiplier-demo", "--width", "2", "--trials", "3", "--seed", "11"),
         ("sweep", "gates", "--seed", "1"),
     ]
+    # The children run from out_dir, so a relative PYTHONPATH would not
+    # find the package; put the directory this process imported it from first.
+    env = dict(os.environ)
+    pkg_root = str(Path(ncl3d.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     mismatched = []
     for argv in commands:
         runs = [subprocess.run([sys.executable, "-m", "ncl3d", *argv],
-                               capture_output=True, cwd=str(out_dir))
+                               capture_output=True, cwd=str(out_dir), env=env)
                 for _ in range(2)]
         first, second = runs
         if first.returncode != 0:

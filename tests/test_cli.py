@@ -106,6 +106,15 @@ def test_check_malformed_file(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_simulate_vector_wider_than_the_inputs(capsys, tmp_path):
+    vecs = tmp_path / "v.txt"
+    vecs.write_text("99\n")
+    code, out, err = run(capsys, "simulate", fixture("xor2.ncl"), str(vecs))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "out of range" in err
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/path.ncl")
     assert code == 2
@@ -198,6 +207,15 @@ def test_multiplier_demo_width_guard(capsys):
     code, _, err = run(capsys, "multiplier-demo", "--width", "9")
     assert code == 2
     assert "width" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "x"])
+def test_multiplier_demo_trials_must_be_positive(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["multiplier-demo", "--width", "2", "--trials", trials])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --trials" in err and "Traceback" not in err
 
 
 # -------------------------------------------------------------------- sweep

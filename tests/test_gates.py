@@ -6,6 +6,7 @@ weighted-sum closures), and the package's next_output must agree over
 exhaustive short input sequences.
 """
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -213,3 +214,52 @@ def test_output_is_monotone_under_monotone_input_ramp(ramp, name):
         out = next_output(spec, vec, out)
         assert out >= prev, "output fell during an asserting ramp"
         prev = out
+
+
+@st.composite
+def random_sop(draw):
+    """(arity, raw products): a positive-unate set function, not yet canonical."""
+    arity = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.sets(st.integers(0, arity - 1), min_size=1),
+                        min_size=1, max_size=6))
+    return arity, [sorted(p) for p in raw]
+
+
+def sop_set(raw, bits):
+    """Direct sum-of-products evaluation."""
+    return int(any(all(bits[i] for i in prod) for prod in raw))
+
+
+def sop_step(raw, bits, prev):
+    """The hysteresis rule on top of sop_set."""
+    if sop_set(raw, bits):
+        return 1
+    return 0 if not any(bits) else prev
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_sop())
+def test_truth_table_matches_direct_sop_evaluation(case):
+    arity, raw = case
+    built = GateSpec("TX", arity, canonical_sop(raw, arity))
+    doc = {"version": 1, "gates": {"TX": {"arity": arity, "products": raw}}}
+    loaded = parse_catalog(json.dumps(doc))["TX"]
+    for spec in (built, loaded):
+        assert len(spec.table) == 1 << arity
+        for mask in range(1 << arity):
+            bits = [mask >> i & 1 for i in range(arity)]
+            for prev in (0, 1):
+                want = sop_step(raw, bits, prev)
+                entry = spec.table[mask]
+                assert (prev if entry < 0 else entry) == want
+                assert next_output(spec, bits, prev) == want
+            assert eval_set(spec, bits) == sop_set(raw, bits)
+
+
+def test_truth_table_is_not_a_field():
+    spec = spec_from_name("TH23")
+    twin = GateSpec(spec.name, spec.arity, spec.products, spec.weights,
+                    spec.threshold, spec.pmos, spec.nmos)
+    assert spec.table == twin.table
+    assert spec == twin and hash(spec) == hash(twin)
+    assert "table" not in repr(spec)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncl3d.boolnet import BOOL_KINDS, BoolNetlist
 from ncl3d.netlist import (
     DR,
     CycleError,
@@ -28,6 +29,7 @@ from ncl3d.netlist import (
     serialize_netlist,
     settle,
 )
+from ncl3d.synth import expand_dual_rail
 
 
 def and_template() -> Netlist:
@@ -103,6 +105,15 @@ def test_cycle_detection():
         nl.topo_order()
     with pytest.raises(NetlistError):
         check_input_completeness(nl)
+
+
+def test_settle_verification_pass_catches_conflicting_drivers():
+    nl = Netlist(["A"], ["Z"])
+    nl.add("TH11", ["A.1"], "Z.1", name="g1")
+    nl.add("TH11", ["A.0"], "Z.1", name="g2")   # second driver of Z.1
+    nl.add("TH11", ["A.0"], "Z.0", name="g3")
+    with pytest.raises(NonConvergenceError, match=r"net Z\.1 \(gate g1\)"):
+        settle(nl, encode_word(nl.inputs, {"A": 1}))
 
 
 def test_and_template_passes_both_checkers():
@@ -244,3 +255,34 @@ def test_no_invalid_state_reachable_with_legal_inputs():
         assert output_word(nl, state)["Z"] is not DR.INVALID
         state = settle(nl, {}, state)
         assert output_word(nl, state)["Z"] is DR.NULL
+
+
+@st.composite
+def boolean_circuit(draw):
+    """A small random Boolean DAG and one input vector for it."""
+    n_in = draw(st.integers(1, 4))
+    nets = [f"x{i}" for i in range(n_in)]
+    bnl = BoolNetlist(inputs=nets[:])
+    for k in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(sorted(BOOL_KINDS)))
+        ins = [draw(st.sampled_from(nets)) for _ in range(BOOL_KINDS[kind])]
+        bnl.add(kind, ins, f"t{k}")
+        nets.append(f"t{k}")
+    gate_outs = nets[n_in:]
+    outs = draw(st.lists(st.sampled_from(gate_outs), min_size=1, unique=True))
+    bnl.outputs = tuple(outs)
+    bits = {x: draw(st.integers(0, 1)) for x in bnl.inputs}
+    return bnl, bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(boolean_circuit())
+def test_settle_matches_boolean_evaluation(case):
+    bnl, bits = case
+    nl = expand_dual_rail(bnl)
+    null_state = settle(nl, {})
+    vals = settle(nl, encode_word(nl.inputs, bits), null_state)
+    word = output_word(nl, vals)
+    assert tuple(word[o].bit for o in bnl.outputs) == bnl.evaluate_outputs(bits)
+    back = settle(nl, {}, vals)
+    assert all(dv is DR.NULL for dv in output_word(nl, back).values())

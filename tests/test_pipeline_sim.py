@@ -4,13 +4,16 @@ Latency assertions use an independent earliest-arrival oracle computed
 on the netlist DAG; multiplier words are checked against integer
 arithmetic.
 """
+import hashlib
 import itertools
+import random
 
 import pytest
 
 from ncl3d.boolnet import parse_boolean_netlist
 from ncl3d.netlist import Netlist, NetlistError, Port
 from ncl3d.pipeline import build_pipeline
+from ncl3d.ppa import circuit_delay_assignment, default_calibration, default_tech
 from ncl3d.sim import (
     DeadlockError,
     DelayAssignment,
@@ -23,7 +26,7 @@ from ncl3d.sim import (
     parse_vectors,
     simulate,
 )
-from ncl3d.synth import build_array_multiplier, expand_dual_rail
+from ncl3d.synth import build_array_multiplier, expand_dual_rail, operand_bits
 
 
 def identity_cl(bits):
@@ -287,3 +290,35 @@ def test_vectors_validate_against_port_count():
         simulate(and_pipeline(), [4])               # two inputs, max word 3
     with pytest.raises(ValueError):
         simulate(and_pipeline(), [{"a": 1}])        # missing b
+
+
+# SHA-256 of Trace.to_tsv() for the width-4 multiplier pipeline over all 256
+# operand pairs, pinned from the reference simulator.  Any change to event
+# order, transport semantics or trace formatting moves these digests.
+GOLDEN_TRACE_SHA256 = {
+    "unit": "7d2bb83e5e7a87514b779e4340cb4d94e43e67ae5ecb8aa24dbef4c9eaa2747d",
+    "uniform_random": "3760ff2bb198592f4421c2dfcdb2dec523d5f4dbbe6e1feab21b75b6d05b46bf",
+    "m3d_0.7": "af538b5f4c49ad0bedc5e6e012bcef6f71c096eccab6527c4f741c9951e08c88",
+}
+
+
+@pytest.fixture(scope="module")
+def mult4():
+    cl = build_array_multiplier(4)
+    return cl, build_pipeline(cl)
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_TRACE_SHA256))
+def test_golden_trace_digest(mult4, model):
+    cl, system = mult4
+    if model == "unit":
+        delays = None
+    elif model == "uniform_random":
+        names = [g.name for g in system.netlist.gates]
+        delays = DelayAssignment.uniform_random(names, random.Random(0))
+    else:
+        delays = circuit_delay_assignment(system, cl, default_tech(),
+                                          default_calibration(), "M3D", 0.7)
+    vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
+    tsv = simulate(system, vectors, delays).to_tsv()
+    assert hashlib.sha256(tsv.encode()).hexdigest() == GOLDEN_TRACE_SHA256[model]
