@@ -496,7 +496,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (CliError, GateError, NetlistError, FormatError, SynthError,
-            PpaError, SimulationError, OSError) as err:
+            PpaError, SimulationError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,10 @@ A threshold gate asserts its output when its set condition is satisfied,
 deasserts it only after every input has deasserted, and holds its previous
 value in between. The set condition is a positive-unate Boolean function,
 stored canonically as a minimal sorted sum of products over input indices,
-so two specs that compute the same function compare equal. Each spec also
-compiles that rule into a truth table indexed by input mask, the one gate
-kernel every evaluator (next_output, settle, simulate) reads.
+so two specs that compute the same function compare equal. One evaluator,
+:func:`eval_sop`, runs that rule on 0/1 or lane-int values: ``settle`` on
+net values, and each spec once over its input masks packed as lanes, to
+build the truth table that next_output and simulate read.
 
 Regular gates follow the THmn naming scheme: n inputs, output asserted once
 m of them are asserted. A trailing ``w`` section gives integer weights to
@@ -56,6 +57,18 @@ def canonical_sop(products: Iterable[Iterable[int]], arity: int) -> Products:
     if not kept:
         raise GateError("set function has no products")
     return tuple(sorted(kept))
+
+
+def eval_sop(products: Iterable[Iterable[int]], values: Sequence[int]) -> int:
+    """OR over products of the AND of their inputs, on every lane (bit) of
+    ``values``; canonical products are never empty, so all-0 inputs give 0."""
+    fired = 0
+    for prod in products:
+        term = -1
+        for i in prod:
+            term &= values[i]
+        fired |= term
+    return fired
 
 
 def threshold_products(weights: Sequence[int], threshold: int) -> Products:
@@ -121,14 +134,13 @@ class GateSpec:
         """Next output for each input mask (bit i is input i).
 
         1 where the set function holds, 0 at mask 0 (every input low, so the
-        gate resets) and -1 elsewhere (the gate holds its output).  Built
-        once per spec; not a field, so equality, hash and repr ignore it.
+        gate resets) and -1 elsewhere (the gate holds its output).  One
+        eval_sop, masks as lanes; not a field, so ==, hash and repr ignore it.
         """
-        return tuple(
-            1 if any(all(mask >> i & 1 for i in prod) for prod in self.products)
-            else 0 if mask == 0 else -1
-            for mask in range(1 << self.arity)
-        )
+        masks = range(1 << self.arity)
+        pins = [sum(1 << m for m in masks if m >> i & 1) for i in range(self.arity)]
+        fired = eval_sop(self.products, pins)
+        return tuple(1 if fired >> m & 1 else 0 if m == 0 else -1 for m in masks)
 
     @property
     def max_stack(self) -> int:

@@ -3,9 +3,10 @@
 A Netlist is an acyclic graph of threshold-gate instances over named
 single-rail nets; feedback exists only inside gate hysteresis. Primary
 inputs and outputs are dual-rail ports. Evaluation is a one-pass fixpoint
-(settle), on top of which the two behavioral delay-insensitivity checkers
-are built: input-completeness sweeps partial input wavefronts, and
-observability suppresses one gate at a time.
+(settle) over lane ints, one bit per input vector. On it the two behavioral
+delay-insensitivity checkers run every vector at once, as parallel-pattern
+fault simulation: input-completeness sweeps partial input wavefronts, and
+observability holds one gate output stuck at 0 at a time.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .gates import DEFAULT_CATALOG, GateCatalog, GateError, GateSpec, spec_from_name
+from .gates import DEFAULT_CATALOG, GateCatalog, GateError, GateSpec, eval_sop, spec_from_name
 
 
 class NetlistError(ValueError):
@@ -275,14 +276,15 @@ class Netlist:
     def _compiled(self):
         """Net index map and topo-ordered settle rows.
 
-        Each row is (truth table, ((pin bit, net index), ...), output net
-        index, instance name); the pin bits build the row's input mask.
+        Each row is (products over net indices, one single-net product per
+        distinct input net, output net index, instance name).
         """
         if self._rows is None:
             index = {net: i for i, net in enumerate(self.nets)}
             rows = tuple(
-                (self.spec(inst.kind).table,
-                 tuple((1 << k, index[p]) for k, p in enumerate(inst.ins)),
+                (tuple(tuple(index[inst.ins[k]] for k in prod)
+                       for prod in self.spec(inst.kind).products),
+                 tuple((i,) for i in dict.fromkeys(index[p] for p in inst.ins)),
                  index[inst.out], inst.name)
                 for inst in self.topo_order()
             )
@@ -303,7 +305,9 @@ def settle(
     0, the all-NULL reset); ``frozen`` pins nets to fixed values, used by
     the observability checker. Returns the complete net-value map. One
     pass suffices on an acyclic graph; a second pass verifies that and
-    raises NonConvergenceError otherwise.
+    raises NonConvergenceError if any lane still changes. Values are lane
+    ints (bit k is vector k; 0/1 is one lane) and each gate steps as
+    ``set | (prev & any input)``.
     """
     index, rows = netlist._compiled()
     nets = netlist.nets
@@ -318,13 +322,12 @@ def settle(
             values[i] = frozen[nets[i]]
         rows = [row for row in rows if row[2] not in pinned]
     for verify in (False, True):
-        for table, pins, out, name in rows:
-            mask = 0
-            for bit, i in pins:
-                if values[i]:
-                    mask |= bit
-            nxt = table[mask]
-            if nxt >= 0 and nxt != values[out]:
+        for prods, anys, out, name in rows:
+            prev = values[out]
+            nxt = eval_sop(prods, values)
+            if prev:
+                nxt |= prev & eval_sop(anys, values)
+            if nxt != prev:
                 if verify:
                     raise NonConvergenceError(f"net {nets[out]} (gate {name}) did not settle")
                 values[out] = nxt
@@ -389,17 +392,24 @@ def _check_preconditions(netlist: Netlist) -> None:
         raise NetlistError("checkers expect pure dual-rail netlists (no control inputs)")
 
 
-def _vector_space(netlist: Netlist, limit: int, trials: Optional[int], seed: int):
-    """All (or sampled) legal DATA vectors as per-port bit tuples."""
+def _all_vectors(netlist: Netlist, limit: int) -> list:
+    """Every legal DATA vector as a per-port bit tuple, under the guard."""
     n = len(netlist.inputs)
-    if trials is None:
-        if n > limit:
-            raise NetlistError(
-                f"{n} dual-rail inputs exceed the exhaustive guard of {limit}; "
-                f"pass a trial count for sampled mode")
-        return [tuple(v) for v in itertools.product((0, 1), repeat=n)], None
-    rng = random.Random(seed)
-    return None, rng
+    if n > limit:
+        raise NetlistError(
+            f"{n} dual-rail inputs exceed the exhaustive guard of {limit}; "
+            f"pass a trial count for sampled mode")
+    return list(itertools.product((0, 1), repeat=n))
+
+
+def _lane_rails(ports: Sequence[Port], vectors: Sequence[Tuple[int, ...]]) -> Dict[str, int]:
+    """Input rail values as lane ints: lane k carries the DATA of vectors[k]."""
+    every = (1 << len(vectors)) - 1
+    rails = {}
+    for i, p in enumerate(ports):
+        rails[p.rail1] = sum(vec[i] << k for k, vec in enumerate(vectors))
+        rails[p.rail0] = every ^ rails[p.rail1]
+    return rails
 
 
 def check_input_completeness(
@@ -413,53 +423,65 @@ def check_input_completeness(
     Exhaustive over every legal DATA vector and every strict nonempty
     subset of input ports when the port count is within the guard;
     otherwise ``trials`` random (vector, subset) pairs. Checks both the
-    NULL→DATA and DATA→NULL directions. Empty list iff input-complete.
+    NULL→DATA and DATA→NULL directions. Empty list iff input-complete;
+    violations come in case order (vector, then subset; first draw when
+    sampled), NULL→DATA before DATA→NULL. Vectors are lanes: a subset
+    costs two settles over all the vectors it pairs with.
     """
     _check_preconditions(netlist)
     ports = netlist.inputs
-    names = [p.name for p in ports]
     n = len(ports)
     if n < 2:
         return []  # no strict nonempty subset exists
-    vectors, rng = _vector_space(netlist, max_exhaustive_inputs, trials, seed)
+    if trials is None:
+        vectors = _all_vectors(netlist, max_exhaustive_inputs)
+        every = (1 << len(vectors)) - 1
+        subsets = {c: every for k in range(1, n) for c in itertools.combinations(range(n), k)}
+    else:
+        rng = random.Random(seed)
+        lane_of: Dict[Tuple[int, ...], int] = {}
+        subsets = {}
+        first: Dict[tuple, int] = {}
+        for t in range(trials):
+            vec = tuple(rng.randint(0, 1) for _ in range(n))
+            k = rng.randint(1, n - 1)
+            sub = tuple(sorted(rng.sample(range(n), k)))
+            lane = lane_of.setdefault(vec, len(lane_of))
+            subsets[sub] = subsets.get(sub, 0) | 1 << lane
+            first.setdefault((lane, sub), t)
+        vectors = list(lane_of)
+    rails = _lane_rails(ports, vectors)
 
-    def cases():
-        if vectors is not None:
-            subsets = [c for k in range(1, n) for c in itertools.combinations(range(n), k)]
-            for vec in vectors:
-                for sub in subsets:
-                    yield vec, sub
-        else:
-            for _ in range(trials):
-                vec = tuple(rng.randint(0, 1) for _ in range(n))
-                k = rng.randint(1, n - 1)
-                sub = tuple(sorted(rng.sample(range(n), k)))
-                yield vec, sub
+    def drive(members):
+        return {r: rails[r] for i in members for r in ports[i].rails}
 
-    violations = []
-    seen = set()
+    out_rails = [p.rails for p in netlist.outputs]
     null_state = settle(netlist, {})
-    data_states: Dict[Tuple[int, ...], Dict[str, int]] = {}
-    for vec, sub in cases():
-        if (vec, sub) in seen:
-            continue
-        seen.add((vec, sub))
-        # NULL -> DATA: drive only the subset's rails, from the NULL state.
-        partial = {names[i]: vec[i] for i in sub}
-        vals = settle(netlist, encode_word(ports, partial), null_state)
-        if all(dv.is_data for dv in output_word(netlist, vals).values()):
-            violations.append(ICViolation(
-                "null-to-data", vec, tuple(names[i] for i in sub)))
-        # DATA -> NULL: from the settled full-DATA state, drop the subset.
-        if vec not in data_states:
-            full = {names[i]: vec[i] for i in range(n)}
-            data_states[vec] = settle(netlist, encode_word(ports, full), null_state)
-        kept = {names[i]: vec[i] for i in range(n) if i not in sub}
-        vals = settle(netlist, encode_word(ports, kept), data_states[vec])
-        if all(dv is DR.NULL for dv in output_word(netlist, vals).values()):
-            violations.append(ICViolation(
-                "data-to-null", vec, tuple(names[i] for i in sub)))
-    return violations
+    data_state = settle(netlist, drive(range(n)), null_state)
+    hits = []
+    for sub, lanes in subsets.items():
+        # NULL -> DATA drives only the subset's rails, from the NULL state;
+        # DATA -> NULL drops them, from the settled full-DATA state.
+        for direction, driven, start, done in (
+                ("null-to-data", sub, null_state, lambda r1, r0: r1 ^ r0),
+                ("data-to-null", [i for i in range(n) if i not in sub], data_state,
+                 lambda r1, r0: ~(r1 | r0))):
+            vals = settle(netlist, drive(driven), start)
+            bits = lanes
+            for r1, r0 in out_rails:
+                bits &= done(vals[r1], vals[r0])
+            while bits:
+                lane = (bits & -bits).bit_length() - 1
+                bits &= bits - 1
+                hits.append((lane, sub, ICViolation(
+                    direction, vectors[lane], tuple(ports[i].name for i in sub))))
+    # case order; the sort is stable, so NULL->DATA stays first in a case
+    if trials is None:
+        rank = {sub: i for i, sub in enumerate(subsets)}
+        hits.sort(key=lambda hit: (hit[0], rank[hit[1]]))
+    else:
+        hits.sort(key=lambda hit: first[hit[0], hit[1]])
+    return [v for _, _, v in hits]
 
 
 def check_observability(
@@ -470,30 +492,22 @@ def check_observability(
 ) -> list:
     """Transition-suppression sweep: freeze one gate output at 0 per DATA
     wavefront; a gate no wavefront can ever observe at the outputs is
-    flagged. Empty list iff every gate is observable."""
+    flagged. Empty list iff every gate is observable. Every vector is one
+    lane, so each gate costs one settle with its output stuck at 0."""
     _check_preconditions(netlist)
-    ports = netlist.inputs
-    names = [p.name for p in ports]
-    n = len(ports)
-    vectors, rng = _vector_space(netlist, max_exhaustive_inputs, trials, seed)
-    if vectors is None:
-        vectors = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(trials)]
+    if trials is None:
+        vectors = _all_vectors(netlist, max_exhaustive_inputs)
+    else:
+        rng = random.Random(seed)
+        vectors = [tuple(rng.randint(0, 1) for _ in netlist.inputs) for _ in range(trials)]
+    rails = _lane_rails(netlist.inputs, vectors)
     null_state = settle(netlist, {})
     out_rails = netlist.output_rails()
-    baselines = []
-    for vec in vectors:
-        rails = encode_word(ports, dict(zip(names, vec)))
-        vals = settle(netlist, rails, null_state)
-        baselines.append((rails, tuple(vals[r] for r in out_rails)))
+    base = settle(netlist, rails, null_state)
     violations = []
     for inst in netlist.gates:
-        observed = False
-        for rails, base in baselines:
-            vals = settle(netlist, rails, null_state, frozen={inst.out: 0})
-            if tuple(vals[r] for r in out_rails) != base:
-                observed = True
-                break
-        if not observed:
+        vals = settle(netlist, rails, null_state, frozen={inst.out: 0})
+        if all(vals[r] == base[r] for r in out_rails):
             violations.append(ObsViolation(inst.name))
     return violations
 

@@ -106,19 +106,26 @@ def dump_tech(tech: TechParams) -> str:
                       indent=2, sort_keys=True) + "\n"
 
 
-def parse_tech(text: str) -> TechParams:
+def _parse_model(text: str, key: str, cls, noun: str):
+    """A ``cls`` built from the ``key`` object of a version-1 JSON document."""
     try:
         doc = json.loads(text)
-        body = doc["tech"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise PpaError(f"tech document is malformed: {exc}") from exc
+        body = dict(doc[key])
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
+        raise PpaError(f"{key} document is malformed: {exc}") from exc
     if doc.get("version") != 1:
-        raise PpaError("unsupported tech document version")
-    known = {f.name for f in fields(TechParams)}
-    unknown = sorted(set(body) - known)
+        raise PpaError(f"unsupported {key} document version")
+    unknown = sorted(set(body) - {f.name for f in fields(cls)})
     if unknown:
-        raise PpaError(f"unknown tech parameters: {unknown}")
-    return TechParams(**body)
+        raise PpaError(f"unknown {key} {noun}: {unknown}")
+    try:
+        return cls(**body)
+    except TypeError as exc:  # a missing field or a value of the wrong type
+        raise PpaError(f"{key} document is malformed: {exc}") from exc
+
+
+def parse_tech(text: str) -> TechParams:
+    return _parse_model(text, "tech", TechParams, "parameters")
 
 
 def load_tech(path) -> TechParams:
@@ -233,6 +240,8 @@ class Calibration:
             raise PpaError("calibration field a_miv_eff must be non-negative")
         for label, table in (("r_drive", self.r_drive),
                              ("activity_mhz", self.activity_mhz)):
+            if not isinstance(table, Mapping):
+                raise PpaError(f"calibration field {label} must be a mapping")
             for kind, value in table.items():
                 if value <= 0:
                     raise PpaError(f"{label}[{kind}] must be positive")
@@ -268,18 +277,7 @@ def dump_calibration(cal: Calibration) -> str:
 
 
 def parse_calibration(text: str) -> Calibration:
-    try:
-        doc = json.loads(text)
-        body = dict(doc["calibration"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise PpaError(f"calibration document is malformed: {exc}") from exc
-    if doc.get("version") != 1:
-        raise PpaError("unsupported calibration document version")
-    known = {f.name for f in fields(Calibration)}
-    unknown = sorted(set(body) - known)
-    if unknown:
-        raise PpaError(f"unknown calibration fields: {unknown}")
-    return Calibration(**body)
+    return _parse_model(text, "calibration", Calibration, "fields")
 
 
 def load_calibration(path) -> Calibration:

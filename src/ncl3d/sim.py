@@ -9,9 +9,9 @@ of (system, vectors, delays).
 
 Each gate keeps an input mask (bit k is input pin k).  A net change
 flips the mask bits of the pins it feeds and looks the new mask up in
-the gate's compiled truth table (``GateSpec.table``), the same kernel
-``settle`` and ``next_output`` use; rise and fall delays are resolved
-once per gate before the run.
+the gate's truth table (``GateSpec.table``, which ``next_output`` reads
+too, built by the SOP evaluator ``settle`` runs); rise and fall delays
+are resolved once per gate before the run.
 
 The environment is infinitely fast: the producer answers the first
 bank's request and the consumer acknowledges word completion in the

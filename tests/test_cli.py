@@ -3,11 +3,17 @@
 Every command is run through main() with captured stdout; the
 reproducibility tests assert byte equality between repeated runs.
 """
+import contextlib
+import io
 import json
+import os
+import tempfile
 from argparse import Namespace
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ncl3d.cli import _parse_alphas, CliError, cmd_gate_report, main
 from ncl3d.netlist import load_netlist
@@ -15,6 +21,10 @@ from ncl3d.netlist import load_netlist
 
 def fixture(name: str) -> str:
     return str(resources.files("ncl3d").joinpath(f"data/fixtures/{name}"))
+
+
+def bundled(name: str) -> bytes:
+    return resources.files("ncl3d").joinpath(f"data/{name}").read_bytes()
 
 
 def run(capsys, *argv):
@@ -277,3 +287,95 @@ def test_repeated_runs_are_byte_identical(capsys, tmp_path, argv):
     assert code1 == code2
     assert out1 == out2
     assert blob1 == blob2
+
+
+# ------------------------------------------------------------- hostile input
+
+NOT_UTF8 = b"\xff\xfe input A\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{bad}"],
+    ["simulate", "{bad}", "{vec}"],
+    ["simulate", fixture("and2.ncl"), "{bad}"],
+    ["synth", "{bad}"],
+    ["gate-report", "TH22", "--tech", "{bad}"],
+    ["gate-report", "TH22", "--cal", "{bad}"],
+], ids=["check-netlist", "simulate-netlist", "simulate-vectors", "synth", "tech", "cal"])
+def test_non_utf8_files_are_usage_errors(capsys, tmp_path, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(NOT_UTF8)
+    vec = tmp_path / "v.txt"
+    vec.write_text("0\n")
+    code, out, err = run(capsys, *(a.format(bad=bad, vec=vec) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+@st.composite
+def mutated(draw, seed: bytes):
+    """``seed`` with a few byte ranges replaced by arbitrary bytes."""
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        data[pos:pos + draw(st.integers(0, 4))] = draw(st.binary(max_size=4))
+    return bytes(data)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10**6) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def edited_model(draw, seed: bytes):
+    """A bundled model document with fields dropped or given arbitrary JSON."""
+    doc = json.loads(seed)
+    key = next(k for k in doc if k != "version")
+    for _ in range(draw(st.integers(1, 3))):
+        body = doc[key] if isinstance(doc[key], dict) else {}
+        edit = draw(st.integers(0, 3))
+        if edit == 0 and body:
+            del body[draw(st.sampled_from(sorted(body)))]
+        elif edit == 1:
+            body[draw(st.sampled_from(sorted(body) or ["x"]))] = draw(JSON_VALUES)
+            doc[key] = body
+        elif edit == 2:
+            doc[key] = draw(JSON_VALUES)
+        else:
+            doc["version"] = draw(JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+def hostile(seed: bytes, model: bool = False):
+    files = st.binary(max_size=64) | mutated(seed)
+    return files | edited_model(seed) if model else files
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(netlist=hostile(bundled("fixtures/xor2.ncl")),
+       boolean=hostile(bundled("fixtures/full_adder.bnl")),
+       vectors=hostile(b"0\n1\n2\n3\n"),
+       tech=hostile(bundled("default_tech.json"), model=True),
+       cal=hostile(bundled("default_calibration.json"), model=True))
+def test_cli_keeps_its_exit_codes_on_arbitrary_files(netlist, boolean, vectors, tech, cal):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, blob in (("n.ncl", netlist), ("b.bnl", boolean), ("v.txt", vectors),
+                           ("t.json", tech), ("c.json", cal)):
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "wb") as fh:
+                fh.write(blob)
+        for argv in (["check", paths["n.ncl"]],
+                     ["simulate", paths["n.ncl"], paths["v.txt"]],
+                     ["synth", paths["b.bnl"]],
+                     ["gate-report", "TH22", "--tech", paths["t.json"]],
+                     ["gate-report", "TH22", "--cal", paths["c.json"]],
+                     ["simulate", fixture("xor2.ncl"), paths["v.txt"], "--mode", "M3D",
+                      "--tech", paths["t.json"], "--cal", paths["c.json"]]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv

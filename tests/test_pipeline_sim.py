@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncl3d.boolnet import parse_boolean_netlist
 from ncl3d.netlist import Netlist, NetlistError, Port
@@ -27,6 +29,7 @@ from ncl3d.sim import (
     simulate,
 )
 from ncl3d.synth import build_array_multiplier, expand_dual_rail, operand_bits
+from test_netlist import boolean_circuit
 
 
 def identity_cl(bits):
@@ -172,6 +175,24 @@ def test_multiplier_pipeline_streams_products():
     # one completion-detector round trip per vector
     cd = [v for _, n, v in trace.records if n == "cd1"]
     assert cd == [1, 0] * len(vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=boolean_circuit(), words=st.lists(st.integers(0, 15), max_size=6),
+       stages=st.integers(1, 2), seed=st.integers(0, 2**16))
+def test_random_delays_reproduce_boolean_evaluation(case, words, stages, seed):
+    """The dual-rail expansion of a random Boolean netlist, pipelined and
+    simulated under random per-gate delays, outputs the Boolean words."""
+    bnl, _ = case
+    system = build_pipeline(expand_dual_rail(bnl), stages)
+    vectors = [w % (1 << len(bnl.inputs)) for w in words]
+    names = [g.name for g in system.netlist.gates]
+    delays = DelayAssignment.uniform_random(names, random.Random(seed))
+    expected = []
+    for v in vectors:
+        outs = bnl.evaluate_outputs({x: v >> i & 1 for i, x in enumerate(bnl.inputs)})
+        expected.append(sum(b << i for i, b in enumerate(outs)))
+    assert simulate(system, vectors, delays).words() == expected
 
 
 def test_cycle_time_is_stable_for_a_steady_stream():

@@ -51,6 +51,8 @@ HALF_CELL_C = 0.1637363
 
 METRICS = ("t_d", "t_s", "power", "area")
 
+BUNDLED_CAL = json.loads(dump_calibration(default_calibration()))["calibration"]
+
 
 @pytest.fixture(scope="module")
 def tech():
@@ -98,6 +100,9 @@ def test_tech_round_trip(tech, tmp_path):
     "not json",
     json.dumps({"version": 2, "tech": {}}),
     json.dumps({"version": 1, "tech": {"no_such_knob": 1.0}}),
+    pytest.param(json.dumps({"version": 1, "tech": 5}), id="not-an-object"),
+    pytest.param(json.dumps({"version": 1, "tech": {"L_G": "50"}}), id="string-value"),
+    pytest.param(json.dumps({"version": 1, "tech": {"L_G": None}}), id="null-value"),
 ])
 def test_tech_parse_errors(text):
     with pytest.raises(PpaError):
@@ -214,6 +219,12 @@ def test_calibration_round_trip(cal, tmp_path):
 @pytest.mark.parametrize("text", [
     "not json",
     json.dumps({"version": 2, "calibration": {}}),
+    pytest.param(json.dumps({"version": 1, "calibration": {"a_unit": 1.0}}), id="missing-fields"),
+    pytest.param(json.dumps({"version": 1, "calibration": [[]]}), id="not-an-object"),
+    *(pytest.param(json.dumps({"version": 1, "calibration": dict(BUNDLED_CAL, **{field: value})}),
+                   id=f"{field}={value!r}")
+      for field, value in (("c_dev", "2"), ("r_drive", None), ("activity_mhz", [1]),
+                           ("r_drive", {"TH22": "x"}))),
 ])
 def test_calibration_parse_errors(text):
     with pytest.raises(PpaError):
