@@ -8,7 +8,7 @@ truth oracle for the synthesized dual-rail circuits.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .netlist import CycleError, Defect, FormatError, GateInst, NetlistError
 

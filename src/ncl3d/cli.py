@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .boolnet import parse_boolean_netlist
-from .gates import STUDY_GATES, GateError, spec_from_name, transistor_counts
+from .gates import STUDY_GATES, GateError, spec_from_name
 from .netlist import (
     FormatError,
     NetlistError,
@@ -319,7 +319,7 @@ def cmd_multiplier_demo(args) -> int:
     exhaustive = args.exhaustive or args.width <= 4
     vectors, expected, tag = _mult_vectors(args.width, exhaustive, args.seed)
     system = build_pipeline(cl)
-    words = tuple(measure(simulate(system, vectors)).words)
+    words = tuple(simulate(system, vectors).words())
     correct = sum(1 for got, want in zip(words, expected) if got == want)
     ok_products = correct == len(expected)
     lines.append(f"verification: {tag}: {correct}/{len(expected)} products correct, "

@@ -317,20 +317,19 @@ def _spec_to_dict(spec: GateSpec) -> dict:
 def _spec_from_dict(name: str, doc: Mapping) -> GateSpec:
     try:
         arity = int(doc["arity"])
-        products = canonical_sop([tuple(p) for p in doc["products"]], arity)
-    except (KeyError, TypeError) as exc:
+        weights = doc.get("weights")
+        return GateSpec(
+            name=name,
+            arity=arity,
+            products=canonical_sop([tuple(p) for p in doc["products"]], arity),
+            weights=None if weights is None else tuple(int(w) for w in weights),
+            threshold=None if weights is None else int(doc["threshold"]),
+            pmos=None if "pmos" not in doc else int(doc["pmos"]),
+            nmos=None if "nmos" not in doc else int(doc["nmos"]),
+            miv_override=None if "miv" not in doc else int(doc["miv"]),
+        )
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise GateError(f"catalog entry {name!r} is malformed: {exc}") from exc
-    weights = doc.get("weights")
-    return GateSpec(
-        name=name,
-        arity=arity,
-        products=products,
-        weights=None if weights is None else tuple(int(w) for w in weights),
-        threshold=None if weights is None else int(doc["threshold"]),
-        pmos=None if "pmos" not in doc else int(doc["pmos"]),
-        nmos=None if "nmos" not in doc else int(doc["nmos"]),
-        miv_override=None if "miv" not in doc else int(doc["miv"]),
-    )
 
 
 def dump_catalog(catalog: GateCatalog) -> str:
@@ -346,6 +345,8 @@ def parse_catalog(text: str, base: Optional[GateCatalog] = None) -> GateCatalog:
         gates = doc["gates"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise GateError(f"catalog document is malformed: {exc}") from exc
+    if not isinstance(gates, Mapping):
+        raise GateError("catalog document is malformed: 'gates' must map names to entries")
     catalog = (base or DEFAULT_CATALOG).copy()
     for name in sorted(gates):
         catalog.add(_spec_from_dict(name, gates[name]))

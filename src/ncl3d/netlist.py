@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .gates import DEFAULT_CATALOG, GateCatalog, GateError, GateSpec, eval_sop, spec_from_name
 

@@ -23,7 +23,7 @@ from hashlib import sha256
 from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .gates import GateCatalog, GateSpec, STUDY_GATES, spec_from_name, transistor_counts
+from .gates import GateCatalog, GateSpec, spec_from_name, transistor_counts
 from .netlist import Netlist
 from .pipeline import PipelineSystem, build_pipeline
 from .refdata import ReferenceTable, load_reference
@@ -299,8 +299,11 @@ def default_calibration() -> Calibration:
 
 # ---------------------------------------------------------- gate estimators
 
+@lru_cache(maxsize=256)
 def _wires(tech: TechParams, mode: str, alpha: float,
-           route_fraction: float) -> Dict[Scenario, WireRC]:
+           route_fraction: float) -> Mapping[Scenario, WireRC]:
+    """The four wire classes, built once per (tech, mode, alpha, route_fraction);
+    a circuit rollup asks for the same ones for every gate."""
     return {s: wire_parasitics(s, tech, mode, alpha, route_fraction)
             for s in Scenario}
 

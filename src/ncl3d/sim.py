@@ -1,29 +1,40 @@
 """Event-driven simulation of 4-phase handshaking pipelines.
 
-The engine is a single-queue discrete-event simulator.  Gate evaluation
-separates internal state from the visible output: an input change
-updates the hysteresis state immediately and the output net follows
-after the gate's propagation delay (transport semantics).  Events with
-equal timestamps apply in insertion order, so a run is a pure function
-of (system, vectors, delays).
+The engine is a discrete-event simulator.  Gate evaluation separates
+internal state from the visible output: an input change updates the
+hysteresis state immediately and the output net follows after the
+gate's propagation delay (transport semantics).  Events with equal
+timestamps apply in insertion order, so a run is a pure function of
+(system, vectors, delays).
+
+The queue is bucketed by timestep: ``buckets[t]`` lists the (net, value)
+events due at t in push order and a heap holds the distinct pending
+times, so the heap is pushed and popped once per timestep, not once per
+event.  The current bucket is drained by index; zero-delay events (the
+completion inverters and the environment) append to it and so run after
+everything already due at t, in the order they were pushed.
 
 Each gate keeps an input mask (bit k is input pin k).  A net change
-flips the mask bits of the pins it feeds and looks the new mask up in
-the gate's truth table (``GateSpec.table``, which ``next_output`` reads
-too, built by the SOP evaluator ``settle`` runs); rise and fall delays
-are resolved once per gate before the run.
+flips the mask bits of the pins it feeds (``fanout[net]``) and looks the
+new mask up in the gate's truth table (``GateSpec.table``, which
+``next_output`` reads too, built by the SOP evaluator ``settle`` runs);
+rise and fall delays are resolved once per gate before the run.
 
 The environment is infinitely fast: the producer answers the first
 bank's request and the consumer acknowledges word completion in the
 same timestep they are observed.  It reads only the request net and
 the output rails, so it runs only in timesteps that changed one of
 them; any other timestep would show it what it has already acted on.
+A change of an output rail updates running counts of the outputs at
+DATA and at NULL and marks the outputs on that rail as touched (INV/BUF
+aliases can put one net on several outputs), so the consumer tests the
+counts for word completion and scans only the touched outputs, in port
+order, for arrival times.
 """
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import count
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .netlist import FormatError
 from .pipeline import PipelineSystem
@@ -197,29 +208,27 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
             names.append(out)
     idx = {n: i for i, n in enumerate(names)}
 
-    # Per-gate kernel state: truth table, input mask, hysteresis state,
-    # output net and (fall, rise) delays.  readers[net] lists (gate, bits)
-    # with bits OR-ing every pin of the gate that the net feeds.
-    tables: List[Tuple[int, ...]] = []
-    outs: List[int] = []
-    edge_delays: List[Tuple[int, int]] = []
-    readers: List[List[Tuple[int, int]]] = [[] for _ in names]
+    values = [0] * len(names)
+    for n, v in system.reset_state().items():
+        values[idx[n]] = v
+
+    # Per-gate kernel state: input mask and hysteresis state.  fanout[net]
+    # lists (gate, pin bits, truth table, output net, (fall, rise)) for every
+    # gate the net feeds, with pin bits OR-ing each pin it drives there.
+    fanout: List[List[Tuple[int, int, Tuple[int, ...], int, Tuple[int, int]]]] = \
+        [[] for _ in names]
+    masks: List[int] = []
+    state: List[int] = []
     for gi, g in enumerate(nl.gates):
-        tables.append(nl.spec(g.kind).table)
-        outs.append(idx[g.out])
-        edge_delays.append((delays.delay_for(g.name, 0), delays.delay_for(g.name, 1)))
+        row = (nl.spec(g.kind).table, idx[g.out],
+               (delays.delay_for(g.name, 0), delays.delay_for(g.name, 1)))
         pins: Dict[int, int] = {}
         for k, n in enumerate(g.ins):
             pins[idx[n]] = pins.get(idx[n], 0) | 1 << k
         for net, bits in pins.items():
-            readers[net].append((gi, bits))
-    inv_map = {idx[src]: idx[out] for out, src in system.inverters.items()}
-
-    values = [0] * len(names)
-    for n, v in system.reset_state().items():
-        values[idx[n]] = v
-    state = [values[out] for out in outs]
-    masks = [sum(1 << k for k, n in enumerate(g.ins) if values[idx[n]]) for g in nl.gates]
+            fanout[net].append((gi, bits, *row))
+        masks.append(sum(bits for net, bits in pins.items() if values[net]))
+        state.append(values[idx[g.out]])
 
     req = idx[system.request_net]
     ack = idx[system.ack_net]
@@ -227,12 +236,38 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     in_rails = [(idx[p.rail1], idx[p.rail0]) for p in system.inputs]
     out_names = [p.name for p in system.outputs]
     out_rails = [(idx[p.rail1], idx[p.rail0]) for p in system.outputs]
+    n_out = len(out_rails)
 
-    heap: List[Tuple[int, int, int, int]] = []
-    seq = count()                 # tie-break: same-time events in push order
+    # Environment bookkeeping.  rail_outs[net] lists the outputs (in port
+    # order) with a rail on the net; INV/BUF aliases can give one net to
+    # several outputs.  out_class[o] is 0 for NULL (rails 00), 1 for DATA
+    # (rails differ) and 2 for both rails high; class_count counts outputs
+    # per class.  touched holds the outputs whose rails changed since the
+    # environment last ran.
+    rail_outs: List[List[int]] = [[] for _ in names]
+    for o, rails in enumerate(out_rails):
+        for net in dict.fromkeys(rails):
+            rail_outs[net].append(o)
+    out_class = [1 if values[r1] != values[r0] else 2 * values[r1] for r1, r0 in out_rails]
+    class_count = [out_class.count(c) for c in range(3)]
+    touched: Set[int] = set()
+    inv_of = [-1] * len(names)
+    for out, src in system.inverters.items():
+        inv_of[idx[src]] = idx[out]
+    special = [bool(rail_outs[n] or inv_of[n] >= 0) or n == req for n in range(len(names))]
+
+    # Pending events by time: buckets[t] lists (net, value) in push order and
+    # times is a heap of the bucket keys.
+    buckets: Dict[int, List[Tuple[int, int]]] = {}
+    times: List[int] = []
 
     def push(t: int, net: int, v: int) -> None:
-        heappush(heap, (t, next(seq), net, v))
+        bucket = buckets.get(t)
+        if bucket is None:
+            buckets[t] = [(net, v)]
+            heappush(times, t)
+        else:
+            bucket.append((net, v))
 
     records: List[Tuple[int, str, int]] = []
     waves: List[Wave] = []
@@ -263,55 +298,78 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                     push(t, r0, 0)
             prod_next += 1
             prod_phase = "data"
-        pairs = [(values[r1], values[r0]) for r1, r0 in out_rails]
         if cons_phase == "data":
-            for n, (a, b) in zip(out_names, pairs):
-                if a != b and n not in arrivals:
-                    arrivals[n] = t
-            if all(a != b for a, b in pairs):
-                bits = {n: a for n, (a, _) in zip(out_names, pairs)}
+            for o in sorted(touched):
+                if out_class[o] == 1 and out_names[o] not in arrivals:
+                    arrivals[out_names[o]] = t
+            if class_count[1] == n_out:
+                bits = {n: values[r1] for n, (r1, _) in zip(out_names, out_rails)}
                 value = sum(b << i for i, b in enumerate(bits.values()))
                 pending = (len(waves), t_applied[len(waves)], t, bits, value, dict(arrivals))
                 arrivals.clear()
                 push(t, ack, 0)
                 cons_phase = "null"
-        elif cons_phase == "null" and all(a == 0 and b == 0 for a, b in pairs):
+        elif cons_phase == "null" and class_count[0] == n_out:
             k, t0, t_data, bits, value, arr = pending
             waves.append(Wave(k, t0, t_data, t, bits, value, arr))
             pending = None
             push(t, ack, 1)
             cons_phase = "data"
+        touched.clear()
 
     limit = max_events if max_events is not None else 50 * (len(vectors) + 2) * max(len(names), 1)
     popped = 0
 
-    env_nets = {req, *(r for pair in out_rails for r in pair)}
     run_env(0)
-    while heap:
-        t = heap[0][0]
-        env_changed = False
-        while heap and heap[0][0] == t:
-            _, _, net, v = heappop(heap)
-            popped += 1
-            if popped > limit:
-                raise EventLimitError(f"exceeded {limit} events at t={t}; circuit is live-locked")
-            if values[net] == v:
-                continue
-            values[net] = v
-            records.append((t, names[net], v))
-            if net in env_nets:
-                env_changed = True
-            for gi, bits in readers[net]:
-                mask = masks[gi] | bits if v else masks[gi] & ~bits
-                masks[gi] = mask
-                nxt = tables[gi][mask]
-                if nxt >= 0 and nxt != state[gi]:
-                    state[gi] = nxt
-                    heappush(heap, (t + edge_delays[gi][nxt], next(seq), outs[gi], nxt))
-            if net in inv_map:
-                push(t, inv_map[net], 1 - v)
-        if env_changed:
-            run_env(t)
+    while times:
+        t = times[0]
+        bucket = buckets[t]
+        i = 0
+        while True:
+            env_changed = False
+            while i < len(bucket):
+                net, v = bucket[i]
+                i += 1
+                popped += 1
+                if popped > limit:
+                    raise EventLimitError(f"exceeded {limit} events at t={t}; circuit is live-locked")
+                if values[net] == v:
+                    continue
+                values[net] = v
+                records.append((t, names[net], v))
+                for gi, bits, table, out, edge in fanout[net]:
+                    mask = masks[gi] ^ bits       # the pins the net feeds all flip
+                    masks[gi] = mask
+                    nxt = table[mask]
+                    if nxt >= 0 and nxt != state[gi]:
+                        state[gi] = nxt
+                        t_out = t + edge[nxt]         # push(), inlined on the hot path
+                        later = buckets.get(t_out)
+                        if later is None:
+                            buckets[t_out] = [(out, nxt)]
+                            heappush(times, t_out)
+                        else:
+                            later.append((out, nxt))
+                if special[net]:
+                    if net == req:
+                        env_changed = True
+                    for o in rail_outs[net]:
+                        r1, r0 = out_rails[o]
+                        cls = 1 if values[r1] != values[r0] else 2 * values[r1]
+                        class_count[out_class[o]] -= 1
+                        class_count[cls] += 1
+                        out_class[o] = cls
+                        touched.add(o)
+                        env_changed = True
+                    if inv_of[net] >= 0:
+                        bucket.append((inv_of[net], 1 - v))
+            if not env_changed:
+                break
+            run_env(t)                    # may append same-time events
+            if i == len(bucket):
+                break
+        del buckets[t]
+        heappop(times)
 
     done = (prod_next == len(vectors) and prod_phase == "data"
             and cons_phase == "data" and len(waves) == len(vectors))

@@ -182,8 +182,27 @@ def test_catalog_layering_and_conflicts():
             '"products": [[0], [1]]}}}'
     with pytest.raises(GateError):
         parse_catalog(clash)
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"version": 1}',
+    '{"gates": [1]}',
+    '{"gates": null}',
+    '{"gates": {"X": 1}}',
+    '{"gates": {"X": {"products": [[0]]}}}',
+    '{"gates": {"X": {"arity": "x", "products": [[0]]}}}',
+    '{"gates": {"X": {"arity": Infinity, "products": [[0]]}}}',
+    '{"gates": {"X": {"arity": 1, "products": [["a"]]}}}',
+    '{"gates": {"X": {"arity": 1, "products": [[0]], "pmos": null}}}',
+    '{"gates": {"X": {"arity": 1, "products": [[0]], "nmos": "two"}}}',
+    '{"gates": {"X": {"arity": 1, "products": [[0]], "weights": [1]}}}',
+    '{"gates": {"X": {"arity": 1, "products": [[0]], "weights": 3, "threshold": 1}}}',
+    '{"gates": {"X": {"arity": 1, "products": [[1]]}}}',
+])
+def test_catalog_parse_errors(text):
     with pytest.raises(GateError):
-        parse_catalog("not json")
+        parse_catalog(text)
 
 
 @st.composite

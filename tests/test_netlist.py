@@ -25,7 +25,6 @@ from ncl3d.netlist import (
     encode_word,
     output_word,
     parse_netlist,
-    port,
     serialize_netlist,
     settle,
 )

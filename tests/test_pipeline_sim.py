@@ -5,7 +5,6 @@ on the netlist DAG; multiplier words are checked against integer
 arithmetic.
 """
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -246,8 +245,9 @@ def test_incomplete_circuit_deadlocks_with_named_output():
 
 
 def test_event_limit_guards_against_livelock():
-    with pytest.raises(EventLimitError):
+    with pytest.raises(EventLimitError) as err:
         simulate(and_pipeline(), [3, 3], max_events=5)
+    assert str(err.value) == "exceeded 5 events at t=2; circuit is live-locked"
 
 
 def test_measure_requires_a_finished_trace():
@@ -313,9 +313,27 @@ def test_vectors_validate_against_port_count():
         simulate(and_pipeline(), [{"a": 1}])        # missing b
 
 
-# SHA-256 of Trace.to_tsv() for the width-4 multiplier pipeline over all 256
-# operand pairs, pinned from the reference simulator.  Any change to event
-# order, transport semantics or trace formatting moves these digests.
+def wave_digest(trace):
+    """SHA-256 over every wave: index, the three times, the packed value and
+    the arrival times in the order the trace recorded them."""
+    lines = [f"{w.index}\t{w.t_applied}\t{w.t_data_complete}\t{w.t_null_complete}"
+             f"\t{w.value}\t{list(w.arrivals.items())}" for w in trace.waves]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def tsv_digest(trace):
+    return hashlib.sha256(trace.to_tsv().encode()).hexdigest()
+
+
+# SHA-256 of Trace.to_tsv() and of the wave bookkeeping for the width-4
+# multiplier pipeline over all 256 operand pairs, pinned from the reference
+# simulator.  Any change to event order, transport semantics, handshake
+# bookkeeping or trace formatting moves these digests.
+GOLDEN_WAVE_SHA256 = {
+    "unit": "47c94482781a57ca383c05676e53006b613180a6635dc37b0479febe8077d5ef",
+    "uniform_random": "f6c04a49945668e90a5ccde34c3b63828a46066611d0ced92f201d94b5e4b71d",
+    "m3d_0.7": "c2168c8dd66fa32611b8b20dcb96a5262656a48f154b394b29decc7d5b457201",
+}
 GOLDEN_TRACE_SHA256 = {
     "unit": "7d2bb83e5e7a87514b779e4340cb4d94e43e67ae5ecb8aa24dbef4c9eaa2747d",
     "uniform_random": "3760ff2bb198592f4421c2dfcdb2dec523d5f4dbbe6e1feab21b75b6d05b46bf",
@@ -341,5 +359,38 @@ def test_golden_trace_digest(mult4, model):
         delays = circuit_delay_assignment(system, cl, default_tech(),
                                           default_calibration(), "M3D", 0.7)
     vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
-    tsv = simulate(system, vectors, delays).to_tsv()
-    assert hashlib.sha256(tsv.encode()).hexdigest() == GOLDEN_TRACE_SHA256[model]
+    trace = simulate(system, vectors, delays)
+    assert tsv_digest(trace) == GOLDEN_TRACE_SHA256[model]
+    assert wave_digest(trace) == GOLDEN_WAVE_SHA256[model]
+
+
+def test_golden_three_stage_pipeline_digest():
+    system = build_pipeline(build_array_multiplier(4), 3)
+    names = [g.name for g in system.netlist.gates]
+    delays = DelayAssignment.uniform_random(names, random.Random(1))
+    vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
+    trace = simulate(system, vectors, delays)
+    assert trace.words() == [x * y for x in range(16) for y in range(16)]
+    assert tsv_digest(trace) == "ed2e52f68815625b5ec21bc7bdf65661f46f478b22cf84af94717f2a9ef3cb8c"
+    assert wave_digest(trace) == "ee580c6d53db24a1c2f3be156871685369d318ee71c67720992836346e2343a8"
+
+
+def test_golden_shared_output_rails_digest():
+    """x and BUF(x) share both rails, INV(x) swaps them and INV(a) swaps a
+    registered input's rails: one rail change completes several outputs."""
+    bnl = parse_boolean_netlist("input a b\noutput x y w n\n"
+                                "AND2 a b -> x\nBUF x -> y\nINV x -> w\nINV a -> n\n")
+    system = build_pipeline(expand_dual_rail(bnl), 1)
+    assert system.outputs[0].rails == system.outputs[1].rails
+    assert system.outputs[2].rails == system.outputs[0].rails[::-1]
+    names = [g.name for g in system.netlist.gates]
+    delays = DelayAssignment.uniform_random(names, random.Random(2))
+    vectors = [0, 1, 2, 3, 3, 0, 2, 1]
+    trace = simulate(system, vectors, delays)
+    expected = []
+    for v in vectors:
+        outs = bnl.evaluate_outputs({"a": v & 1, "b": v >> 1 & 1})
+        expected.append(sum(b << i for i, b in enumerate(outs)))
+    assert trace.words() == expected
+    assert tsv_digest(trace) == "67c783086bd007982a1bb1a0d2412d266a5bdf302af6928176415dc8b467f4de"
+    assert wave_digest(trace) == "48937186a331c8e8fe75fd6d524f66993702fad7847ce8ba8d0bfc602142ab50"

@@ -13,7 +13,6 @@ import pytest
 from ncl3d.gates import GateSpec, canonical_sop, spec_from_name, transistor_counts
 from ncl3d.ppa import (
     Calibration,
-    CalibrationError,
     PpaError,
     Scenario,
     TechParams,
