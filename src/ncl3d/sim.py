@@ -30,11 +30,26 @@ DATA and at NULL and marks the outputs on that rail as touched (INV/BUF
 aliases can put one net on several outputs), so the consumer tests the
 counts for word completion and scans only the touched outputs, in port
 order, for arrival times.
+
+An event is one of two tuples per net, ``(net, 0)`` and ``(net, 1)``,
+built once per run and shared by the queue, the gate fanout rows, the
+inverters and the environment, so scheduling an event allocates nothing.
+The trace is stored as columns: each applied transition appends the
+event tuple it popped to one list and its time to an ``array('q')``,
+about 20 bytes per transition against about 90 for a fresh
+``(t, name, value)`` tuple.  The trace grows with the run, so this is
+most of a long simulation's memory.  ``Trace.records`` decodes
+``(t, name, value)`` only when it is read; ``len`` and
+``transition_counts`` work on the columns.  Times must fit in 64 bits.
 """
 import random
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from operator import itemgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .netlist import FormatError
 from .pipeline import PipelineSystem
@@ -62,6 +77,11 @@ class VectorError(SimulationError, ValueError):
 
 
 Delay = Union[int, Tuple[int, int]]
+Event = Tuple[int, int]                  # (net index, value)
+
+
+def _positive_int(d) -> bool:
+    return isinstance(d, int) and not isinstance(d, bool) and d > 0
 
 
 @dataclass(frozen=True)
@@ -76,9 +96,10 @@ class DelayAssignment:
 
     def __post_init__(self):
         for d in (self.default, *self.per_gate.values()):
-            lo = min(d) if isinstance(d, tuple) else d
-            if lo <= 0:
-                raise ValueError("gate delays must be positive")
+            if not (_positive_int(d) or (isinstance(d, tuple) and len(d) == 2
+                                         and all(map(_positive_int, d)))):
+                raise ValueError(f"gate delays must be positive ints or (rise, fall) "
+                                 f"pairs of them, got {d!r}")
 
     def delay_for(self, name: str, value: int) -> int:
         d = self.per_gate.get(name, self.default)
@@ -112,9 +133,45 @@ class Wave:
         return max(times) - min(times)
 
 
+class Records(Sequence):
+    """Read-only view of a run's transitions as ``(time, net name, value)``.
+
+    ``events[k]`` is the ``(net index, value)`` event applied k-th and
+    ``times[k]`` its time; ``names`` maps net indices to names.  Indexing
+    and iteration decode, ``len`` does not.  A slice is a list, and the
+    view compares equal to the list of its decoded records.
+    """
+
+    __slots__ = ("names", "events", "times")
+
+    def __init__(self, names: Tuple[str, ...], events: List[Event], times: array):
+        self.names = names
+        self.events = events
+        self.times = times
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(Records(self.names, self.events[k], self.times[k]))
+        net, v = self.events[k]
+        return self.times[k], self.names[net], v
+
+    def __iter__(self):
+        names = self.names
+        for t, (net, v) in zip(self.times, self.events):
+            yield t, names[net], v
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Records)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class Trace:
-    records: List[Tuple[int, str, int]]
+    records: Records
     waves: List[Wave]
     completed: bool
     vector_count: int
@@ -126,10 +183,10 @@ class Trace:
         return "\n".join(lines) + "\n"
 
     def transition_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for _, net, _ in self.records:
-            counts[net] = counts.get(net, 0) + 1
-        return counts
+        """Transitions per net name, in order of each net's first transition."""
+        names = self.records.names
+        counts = Counter(map(itemgetter(0), self.records.events))
+        return {names[net]: n for net, n in counts.items()}
 
     def words(self) -> List[int]:
         return [w.value for w in self.waves]
@@ -212,16 +269,21 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     for n, v in system.reset_state().items():
         values[idx[n]] = v
 
+    # ev[net][v] is the one event tuple (net, v) of this run.
+    ev = [((n, 0), (n, 1)) for n in range(len(names))]
+
     # Per-gate kernel state: input mask and hysteresis state.  fanout[net]
-    # lists (gate, pin bits, truth table, output net, (fall, rise)) for every
-    # gate the net feeds, with pin bits OR-ing each pin it drives there.
-    fanout: List[List[Tuple[int, int, Tuple[int, ...], int, Tuple[int, int]]]] = \
+    # lists (gate, pin bits, truth table, ((fall, out event 0), (rise, out
+    # event 1))) for every gate the net feeds, with pin bits OR-ing each pin
+    # it drives there.
+    fanout: List[List[Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, Event], ...]]]] = \
         [[] for _ in names]
     masks: List[int] = []
     state: List[int] = []
     for gi, g in enumerate(nl.gates):
-        row = (nl.spec(g.kind).table, idx[g.out],
-               (delays.delay_for(g.name, 0), delays.delay_for(g.name, 1)))
+        out = idx[g.out]
+        row = (nl.spec(g.kind).table,
+               ((delays.delay_for(g.name, 0), ev[out][0]), (delays.delay_for(g.name, 1), ev[out][1])))
         pins: Dict[int, int] = {}
         for k, n in enumerate(g.ins):
             pins[idx[n]] = pins.get(idx[n], 0) | 1 << k
@@ -256,20 +318,22 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
         inv_of[idx[src]] = idx[out]
     special = [bool(rail_outs[n] or inv_of[n] >= 0) or n == req for n in range(len(names))]
 
-    # Pending events by time: buckets[t] lists (net, value) in push order and
-    # times is a heap of the bucket keys.
-    buckets: Dict[int, List[Tuple[int, int]]] = {}
+    # Pending events by time: buckets[t] lists events in push order and times
+    # is a heap of the bucket keys.
+    buckets: Dict[int, List[Event]] = {}
     times: List[int] = []
 
-    def push(t: int, net: int, v: int) -> None:
+    def push(t: int, event: Event) -> None:
         bucket = buckets.get(t)
         if bucket is None:
-            buckets[t] = [(net, v)]
+            buckets[t] = [event]
             heappush(times, t)
         else:
-            bucket.append((net, v))
+            bucket.append(event)
 
-    records: List[Tuple[int, str, int]] = []
+    # The trace columns: the applied events and their times.
+    rec_events: List[Event] = []
+    rec_times = array("q")
     waves: List[Wave] = []
     prod_next = 0                 # next vector to present
     prod_phase = "data"           # what the producer will present next
@@ -285,17 +349,17 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
             for name, (r1, r0) in zip(in_names, in_rails):
                 b = bits[name]
                 if values[r1] != b:
-                    push(t, r1, b)
+                    push(t, ev[r1][b])
                 if values[r0] != 1 - b:
-                    push(t, r0, 1 - b)
+                    push(t, ev[r0][1 - b])
             t_applied.append(t)
             prod_phase = "null"
         elif prod_phase == "null" and values[req] == 0:
             for r1, r0 in in_rails:
                 if values[r1]:
-                    push(t, r1, 0)
+                    push(t, ev[r1][0])
                 if values[r0]:
-                    push(t, r0, 0)
+                    push(t, ev[r0][0])
             prod_next += 1
             prod_phase = "data"
         if cons_phase == "data":
@@ -307,28 +371,34 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                 value = sum(b << i for i, b in enumerate(bits.values()))
                 pending = (len(waves), t_applied[len(waves)], t, bits, value, dict(arrivals))
                 arrivals.clear()
-                push(t, ack, 0)
+                push(t, ev[ack][0])
                 cons_phase = "null"
         elif cons_phase == "null" and class_count[0] == n_out:
             k, t0, t_data, bits, value, arr = pending
             waves.append(Wave(k, t0, t_data, t, bits, value, arr))
             pending = None
-            push(t, ack, 1)
+            push(t, ev[ack][1])
             cons_phase = "data"
         touched.clear()
 
     limit = max_events if max_events is not None else 50 * (len(vectors) + 2) * max(len(names), 1)
     popped = 0
 
+    rec_event = rec_events.append
+    rec_time = rec_times.append
+    t_max = (1 << 63) - 1                 # the largest time rec_times holds
     run_env(0)
     while times:
         t = times[0]
+        if t > t_max:
+            raise SimulationError(f"event time {t} ps does not fit the trace's 64-bit time column")
         bucket = buckets[t]
         i = 0
         while True:
             env_changed = False
             while i < len(bucket):
-                net, v = bucket[i]
+                event = bucket[i]
+                net, v = event
                 i += 1
                 popped += 1
                 if popped > limit:
@@ -336,20 +406,22 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                 if values[net] == v:
                     continue
                 values[net] = v
-                records.append((t, names[net], v))
-                for gi, bits, table, out, edge in fanout[net]:
+                rec_event(event)
+                rec_time(t)
+                for gi, bits, table, sched in fanout[net]:
                     mask = masks[gi] ^ bits       # the pins the net feeds all flip
                     masks[gi] = mask
                     nxt = table[mask]
                     if nxt >= 0 and nxt != state[gi]:
                         state[gi] = nxt
-                        t_out = t + edge[nxt]         # push(), inlined on the hot path
+                        delay, out_event = sched[nxt]
+                        t_out = t + delay             # push(), inlined on the hot path
                         later = buckets.get(t_out)
                         if later is None:
-                            buckets[t_out] = [(out, nxt)]
+                            buckets[t_out] = [out_event]
                             heappush(times, t_out)
                         else:
-                            later.append((out, nxt))
+                            later.append(out_event)
                 if special[net]:
                     if net == req:
                         env_changed = True
@@ -362,7 +434,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                         touched.add(o)
                         env_changed = True
                     if inv_of[net] >= 0:
-                        bucket.append((inv_of[net], 1 - v))
+                        bucket.append(ev[inv_of[net]][1 - v])
             if not env_changed:
                 break
             run_env(t)                    # may append same-time events
@@ -388,8 +460,8 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                                        f"output rails at ({a},{b})")
         raise DeadlockError(system.ack_net, "handshake never returned to idle")
 
-    return Trace(records=records, waves=waves, completed=True,
-                 vector_count=len(vectors), net_class=dict(system.net_class))
+    return Trace(records=Records(tuple(names), rec_events, rec_times), waves=waves,
+                 completed=True, vector_count=len(vectors), net_class=dict(system.net_class))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""Source hygiene: no module in the package imports a name it never uses.
+"""Source hygiene: no module in the package, test file or demo script
+imports a name it never uses.
 
-A plain AST scan, so it needs no linter.  ``__init__.py`` is skipped: its
-imports are the package's re-exports.
+A plain AST scan, so it needs no linter.  The package's ``__init__.py`` is
+skipped: its imports are the package's re-exports.
 """
 import ast
 from pathlib import Path
@@ -10,8 +11,10 @@ import pytest
 
 import ncl3d
 
-MODULES = sorted(p for p in Path(ncl3d.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(ncl3d.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -43,6 +46,7 @@ def test_scan_finds_unused_and_respects_uses():
     assert unused_imports(src) == [(2, "os"), (4, "Dict")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -4,8 +4,10 @@ Latency assertions use an independent earliest-arrival oracle computed
 on the netlist DAG; multiplier words are checked against integer
 arithmetic.
 """
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -191,7 +193,9 @@ def test_random_delays_reproduce_boolean_evaluation(case, words, stages, seed):
     for v in vectors:
         outs = bnl.evaluate_outputs({x: v >> i & 1 for i, x in enumerate(bnl.inputs)})
         expected.append(sum(b << i for i, b in enumerate(outs)))
-    assert simulate(system, vectors, delays).words() == expected
+    trace = simulate(system, vectors, delays)
+    assert trace.words() == expected
+    assert len(trace.records) == sum(trace.transition_counts().values())
 
 
 def test_cycle_time_is_stable_for_a_steady_stream():
@@ -224,6 +228,7 @@ def test_net_classes_cover_every_recorded_net():
 def test_empty_vector_list_is_a_clean_run():
     trace = simulate(and_pipeline(), [])
     assert trace.records == [] and trace.waves == [] and trace.completed
+    check_trace_columns(trace)
     r = measure(trace)
     assert r.worst_forward_latency is None and r.cycle_times == ()
 
@@ -248,6 +253,11 @@ def test_event_limit_guards_against_livelock():
     with pytest.raises(EventLimitError) as err:
         simulate(and_pipeline(), [3, 3], max_events=5)
     assert str(err.value) == "exceeded 5 events at t=2; circuit is live-locked"
+
+
+def test_event_time_past_64_bits_is_a_simulation_error():
+    with pytest.raises(SimulationError, match="does not fit the trace's 64-bit time column"):
+        simulate(and_pipeline(), [3], DelayAssignment(default=2**62))
 
 
 def test_measure_requires_a_finished_trace():
@@ -295,11 +305,16 @@ def test_vector_parsing_rejects(bad):
         parse_vectors(bad)
 
 
+@pytest.mark.parametrize("delay", [0, -1, (2, 0), (3,), (1, 2, 3), True, (1, True), 1.5,
+                                   (2.0, 3), [2, 3], "2", None], ids=repr)
+def test_delay_assignment_rejects_malformed_delays(delay):
+    with pytest.raises(ValueError):
+        DelayAssignment(default=delay)
+    with pytest.raises(ValueError):
+        DelayAssignment(per_gate={"g": delay})
+
+
 def test_delay_assignment_validation():
-    with pytest.raises(ValueError):
-        DelayAssignment(default=0)
-    with pytest.raises(ValueError):
-        DelayAssignment(per_gate={"g": (2, 0)})
     d = DelayAssignment(per_gate={"g": (2, 9)})
     assert d.delay_for("g", 1) == 2
     assert d.delay_for("g", 0) == 9
@@ -323,6 +338,31 @@ def wave_digest(trace):
 
 def tsv_digest(trace):
     return hashlib.sha256(trace.to_tsv().encode()).hexdigest()
+
+
+def check_trace_columns(trace):
+    """The records view and the column-wise transition counts agree with the
+    records parsed back from to_tsv() (whose digest the golden tests pin)
+    and with the per-record counting loop the column count replaced."""
+    decoded = [(int(t), n, int(v)) for t, n, v in
+               (row.split("\t") for row in trace.to_tsv().splitlines()[1:])]
+    counts = {}
+    for _, net, _ in decoded:
+        counts[net] = counts.get(net, 0) + 1
+    assert list(trace.transition_counts().items()) == list(counts.items())
+    view = trace.records
+    n = len(decoded)
+    assert len(view) == n
+    assert list(view) == decoded and view == decoded and decoded == view
+    assert view != decoded + [(0, "x", 0)]
+    for k in (0, 1, n // 2, -1, -2, -n):
+        if -n <= k < n:
+            assert view[k] == decoded[k]
+    for s in (slice(3, 10), slice(-5, None), slice(None, None, 7), slice(10, 2, -3),
+              slice(n, None)):
+        assert view[s] == decoded[s]
+    with pytest.raises(IndexError):
+        view[n]
 
 
 # SHA-256 of Trace.to_tsv() and of the wave bookkeeping for the width-4
@@ -362,6 +402,7 @@ def test_golden_trace_digest(mult4, model):
     trace = simulate(system, vectors, delays)
     assert tsv_digest(trace) == GOLDEN_TRACE_SHA256[model]
     assert wave_digest(trace) == GOLDEN_WAVE_SHA256[model]
+    check_trace_columns(trace)
 
 
 def test_golden_three_stage_pipeline_digest():
@@ -373,6 +414,7 @@ def test_golden_three_stage_pipeline_digest():
     assert trace.words() == [x * y for x in range(16) for y in range(16)]
     assert tsv_digest(trace) == "ed2e52f68815625b5ec21bc7bdf65661f46f478b22cf84af94717f2a9ef3cb8c"
     assert wave_digest(trace) == "ee580c6d53db24a1c2f3be156871685369d318ee71c67720992836346e2343a8"
+    check_trace_columns(trace)
 
 
 def test_golden_shared_output_rails_digest():
@@ -394,3 +436,24 @@ def test_golden_shared_output_rails_digest():
     assert trace.words() == expected
     assert tsv_digest(trace) == "67c783086bd007982a1bb1a0d2412d266a5bdf302af6928176415dc8b467f4de"
     assert wave_digest(trace) == "48937186a331c8e8fe75fd6d524f66993702fad7847ce8ba8d0bfc602142ab50"
+    check_trace_columns(trace)
+
+
+def test_trace_memory_per_transition(mult4):
+    """The width-4 multiplier over its 256 vectors with unit delays (about
+    47.6k transitions): the returned Trace holds at most 32 bytes per
+    transition.  A fresh (t, name, value) tuple per record took about 90."""
+    _, system = mult4
+    vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
+    simulate(system, vectors[:1])                 # fill the gate-table caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = simulate(system, vectors)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) > 40_000
+    assert held <= 32 * len(trace.records), held / len(trace.records)
