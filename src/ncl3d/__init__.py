@@ -14,9 +14,7 @@ from .gates import (  # noqa: F401
     GateError,
     GateSpec,
     eval_set,
-    load_catalog,
     next_output,
-    save_catalog,
     spec_from_name,
     transistor_counts,
 )
@@ -32,7 +30,6 @@ from .netlist import (  # noqa: F401
     load_netlist,
     output_word,
     parse_netlist,
-    save_netlist,
     serialize_netlist,
     settle,
 )

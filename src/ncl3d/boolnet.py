@@ -219,8 +219,3 @@ def serialize_boolean_netlist(bnl: BoolNetlist) -> str:
 def load_boolean_netlist(path) -> BoolNetlist:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_boolean_netlist(fh.read())
-
-
-def save_boolean_netlist(bnl: BoolNetlist, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_boolean_netlist(bnl))

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .boolnet import parse_boolean_netlist
+from .boolnet import load_boolean_netlist
 from .gates import STUDY_GATES, GateError, spec_from_name
 from .netlist import (
     FormatError,
@@ -29,6 +29,7 @@ from .netlist import (
 )
 from .pipeline import build_pipeline
 from .ppa import (
+    METRICS,
     Calibration,
     PpaError,
     TechParams,
@@ -38,6 +39,7 @@ from .ppa import (
     evaluate_circuit,
     gate_improvements,
     gate_ppa,
+    improvement_pct,
     load_calibration,
     load_tech,
     sweep_alpha,
@@ -49,8 +51,6 @@ from .synth import SynthError, build_array_multiplier, count_transistors, expand
 # this many dual-rail inputs; beyond it they sample unless forced.
 EXHAUSTIVE_PORT_LIMIT = 8
 SAMPLED_TRIALS = 256
-
-METRICS = ("t_d", "t_s", "power", "area")
 
 
 class CliError(ValueError):
@@ -179,15 +179,16 @@ def cmd_gate_report(args) -> int:
                      "area_um2": rep.area, "improvement_pct": impr})
 
     averages = []
+    improvements = {}
     for name in names:
         emit(name, gate_ppa(name, tech, cal, "2D"), None)
         for a in alphas:
-            emit(name, gate_ppa(name, tech, cal, "M3D", a),
-                 gate_improvements(name, tech, cal, a))
+            improvements[name, a] = gate_improvements(name, tech, cal, a)
+            emit(name, gate_ppa(name, tech, cal, "M3D", a), improvements[name, a])
     for a in alphas:
         if not names:
             break
-        per = [gate_improvements(n, tech, cal, a) for n in names]
+        per = [improvements[n, a] for n in names]
         avg = {m: sum(p[m] for p in per) / len(per) for m in METRICS}
         averages.append({"alpha": a, "improvement_pct": avg})
         lines.append(f"{'average':<10} {'M3D':<5} {a:>5.2f} {'-':>9} {'-':>9} "
@@ -283,8 +284,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    text = Path(args.netlist).read_text(encoding="utf-8")
-    bnl = parse_boolean_netlist(text)
+    bnl = load_boolean_netlist(args.netlist)
     nl = expand_dual_rail(bnl)
     by_kind: Dict[str, int] = {}
     for g in nl.gates:
@@ -339,8 +339,7 @@ def cmd_multiplier_demo(args) -> int:
 
     flat = evaluate_circuit(cl, vectors, tech, cal, "2D")
     fold = evaluate_circuit(cl, vectors, tech, cal, "M3D", alpha)
-    impr = {m: 100.0 * (1.0 - getattr(fold.ppa, m) / getattr(flat.ppa, m))
-            for m in METRICS}
+    impr = improvement_pct(flat.ppa, fold.ppa)
     lines.append(f"{'figure':<10} {'2D':>12} {'M3D a=' + format(alpha, '.2f'):>12} "
                  f"{'impr%':>7}")
     for m, nd in (("t_d", 0), ("t_s", 0), ("power", 2), ("area", 4)):

@@ -17,12 +17,11 @@ pure weighted threshold (TH24comp, THand0) exist only as catalog entries.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 Product = Tuple[int, ...]
 Products = Tuple[Product, ...]
@@ -256,7 +255,7 @@ def _default_entries() -> Tuple[GateSpec, ...]:
 
 
 class GateCatalog:
-    """Named gate specs, extensible from catalog files."""
+    """Named gate specs, at most one spec per name."""
 
     def __init__(self, entries: Iterable[GateSpec] = ()):
         self._entries: dict[str, GateSpec] = {}
@@ -280,9 +279,6 @@ class GateCatalog:
     def names(self) -> Tuple[str, ...]:
         return tuple(self._entries)
 
-    def copy(self) -> "GateCatalog":
-        return GateCatalog(self._entries.values())
-
 
 DEFAULT_CATALOG = GateCatalog(_default_entries())
 
@@ -290,74 +286,8 @@ DEFAULT_CATALOG = GateCatalog(_default_entries())
 STUDY_GATES = ("TH22", "TH24", "TH34", "TH54w322", "THand0", "TH24comp")
 
 
-def spec_from_name(name: str, catalog: Optional[GateCatalog] = None) -> GateSpec:
+def spec_from_name(name: str) -> GateSpec:
     """Resolve a gate name: catalog entry first, THmn grammar otherwise."""
-    cat = DEFAULT_CATALOG if catalog is None else catalog
-    if name in cat:
-        return cat[name]
+    if name in DEFAULT_CATALOG:
+        return DEFAULT_CATALOG[name]
     return _th_spec(name)
-
-
-def _spec_to_dict(spec: GateSpec) -> dict:
-    doc = {
-        "arity": spec.arity,
-        "products": [list(p) for p in spec.products],
-    }
-    if spec.weights is not None:
-        doc["weights"] = list(spec.weights)
-        doc["threshold"] = spec.threshold
-    if spec.pmos is not None:
-        doc["pmos"] = spec.pmos
-        doc["nmos"] = spec.nmos
-    if spec.miv_override is not None:
-        doc["miv"] = spec.miv_override
-    return doc
-
-
-def _spec_from_dict(name: str, doc: Mapping) -> GateSpec:
-    try:
-        arity = int(doc["arity"])
-        weights = doc.get("weights")
-        return GateSpec(
-            name=name,
-            arity=arity,
-            products=canonical_sop([tuple(p) for p in doc["products"]], arity),
-            weights=None if weights is None else tuple(int(w) for w in weights),
-            threshold=None if weights is None else int(doc["threshold"]),
-            pmos=None if "pmos" not in doc else int(doc["pmos"]),
-            nmos=None if "nmos" not in doc else int(doc["nmos"]),
-            miv_override=None if "miv" not in doc else int(doc["miv"]),
-        )
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise GateError(f"catalog entry {name!r} is malformed: {exc}") from exc
-
-
-def dump_catalog(catalog: GateCatalog) -> str:
-    """Serialize a catalog to its JSON text form (sorted, round-trips)."""
-    body = {spec.name: _spec_to_dict(spec) for spec in catalog}
-    return json.dumps({"version": 1, "gates": body}, indent=2, sort_keys=True) + "\n"
-
-
-def parse_catalog(text: str, base: Optional[GateCatalog] = None) -> GateCatalog:
-    """Parse a catalog JSON document, layered on top of ``base`` entries."""
-    try:
-        doc = json.loads(text)
-        gates = doc["gates"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise GateError(f"catalog document is malformed: {exc}") from exc
-    if not isinstance(gates, Mapping):
-        raise GateError("catalog document is malformed: 'gates' must map names to entries")
-    catalog = (base or DEFAULT_CATALOG).copy()
-    for name in sorted(gates):
-        catalog.add(_spec_from_dict(name, gates[name]))
-    return catalog
-
-
-def load_catalog(path, base: Optional[GateCatalog] = None) -> GateCatalog:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_catalog(fh.read(), base)
-
-
-def save_catalog(catalog: GateCatalog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_catalog(catalog))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .gates import DEFAULT_CATALOG, GateCatalog, GateError, GateSpec, eval_sop, spec_from_name
+from .gates import GateError, GateSpec, eval_sop, spec_from_name
 
 
 class NetlistError(ValueError):
@@ -129,7 +129,6 @@ class Netlist:
         self,
         inputs: Sequence,
         outputs: Sequence,
-        catalog: Optional[GateCatalog] = None,
         ctl_inputs: Sequence[str] = (),
         ctl_outputs: Sequence[str] = (),
     ):
@@ -139,7 +138,6 @@ class Netlist:
         self.outputs: Tuple[Port, ...] = tuple(
             p if isinstance(p, Port) else port(p) for p in outputs
         )
-        self.catalog = DEFAULT_CATALOG if catalog is None else catalog
         self.ctl_inputs = tuple(ctl_inputs)
         self.ctl_outputs = tuple(ctl_outputs)
         self.gates: list[GateInst] = []
@@ -171,7 +169,7 @@ class Netlist:
         self._rows = None
 
     def spec(self, kind: str) -> GateSpec:
-        return spec_from_name(kind, self.catalog)
+        return spec_from_name(kind)
 
     # -- derived structure -------------------------------------------------
 
@@ -212,10 +210,6 @@ class Netlist:
     def nets(self) -> Tuple[str, ...]:
         self._refresh()
         return self._nets
-
-    def driver_of(self, net: str) -> Optional[GateInst]:
-        self._refresh()
-        return self._driver.get(net)
 
     def fanout(self, net: str) -> int:
         self._refresh()
@@ -392,12 +386,16 @@ def _check_preconditions(netlist: Netlist) -> None:
         raise NetlistError("checkers expect pure dual-rail netlists (no control inputs)")
 
 
-def _all_vectors(netlist: Netlist, limit: int) -> list:
+# Exhaustive checker sweeps refuse netlists with more dual-rail inputs.
+MAX_EXHAUSTIVE_INPUTS = 12
+
+
+def _all_vectors(netlist: Netlist) -> list:
     """Every legal DATA vector as a per-port bit tuple, under the guard."""
     n = len(netlist.inputs)
-    if n > limit:
+    if n > MAX_EXHAUSTIVE_INPUTS:
         raise NetlistError(
-            f"{n} dual-rail inputs exceed the exhaustive guard of {limit}; "
+            f"{n} dual-rail inputs exceed the exhaustive guard of {MAX_EXHAUSTIVE_INPUTS}; "
             f"pass a trial count for sampled mode")
     return list(itertools.product((0, 1), repeat=n))
 
@@ -414,7 +412,6 @@ def _lane_rails(ports: Sequence[Port], vectors: Sequence[Tuple[int, ...]]) -> Di
 
 def check_input_completeness(
     netlist: Netlist,
-    max_exhaustive_inputs: int = 12,
     trials: Optional[int] = None,
     seed: int = 0,
 ) -> list:
@@ -434,7 +431,7 @@ def check_input_completeness(
     if n < 2:
         return []  # no strict nonempty subset exists
     if trials is None:
-        vectors = _all_vectors(netlist, max_exhaustive_inputs)
+        vectors = _all_vectors(netlist)
         every = (1 << len(vectors)) - 1
         subsets = {c: every for k in range(1, n) for c in itertools.combinations(range(n), k)}
     else:
@@ -486,7 +483,6 @@ def check_input_completeness(
 
 def check_observability(
     netlist: Netlist,
-    max_exhaustive_inputs: int = 12,
     trials: Optional[int] = None,
     seed: int = 0,
 ) -> list:
@@ -496,7 +492,7 @@ def check_observability(
     lane, so each gate costs one settle with its output stuck at 0."""
     _check_preconditions(netlist)
     if trials is None:
-        vectors = _all_vectors(netlist, max_exhaustive_inputs)
+        vectors = _all_vectors(netlist)
     else:
         rng = random.Random(seed)
         vectors = [tuple(rng.randint(0, 1) for _ in netlist.inputs) for _ in range(trials)]
@@ -531,7 +527,7 @@ def _parse_output_token(tok: str, lineno: int) -> Port:
     return Port(name, rails[0], rails[1])
 
 
-def parse_netlist(text: str, catalog: Optional[GateCatalog] = None) -> Netlist:
+def parse_netlist(text: str) -> Netlist:
     inputs: list = []
     outputs: list = []
     ctl_in: list = []
@@ -561,7 +557,7 @@ def parse_netlist(text: str, catalog: Optional[GateCatalog] = None) -> Netlist:
         raise FormatError(1, "no input declaration")
     if not outputs:
         raise FormatError(1, "no output declaration")
-    nl = Netlist(inputs, outputs, catalog=catalog, ctl_inputs=ctl_in, ctl_outputs=ctl_out)
+    nl = Netlist(inputs, outputs, ctl_inputs=ctl_in, ctl_outputs=ctl_out)
     for lineno, kind, name, ins, out in gate_lines:
         try:
             nl.spec(kind)
@@ -589,11 +585,6 @@ def serialize_netlist(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_netlist(path, catalog: Optional[GateCatalog] = None) -> Netlist:
+def load_netlist(path) -> Netlist:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_netlist(fh.read(), catalog)
-
-
-def save_netlist(netlist: Netlist, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_netlist(netlist))
+        return parse_netlist(fh.read())

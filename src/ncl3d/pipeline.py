@@ -45,12 +45,6 @@ class PipelineSystem:
     ack_net: str                         # last request, driven by the consumer
     net_class: Dict[str, str] = field(default_factory=dict)
 
-    def handshake_nets(self) -> Tuple[str, ...]:
-        nets = [self.request_net]
-        nets += [s.ki_net for s in self.stages]
-        nets += [s.cd_net for s in self.stages]
-        return tuple(dict.fromkeys(nets))
-
     def reset_state(self) -> Dict[str, int]:
         """All rails NULL, every request asking for DATA."""
         state = {n: 0 for n in self.netlist.nets}
@@ -129,7 +123,6 @@ def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
     nl = Netlist(
         [p.name for p in cl.inputs],
         [],
-        catalog=cl.catalog,
         ctl_inputs=tuple(dict.fromkeys(ctl_in)),
         ctl_outputs=tuple(f"cd{s}" for s in range(1, n_stages + 1)),
     )

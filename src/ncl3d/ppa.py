@@ -23,7 +23,7 @@ from hashlib import sha256
 from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .gates import GateCatalog, GateSpec, spec_from_name, transistor_counts
+from .gates import GateSpec, spec_from_name, transistor_counts
 from .netlist import Netlist
 from .pipeline import PipelineSystem, build_pipeline
 from .refdata import ReferenceTable, load_reference
@@ -32,6 +32,9 @@ from .sim import DelayAssignment, Report, Trace, measure, simulate
 LN2 = math.log(2.0)
 
 MODES = ("2D", "M3D")
+
+# The figures every report compares between the 2D and folded forms.
+METRICS = ("t_d", "t_s", "power", "area")
 
 
 class PpaError(ValueError):
@@ -47,6 +50,14 @@ def _norm_mode(mode: str) -> str:
     if m not in MODES:
         raise PpaError(f"unknown mode {mode!r}, expected one of {MODES}")
     return m
+
+
+def _finite(value) -> bool:
+    """True for a finite real; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_alpha(alpha: float) -> float:
@@ -85,6 +96,8 @@ class TechParams:
             v = getattr(self, f.name)
             if v < 0 or (v == 0 and f.name not in can_be_zero):
                 raise PpaError(f"tech parameter {f.name} must be positive, got {v}")
+            if not _finite(v):
+                raise PpaError(f"tech parameter {f.name} must be finite, got {v}")
 
     @property
     def cell_height(self) -> float:
@@ -232,12 +245,16 @@ class Calibration:
     def __post_init__(self):
         # a_miv_eff may be zeroed to model vias as free, mirroring the
         # zeroable R_MIV/C_MIV tech fields; everything else must be positive.
-        for name in ("a_unit", "c_dev", "k_skew", "route_fraction",
-                     "net_route_factor", "test_rate_mhz", "p_leak_per_t"):
+        positive = ("a_unit", "c_dev", "k_skew", "route_fraction",
+                    "net_route_factor", "test_rate_mhz", "p_leak_per_t")
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise PpaError(f"calibration field {name} must be positive")
         if self.a_miv_eff < 0:
             raise PpaError("calibration field a_miv_eff must be non-negative")
+        for name in positive + ("a_miv_eff",):
+            if not _finite(getattr(self, name)):
+                raise PpaError(f"calibration field {name} must be finite")
         for label, table in (("r_drive", self.r_drive),
                              ("activity_mhz", self.activity_mhz)):
             if not isinstance(table, Mapping):
@@ -245,6 +262,8 @@ class Calibration:
             for kind, value in table.items():
                 if value <= 0:
                     raise PpaError(f"{label}[{kind}] must be positive")
+                if not _finite(value):
+                    raise PpaError(f"{label}[{kind}] must be finite")
 
     def r_drive_for(self, kind: str) -> float:
         if kind in self.r_drive:
@@ -325,9 +344,8 @@ def _worst_wire_r(tech: TechParams, mode: str, alpha: float,
     return max(w.r for w in _wires(tech, mode, alpha, route_fraction).values())
 
 
-def _as_spec(kind: Union[str, GateSpec],
-             catalog: Optional[GateCatalog] = None) -> GateSpec:
-    return kind if isinstance(kind, GateSpec) else spec_from_name(kind, catalog)
+def _as_spec(kind: Union[str, GateSpec]) -> GateSpec:
+    return kind if isinstance(kind, GateSpec) else spec_from_name(kind)
 
 
 def gate_capacitance(kind: Union[str, GateSpec], tech: TechParams,
@@ -400,17 +418,16 @@ def gate_ppa(kind: Union[str, GateSpec], tech: TechParams, cal: Calibration,
     )
 
 
+def improvement_pct(base: PpaReport, fold: PpaReport) -> Dict[str, float]:
+    """Percent reduction of each figure from ``base`` to ``fold``."""
+    return {m: 100.0 * (1.0 - getattr(fold, m) / getattr(base, m)) for m in METRICS}
+
+
 def gate_improvements(kind: Union[str, GateSpec], tech: TechParams,
                       cal: Calibration, alpha: float) -> Dict[str, float]:
     """Percent reduction of each figure when the gate folds at ``alpha``."""
-    base = gate_ppa(kind, tech, cal, "2D")
-    fold = gate_ppa(kind, tech, cal, "M3D", alpha)
-    return {
-        "t_d": 100.0 * (1.0 - fold.t_d / base.t_d),
-        "t_s": 100.0 * (1.0 - fold.t_s / base.t_s),
-        "power": 100.0 * (1.0 - fold.power / base.power),
-        "area": 100.0 * (1.0 - fold.area / base.area),
-    }
+    return improvement_pct(gate_ppa(kind, tech, cal, "2D"),
+                           gate_ppa(kind, tech, cal, "M3D", alpha))
 
 
 # ------------------------------------------------------------------ fitting
@@ -447,11 +464,10 @@ def _delay_improvement(spec: GateSpec, r_drive: float, tech: TechParams,
 
 
 def _study_improvements(tech: TechParams, table: ReferenceTable, alpha: float,
-                        route_fraction: float, c_dev: float,
-                        catalog: Optional[GateCatalog]) -> List[float]:
+                        route_fraction: float, c_dev: float) -> List[float]:
     out = []
     for name in table.gate_names():
-        spec = _as_spec(name, catalog)
+        spec = _as_spec(name)
         r = _fit_r_drive(spec, table.gates_2d[name].t_d, tech,
                          route_fraction, c_dev)
         out.append(_delay_improvement(spec, r, tech, alpha,
@@ -468,8 +484,7 @@ def _segment_cap(tech: TechParams, mode: str, alpha: float,
     return c
 
 
-def _instance_rows(cl: Netlist,
-                   catalog: Optional[GateCatalog] = None) -> List[Tuple[GateSpec, int]]:
+def _instance_rows(cl: Netlist) -> List[Tuple[GateSpec, int]]:
     return [(cl.spec(g.kind), max(1, cl.fanout(g.out))) for g in cl.gates]
 
 
@@ -498,8 +513,7 @@ def _calibration_workload(width: int = 4):
 
 
 def calibrate(tech: Optional[TechParams] = None,
-              table: Optional[ReferenceTable] = None,
-              catalog: Optional[GateCatalog] = None) -> Calibration:
+              table: Optional[ReferenceTable] = None) -> Calibration:
     """Fit every model coefficient against the bundled reference rows.
 
     The fit is deterministic: area units and drive resistances are closed
@@ -517,7 +531,7 @@ def calibrate(tech: Optional[TechParams] = None,
     names = table.gate_names()
     if not names:
         raise CalibrationError("reference table lists no gates")
-    specs = {n: _as_spec(n, catalog) for n in names}
+    specs = {n: _as_spec(n) for n in names}
     alpha_ref = table.alpha
     residuals: Dict[str, float] = {}
 
@@ -537,8 +551,8 @@ def calibrate(tech: Optional[TechParams] = None,
 
     def anchor_residuals(x):
         rf, cd = x
-        ref = _study_improvements(tech, table, alpha_ref, rf, cd, catalog)
-        low = _study_improvements(tech, table, SWEEP_LOW_ALPHA, rf, cd, catalog)
+        ref = _study_improvements(tech, table, alpha_ref, rf, cd)
+        low = _study_improvements(tech, table, SWEEP_LOW_ALPHA, rf, cd)
         return [sum(ref) / len(ref) - avg_target, max(low) - SWEEP_LOW_TARGET]
 
     fit = least_squares(anchor_residuals, x0=(1.0, 1.0),
@@ -810,23 +824,14 @@ def sweep_alpha(target: Union[Sequence[str], Netlist],
         base = evaluate_circuit(target, vectors, tech, cal, "2D").ppa
         for a in order:
             fold = evaluate_circuit(target, vectors, tech, cal, "M3D", a).ppa
-            rows.append(SweepRow(
-                alpha=a,
-                improvements={
-                    "t_d": 100.0 * (1.0 - fold.t_d / base.t_d),
-                    "t_s": 100.0 * (1.0 - fold.t_s / base.t_s),
-                    "power": 100.0 * (1.0 - fold.power / base.power),
-                    "area": 100.0 * (1.0 - fold.area / base.area),
-                },
-                per_gate={},
-            ))
+            rows.append(SweepRow(alpha=a, improvements=improvement_pct(base, fold),
+                                 per_gate={}))
         return rows
     kinds = list(target)
     if not kinds:
         raise PpaError("no gate types to sweep")
     for a in order:
         per = {k: gate_improvements(k, tech, cal, a) for k in kinds}
-        avg = {m: sum(p[m] for p in per.values()) / len(per)
-               for m in ("t_d", "t_s", "power", "area")}
+        avg = {m: sum(p[m] for p in per.values()) / len(per) for m in METRICS}
         rows.append(SweepRow(alpha=a, improvements=avg, per_gate=per))
     return rows

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .boolnet import BoolNetlist
-from .gates import GateCatalog, spec_from_name
+from .gates import spec_from_name
 from .netlist import DR, Netlist, NetlistError, Port
 
 Rails = Tuple[str, str]
@@ -50,7 +50,7 @@ _TEMPLATES: Dict[str, Tuple[Callable, bool]] = {
 }
 
 
-def expand_dual_rail(bnl: BoolNetlist, catalog: Optional[GateCatalog] = None) -> Netlist:
+def expand_dual_rail(bnl: BoolNetlist) -> Netlist:
     """Compile a Boolean netlist into an input-complete dual-rail netlist.
 
     Rail naming follows the Boolean nets (``x`` becomes ``x.1``/``x.0``);
@@ -62,7 +62,7 @@ def expand_dual_rail(bnl: BoolNetlist, catalog: Optional[GateCatalog] = None) ->
         raise SynthError("boolean netlist does not validate: "
                          + "; ".join(str(d) for d in defects[:4]))
     rails: Dict[str, Rails] = {n: (f"{n}.1", f"{n}.0") for n in bnl.inputs}
-    nl = Netlist(bnl.inputs, [], catalog=catalog)
+    nl = Netlist(bnl.inputs, [])
     for inst in bnl.topo_order():
         if inst.kind == "INV":
             r1, r0 = rails[inst.ins[0]]
@@ -182,7 +182,6 @@ def _emit_compact_fa(nl: Netlist, n: int, a: Rails, b: Rails, ci: Rails,
 def build_array_multiplier(
     width: int,
     adder_style: str = "template",
-    catalog: Optional[GateCatalog] = None,
 ) -> Netlist:
     """Dual-rail array multiplier: ``a`` times ``b``, both ``width`` bits.
 
@@ -193,7 +192,7 @@ def build_array_multiplier(
     jointly, not per-output, input-complete.
     """
     if adder_style == "template":
-        return expand_dual_rail(build_boolean_multiplier(width), catalog=catalog)
+        return expand_dual_rail(build_boolean_multiplier(width))
     if adder_style != "compact":
         raise SynthError(f"unknown adder style {adder_style!r}")
     if not 2 <= width <= 8:
@@ -204,8 +203,7 @@ def build_array_multiplier(
     def r(net: str) -> Rails:
         return rails.setdefault(net, (f"{net}.1", f"{net}.0"))
 
-    nl = Netlist([f"a{i}" for i in range(width)] + [f"b{j}" for j in range(width)],
-                 [], catalog=catalog)
+    nl = Netlist([f"a{i}" for i in range(width)] + [f"b{j}" for j in range(width)], [])
     for name in nl.inputs:
         rails[name.name] = name.rails
     for a, b, out in pairs:
@@ -236,7 +234,7 @@ def count_transistors(netlist: Netlist) -> TransistorCount:
     """Device totals over all instances; cataloged gate types only."""
     pmos = nmos = 0
     for inst in netlist.gates:
-        spec = spec_from_name(inst.kind, netlist.catalog)
+        spec = spec_from_name(inst.kind)
         if spec.pmos is None or spec.nmos is None:
             raise SynthError(f"gate type {inst.kind} has no cataloged transistor counts")
         pmos += spec.pmos

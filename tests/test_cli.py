@@ -4,8 +4,10 @@ Every command is run through main() with captured stdout; the
 reproducibility tests assert byte equality between repeated runs.
 """
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from argparse import Namespace
@@ -323,8 +325,11 @@ def mutated(draw, seed: bytes):
     return bytes(data)
 
 
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-5, 10**6) | st.floats() | st.text(max_size=5),
+    st.none() | st.booleans() | st.integers(-5, 10**6) | st.floats() | NON_FINITE
+    | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=6)
 
@@ -379,3 +384,67 @@ def test_cli_keeps_its_exit_codes_on_arbitrary_files(netlist, boolean, vectors, 
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2), argv
+            if argv[-2:] == ["--tech", paths["t.json"]] and (b"Infinity" in tech or b"NaN" in tech):
+                assert code == 2, "a non-finite tech value was accepted"
+
+
+# ------------------------------------------------------------- output pins
+
+SIM_VECTORS = "0\n1\n2\n3\n"
+
+# SHA-256 of stdout and of the file --out writes, for every command on the
+# bundled fixtures.  Each run happens in a scratch directory with relative
+# file names, because stdout echoes the paths it was given.  None marks a
+# run without --out.
+OUTPUT_PINS = {
+    "gate-report-all": (["gate-report", "all", "--out", "r.json"], 0,
+        "2f8535102cb53eb8a1e6138e4fbbba9fa987c23c76293bebdb485184bccc3758",
+        "ac390f435548ee214b48bed140e301e0a8ad9739866d8054794c12ead68cb26d"),
+    "check-and2": (["check", "and2.ncl", "--out", "r.json"], 0,
+        "ecf1144d24015298a675c9b253ef72caa7625b38d0941557a685ab6dcbcd5937",
+        "ca5a22a56aac957c77947f338998c8e8c33b1ac087e24864f23086f52c207f77"),
+    "check-and2-relaxed": (["check", "and2_relaxed.ncl", "--out", "r.json"], 1,
+        "f64ab6904430c08eb583bf7ca9f4562c00db28587e8487bcf469c99d8f18cf24",
+        "52f3e226f6c528c93d1f05c6234a818e81364bb5f0f7ba3befc26f5d8a8574cf"),
+    "check-or2": (["check", "or2.ncl", "--out", "r.json"], 0,
+        "a463f8463ae31bcf3b22cfb7cbecb25ed3744aaa1c5e012ba72454d198aa6e2e",
+        "d214655261921bffe02a523c523f4fbce91ef626628aafd99db58dbe351b6450"),
+    "check-xor2": (["check", "xor2.ncl", "--out", "r.json"], 0,
+        "30e7500801a6ad39da633fd7d1d8f7daa540191cb022920639c0f1479b60f88e",
+        "ebf59516ee06efdd26b947b046c677d046d988f11e365fc84fd2652441f0cde6"),
+    "simulate-unit": (["simulate", "and2.ncl", "v.txt", "--out", "r.json"], 0,
+        "c95565cbaabc86ed8ec034d3557f86ba22d1787b3dbef5a8d4d4449ac265f430",
+        "9951cfc1811179865482d83f4956ebbd75b83c1772719df000e1a3148bc67cdf"),
+    "simulate-m3d": (["simulate", "and2.ncl", "v.txt", "--mode", "M3D", "--out", "r.json"], 0,
+        "ccf30dd4f9d0868447c67ab3ecf9ce7fd75c52d03799e0e0c42c7891be1d2095",
+        "49c54accca63ca20399188fe7b7433f9174e2fd8a6805be8e1cdce0345f51a8a"),
+    "synth-stdout": (["synth", "full_adder.bnl"], 0,
+        "bda1f64b9f14ca22945179ca9e7d2b9ad3f304ab61dca7eaec494bcf6d20cddd",
+        None),
+    "synth-out": (["synth", "full_adder.bnl", "--out", "fa.ncl"], 0,
+        "0793c627e9b23c1a40b285b15b36c0dc48bee2e7e4f3b7c8d1486a52b8dd8205",
+        "b624aef96d18e581f6cf36b67d51b19b48d55cc55ec5ecd145c7b8d75d08281f"),
+    "multiplier-demo-w3": (["multiplier-demo", "--width", "3", "--out", "r.json"], 0,
+        "6196727f41e90418f52f08b541083dcbdf72384505d60b11109b404ed9c21973",
+        "f87361f5085c39d869507eedd54cdb56f46e85f902f943d546dbd756a933a52b"),
+    "sweep-gates": (["sweep", "gates", "--out", "r.json"], 0,
+        "103395b71d49375099baefff2c46855788ef655806c9744de890903dfdab0c6e",
+        "17dab886ad1cceb5310d066c098f3c61d16ca81b1b5b1b4b24d6a925b7f8579c"),
+    "sweep-multiplier-w3": (["sweep", "multiplier", "--width", "3", "--out", "r.json"], 0,
+        "f6349d6f3d2162f0cb79d49aac3874e44ae8ce8b5a061b0915258f0b60e7b7c7",
+        "d9140a70155295a0417f108d9452d9142accbe71d7b9a3d91eac1457b18c4ca7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_PINS))
+def test_command_output_is_pinned(capsys, tmp_path, monkeypatch, case):
+    argv, want_code, want_out, want_file = OUTPUT_PINS[case]
+    for name in ("and2.ncl", "and2_relaxed.ncl", "or2.ncl", "xor2.ncl", "full_adder.bnl"):
+        (tmp_path / name).write_bytes(bundled(f"fixtures/{name}"))
+    (tmp_path / "v.txt").write_text(SIM_VECTORS)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    blob = (tmp_path / argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else None
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_out
+    assert (None if blob is None else hashlib.sha256(blob).hexdigest()) == want_file

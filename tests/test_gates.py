@@ -6,7 +6,6 @@ weighted-sum closures), and the package's next_output must agree over
 exhaustive short input sequences.
 """
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +14,12 @@ from hypothesis import strategies as st
 from ncl3d.gates import (
     DEFAULT_CATALOG,
     STUDY_GATES,
+    GateCatalog,
     GateError,
     GateSpec,
     canonical_sop,
-    dump_catalog,
     eval_set,
     next_output,
-    parse_catalog,
     parse_th_name,
     spec_from_name,
     threshold_products,
@@ -164,45 +162,14 @@ def test_spec_validation_rejects_inconsistent_fields():
         GateSpec("BAD", 5, canonical_sop([(0,)], 5))
 
 
-def test_catalog_json_round_trip():
-    text = dump_catalog(DEFAULT_CATALOG)
-    again = parse_catalog(text)
-    for spec in DEFAULT_CATALOG:
-        assert again[spec.name] == spec
-    assert dump_catalog(again) == text
-
-
 def test_catalog_layering_and_conflicts():
-    text = '{"version": 1, "gates": {"MAJ3X": {"arity": 3, ' \
-           '"products": [[0, 1], [0, 2], [1, 2]], "pmos": 9, "nmos": 9}}}'
-    cat = parse_catalog(text)
+    maj = GateSpec("MAJ3X", 3, canonical_sop([(0, 1), (0, 2), (1, 2)], 3), pmos=9, nmos=9)
+    cat = GateCatalog([*DEFAULT_CATALOG, maj, spec_from_name("TH22")])
     assert "MAJ3X" in cat and "TH22" in cat
     assert cat["MAJ3X"].describe() == "ab + ac + bc"
-    clash = '{"version": 1, "gates": {"TH22": {"arity": 2, ' \
-            '"products": [[0], [1]]}}}'
-    with pytest.raises(GateError):
-        parse_catalog(clash)
-
-
-@pytest.mark.parametrize("text", [
-    "not json",
-    '{"version": 1}',
-    '{"gates": [1]}',
-    '{"gates": null}',
-    '{"gates": {"X": 1}}',
-    '{"gates": {"X": {"products": [[0]]}}}',
-    '{"gates": {"X": {"arity": "x", "products": [[0]]}}}',
-    '{"gates": {"X": {"arity": Infinity, "products": [[0]]}}}',
-    '{"gates": {"X": {"arity": 1, "products": [["a"]]}}}',
-    '{"gates": {"X": {"arity": 1, "products": [[0]], "pmos": null}}}',
-    '{"gates": {"X": {"arity": 1, "products": [[0]], "nmos": "two"}}}',
-    '{"gates": {"X": {"arity": 1, "products": [[0]], "weights": [1]}}}',
-    '{"gates": {"X": {"arity": 1, "products": [[0]], "weights": 3, "threshold": 1}}}',
-    '{"gates": {"X": {"arity": 1, "products": [[1]]}}}',
-])
-def test_catalog_parse_errors(text):
-    with pytest.raises(GateError):
-        parse_catalog(text)
+    clash = GateSpec("TH22", 2, canonical_sop([(0,), (1,)], 2))
+    with pytest.raises(GateError, match="conflicting redefinition of TH22"):
+        GateCatalog([*DEFAULT_CATALOG, clash])
 
 
 @st.composite
@@ -260,19 +227,16 @@ def sop_step(raw, bits, prev):
 @given(random_sop())
 def test_truth_table_matches_direct_sop_evaluation(case):
     arity, raw = case
-    built = GateSpec("TX", arity, canonical_sop(raw, arity))
-    doc = {"version": 1, "gates": {"TX": {"arity": arity, "products": raw}}}
-    loaded = parse_catalog(json.dumps(doc))["TX"]
-    for spec in (built, loaded):
-        assert len(spec.table) == 1 << arity
-        for mask in range(1 << arity):
-            bits = [mask >> i & 1 for i in range(arity)]
-            for prev in (0, 1):
-                want = sop_step(raw, bits, prev)
-                entry = spec.table[mask]
-                assert (prev if entry < 0 else entry) == want
-                assert next_output(spec, bits, prev) == want
-            assert eval_set(spec, bits) == sop_set(raw, bits)
+    spec = GateSpec("TX", arity, canonical_sop(raw, arity))
+    assert len(spec.table) == 1 << arity
+    for mask in range(1 << arity):
+        bits = [mask >> i & 1 for i in range(arity)]
+        for prev in (0, 1):
+            want = sop_step(raw, bits, prev)
+            entry = spec.table[mask]
+            assert (prev if entry < 0 else entry) == want
+            assert next_output(spec, bits, prev) == want
+        assert eval_set(spec, bits) == sop_set(raw, bits)
 
 
 def test_truth_table_is_not_a_field():

@@ -1,10 +1,13 @@
 """Source hygiene: no module in the package, test file or demo script
-imports a name it never uses.
+imports a name it never uses, and every function, method and class the
+package defines is named somewhere besides its own definition.
 
-A plain AST scan, so it needs no linter.  The package's ``__init__.py`` is
-skipped: its imports are the package's re-exports.
+Plain AST and text scans, so they need no linter.  The package's
+``__init__.py`` is skipped: its imports are the package's re-exports.
 """
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,9 @@ PACKAGE = Path(ncl3d.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted(p for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
+# Where a package definition may be used: the package, its tests, the demos,
+# the benchmark harness and the README.
+USERS = MODULES + SCRIPTS + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]
 
 
 def unused_imports(source: str):
@@ -50,3 +56,39 @@ def test_scan_finds_unused_and_respects_uses():
                          ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(modules, texts):
+    """Names of the functions, methods and classes in ``modules`` (name ->
+    source) that no text in ``texts`` names beyond their own definitions.
+
+    A use is any whole-word occurrence, in code, a string or prose, so
+    getattr lookups and documented entry points count.  Dunders are called
+    by the language and are skipped.
+    """
+    defined = Counter()
+    owners = {}
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined[node.name] += 1
+                    owners.setdefault(node.name, []).append(f"{module}:{node.lineno}")
+    named = Counter(re.findall(r"\w+", "\n".join(texts)))
+    return sorted(f"{where} {name}" for name, count in defined.items()
+                  if named[name] <= count for where in owners[name])
+
+
+def test_dead_definition_scan_sees_uses_anywhere():
+    modules = {"m.py": ("class K:\n    def __init__(self): pass\n"
+                        "    def used(self): pass\n    def unused(self): pass\n"
+                        "def twice(): pass\ndef twice(): pass\n"
+                        "def called(): return K().used()\n")}
+    texts = list(modules.values()) + ["see `called` in the README"]
+    assert dead_definitions(modules, texts) == ["m.py:4 unused", "m.py:5 twice", "m.py:6 twice"]
+
+
+def test_every_definition_is_used():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    texts = [p.read_text(encoding="utf-8") for p in USERS]
+    assert dead_definitions(modules, texts) == []

@@ -102,6 +102,9 @@ def test_tech_round_trip(tech, tmp_path):
     pytest.param(json.dumps({"version": 1, "tech": 5}), id="not-an-object"),
     pytest.param(json.dumps({"version": 1, "tech": {"L_G": "50"}}), id="string-value"),
     pytest.param(json.dumps({"version": 1, "tech": {"L_G": None}}), id="null-value"),
+    *(pytest.param(json.dumps({"version": 1, "tech": {"R_int_sq": value}}), id=f"R_int_sq={value}")
+      for value in (math.inf, -math.inf, math.nan)),
+    pytest.param('{"version": 1, "tech": {"cell_tracks": 1%s}}' % ("0" * 400), id="int-past-float"),
 ])
 def test_tech_parse_errors(text):
     with pytest.raises(PpaError):
@@ -223,7 +226,9 @@ def test_calibration_round_trip(cal, tmp_path):
     *(pytest.param(json.dumps({"version": 1, "calibration": dict(BUNDLED_CAL, **{field: value})}),
                    id=f"{field}={value!r}")
       for field, value in (("c_dev", "2"), ("r_drive", None), ("activity_mhz", [1]),
-                           ("r_drive", {"TH22": "x"}))),
+                           ("r_drive", {"TH22": "x"}),
+                           ("c_dev", math.inf), ("c_dev", -math.inf), ("a_miv_eff", math.nan),
+                           ("r_drive", {"TH22": math.inf}), ("activity_mhz", {"TH22": math.nan}))),
 ])
 def test_calibration_parse_errors(text):
     with pytest.raises(PpaError):
