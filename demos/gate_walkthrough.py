@@ -5,12 +5,7 @@ Run with `python3 demos/gate_walkthrough.py`.  No arguments, no state.
 import itertools
 
 from ncl3d import DEFAULT_CATALOG, STUDY_GATES, eval_set, next_output
-from ncl3d.gates import INPUT_LETTERS, transistor_counts
-
-
-def sop(spec) -> str:
-    terms = ("".join(INPUT_LETTERS[i] for i in term) for term in spec.products)
-    return " + ".join(terms)
+from ncl3d.gates import transistor_counts
 
 
 def banner(text: str) -> None:
@@ -36,7 +31,7 @@ for inputs, note in [
 banner("set functions of the studied gates")
 for name in STUDY_GATES:
     spec = DEFAULT_CATALOG[name]
-    print(f"{name:<9} = {sop(spec)}")
+    print(f"{name:<9} = {spec.describe()}")
 
 banner("one truth table, TH54w322 (weights 3,2,2,1, threshold 5)")
 spec = DEFAULT_CATALOG["TH54w322"]
@@ -46,7 +41,6 @@ for inputs in itertools.product((0, 1), repeat=4):
 
 banner("catalog transistor counts")
 print(f"{'gate':<9} {'pmos':>4} {'nmos':>4} {'total':>5}")
-for name in DEFAULT_CATALOG.names():
-    spec = DEFAULT_CATALOG[name]
+for name, spec in DEFAULT_CATALOG.items():
     p, n = transistor_counts(spec)
     print(f"{name:<9} {p:>4} {n:>4} {p + n:>5}")

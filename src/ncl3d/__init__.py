@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .gates import (  # noqa: F401
     DEFAULT_CATALOG,
     STUDY_GATES,
-    GateCatalog,
     GateError,
     GateSpec,
     eval_set,
@@ -50,7 +49,6 @@ from .synth import (  # noqa: F401
 )
 from .pipeline import (  # noqa: F401
     PipelineSystem,
-    Stage,
     build_pipeline,
 )
 from .sim import (  # noqa: F401

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .netlist import CycleError, Defect, FormatError, GateInst, NetlistError
+from .netlist import CycleError, Defect, FormatError, GateGraph, NetlistError
 
 BOOL_KINDS: Dict[str, int] = {
     "AND2": 2, "OR2": 2, "XOR2": 2,
@@ -32,82 +32,33 @@ _BOOL_EVAL = {
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-class BoolNetlist:
+class BoolNetlist(GateGraph):
     """Single-driver acyclic Boolean netlist."""
 
     def __init__(self, inputs: Sequence[str] = (), outputs: Sequence[str] = ()):
+        super().__init__()
         self.inputs: Tuple[str, ...] = tuple(inputs)
         self.outputs: Tuple[str, ...] = tuple(outputs)
-        self.gates: list[GateInst] = []
-        self._names: set[str] = set()
 
-    def add(self, kind: str, ins: Sequence[str], out: str, name: Optional[str] = None) -> GateInst:
-        if name is None:
-            name = f"u{len(self.gates) + 1}"
-        if name in self._names:
-            raise NetlistError(f"duplicate instance name {name}")
-        inst = GateInst(kind, name, tuple(ins), out)
-        self.gates.append(inst)
-        self._names.add(name)
-        return inst
-
-    def drivers(self) -> Dict[str, GateInst]:
-        table: Dict[str, GateInst] = {}
-        for inst in self.gates:
-            table.setdefault(inst.out, inst)
-        return table
-
-    def nets(self) -> Tuple[str, ...]:
-        seen = dict.fromkeys(self.inputs)
-        for inst in self.gates:
-            for pin in inst.ins:
-                seen.setdefault(pin)
-            seen.setdefault(inst.out)
-        for out in self.outputs:
-            seen.setdefault(out)
-        return tuple(seen)
-
-    def topo_order(self) -> Tuple[GateInst, ...]:
-        driver = self.drivers()
-        readers: Dict[str, list] = {}
-        pending = {}
-        for inst in self.gates:
-            pending[inst.name] = sum(1 for pin in inst.ins if pin in driver)
-            for pin in inst.ins:
-                readers.setdefault(pin, []).append(inst)
-        ready = [inst for inst in self.gates if pending[inst.name] == 0]
-        order: list = []
-        head = 0
-        while head < len(ready):
-            inst = ready[head]
-            head += 1
-            order.append(inst)
-            for reader in readers.get(inst.out, ()):
-                pending[reader.name] -= reader.ins.count(inst.out)
-                if pending[reader.name] == 0:
-                    ready.append(reader)
-        if len(order) != len(self.gates):
-            stuck = sorted(n for n, k in pending.items() if k > 0)
-            raise CycleError(f"combinational cycle through {', '.join(stuck[:8])}")
-        return tuple(order)
+    def _ends(self):
+        return self.inputs, self.outputs
 
     def validate(self) -> list:
+        driver, _, _, nets = self._structure()
         defects = []
-        seen_out: Dict[str, str] = {}
         for inst in self.gates:
-            if inst.out in seen_out:
+            first = driver[inst.out]
+            if first is not inst:
                 defects.append(Defect("multiple-drivers", inst.out,
-                                      f"driven by {seen_out[inst.out]} and {inst.name}"))
-            else:
-                seen_out[inst.out] = inst.name
+                                      f"driven by {first.name} and {inst.name}"))
             if inst.kind not in BOOL_KINDS:
                 defects.append(Defect("unknown-gate", inst.name, f"kind {inst.kind}"))
             elif len(inst.ins) != BOOL_KINDS[inst.kind]:
                 defects.append(Defect("arity-mismatch", inst.name,
                                       f"{inst.kind} takes {BOOL_KINDS[inst.kind]} inputs"))
         external = set(self.inputs)
-        for net in self.nets():
-            if net not in seen_out and net not in external:
+        for net in nets:
+            if net not in driver and net not in external:
                 defects.append(Defect("undriven-net", net, "no driver or input declaration"))
         try:
             self.topo_order()
@@ -178,12 +129,9 @@ def parse_boolean_netlist(text: str) -> BoolNetlist:
                     _check_ident(out, lineno), name=name or f"u{gate_count}")
         except NetlistError as exc:
             raise FormatError(lineno, str(exc)) from exc
-    driver = bnl.drivers()
-    read = set()
-    for inst in bnl.gates:
-        read.update(inst.ins)
-    inferred_in = [n for n in bnl.nets() if n not in driver]
-    inferred_out = [inst.out for inst in bnl.gates if inst.out not in read]
+    driver, _, readers, nets = bnl._structure()
+    inferred_in = [n for n in nets if n not in driver]
+    inferred_out = [inst.out for inst in bnl.gates if inst.out not in readers]
     if declared_in is None:
         declared_in = inferred_in
     else:

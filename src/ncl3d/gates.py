@@ -235,52 +235,22 @@ def _irregular(name: str, arity: int, products, pmos: int, nmos: int) -> GateSpe
     )
 
 
-def _default_entries() -> Tuple[GateSpec, ...]:
-    # Device counts for the six-gate study set follow the bundled reference
-    # data; the remaining entries carry static-template estimates.
-    return (
-        _th_spec("TH12", 3, 3),
-        _th_spec("TH13", 4, 4),
-        _th_spec("TH22", 6, 6),
-        _th_spec("TH23", 10, 10),
-        _th_spec("TH33", 8, 8),
-        _th_spec("TH44", 10, 10),
-        _th_spec("TH24", 13, 13),
-        _th_spec("TH34", 13, 11),
-        _th_spec("TH34w2", 13, 13),
-        _th_spec("TH54w322", 11, 10),
-        _irregular("TH24comp", 4, [(0, 2), (0, 3), (1, 2), (1, 3)], 9, 9),
-        _irregular("THand0", 4, [(0, 1), (1, 2), (0, 3)], 10, 10),
-    )
-
-
-class GateCatalog:
-    """Named gate specs, at most one spec per name."""
-
-    def __init__(self, entries: Iterable[GateSpec] = ()):
-        self._entries: dict[str, GateSpec] = {}
-        for spec in entries:
-            self.add(spec)
-
-    def add(self, spec: GateSpec) -> None:
-        if spec.name in self._entries and self._entries[spec.name] != spec:
-            raise GateError(f"conflicting redefinition of {spec.name}")
-        self._entries[spec.name] = spec
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __getitem__(self, name: str) -> GateSpec:
-        return self._entries[name]
-
-    def __iter__(self):
-        return iter(self._entries.values())
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._entries)
-
-
-DEFAULT_CATALOG = GateCatalog(_default_entries())
+# Device counts for the six-gate study set follow the bundled reference
+# data; the remaining entries carry static-template estimates.
+DEFAULT_CATALOG = {spec.name: spec for spec in (
+    _th_spec("TH12", 3, 3),
+    _th_spec("TH13", 4, 4),
+    _th_spec("TH22", 6, 6),
+    _th_spec("TH23", 10, 10),
+    _th_spec("TH33", 8, 8),
+    _th_spec("TH44", 10, 10),
+    _th_spec("TH24", 13, 13),
+    _th_spec("TH34", 13, 11),
+    _th_spec("TH34w2", 13, 13),
+    _th_spec("TH54w322", 11, 10),
+    _irregular("TH24comp", 4, [(0, 2), (0, 3), (1, 2), (1, 3)], 9, 9),
+    _irregular("THand0", 4, [(0, 1), (1, 2), (0, 3)], 10, 10),
+)}
 
 # The subset characterized by the bundled 2D/M3D reference measurements.
 STUDY_GATES = ("TH22", "TH24", "TH34", "TH54w322", "THand0", "TH24comp")

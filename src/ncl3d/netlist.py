@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .gates import GateError, GateSpec, eval_sop, spec_from_name
+from .gates import GateError, eval_sop, spec_from_name
 
 
 class NetlistError(ValueError):
@@ -118,7 +118,86 @@ class Defect:
         return f"{self.code}: {self.subject} ({self.detail})"
 
 
-class Netlist:
+class GateGraph:
+    """Gate instances over named nets, the structure Netlist and BoolNetlist
+    share: unique instance names, drivers, readers, net order, and one
+    topological sort.
+
+    Subclasses name the nets listed before and after the gates' own pins
+    (``_ends``); one that caches derived structure rebuilds it while
+    ``_dirty`` is set.
+    """
+
+    def __init__(self):
+        self.gates: list[GateInst] = []
+        self._names: set[str] = set()
+        self._dirty = True
+
+    def add(self, kind: str, ins: Sequence[str], out: str, name: Optional[str] = None) -> GateInst:
+        if name is None:
+            name = f"u{len(self.gates) + 1}"
+        if name in self._names:
+            raise NetlistError(f"duplicate instance name {name}")
+        inst = GateInst(kind, name, tuple(ins), out)
+        self.gates.append(inst)
+        self._names.add(name)
+        self._dirty = True
+        return inst
+
+    def _ends(self) -> Tuple[Sequence[str], Sequence[str]]:
+        raise NotImplementedError
+
+    def _structure(self) -> tuple:
+        """(first driver per net, nets driven again, readers per net, nets).
+
+        Nets are ordered head first, then pins and outputs in gate order,
+        then tail.
+        """
+        head, tail = self._ends()
+        driver: Dict[str, GateInst] = {}
+        multi: list[str] = []
+        readers: Dict[str, list] = {}
+        nets = dict.fromkeys(head)
+        for inst in self.gates:
+            if inst.out in driver:
+                multi.append(inst.out)
+            else:
+                driver[inst.out] = inst
+            for pin in inst.ins:
+                readers.setdefault(pin, []).append(inst)
+                nets.setdefault(pin)
+            nets.setdefault(inst.out)
+        for net in tail:
+            nets.setdefault(net)
+        return driver, multi, readers, tuple(nets)
+
+    @property
+    def nets(self) -> Tuple[str, ...]:
+        return self._structure()[3]
+
+    def topo_order(self) -> Tuple[GateInst, ...]:
+        """Gates in dependency order; raises CycleError on feedback."""
+        driver, _, readers, _ = self._structure()
+        pending = {inst.name: sum(1 for pin in inst.ins if pin in driver)
+                   for inst in self.gates}
+        ready = [inst for inst in self.gates if pending[inst.name] == 0]
+        order = []
+        head = 0
+        while head < len(ready):
+            inst = ready[head]
+            head += 1
+            order.append(inst)
+            for reader in readers.get(inst.out, ()):
+                pending[reader.name] -= reader.ins.count(inst.out)
+                if pending[reader.name] == 0:
+                    ready.append(reader)
+        if len(order) != len(self.gates):
+            stuck = sorted(n for n, k in pending.items() if k > 0)
+            raise CycleError(f"combinational cycle through {', '.join(stuck[:8])}")
+        return tuple(order)
+
+
+class Netlist(GateGraph):
     """Combinational dual-rail NCL netlist.
 
     Mutable while being built (add gates), then treated as immutable;
@@ -132,6 +211,7 @@ class Netlist:
         ctl_inputs: Sequence[str] = (),
         ctl_outputs: Sequence[str] = (),
     ):
+        super().__init__()
         self.inputs: Tuple[Port, ...] = tuple(
             p if isinstance(p, Port) else port(p) for p in inputs
         )
@@ -140,36 +220,14 @@ class Netlist:
         )
         self.ctl_inputs = tuple(ctl_inputs)
         self.ctl_outputs = tuple(ctl_outputs)
-        self.gates: list[GateInst] = []
-        self._names: set[str] = set()
-        self._dirty = True
-        self._rows: Optional[tuple] = None
         for p in self.inputs:
             if not p.is_canonical:
                 raise NetlistError(f"input port {p.name} must use canonical rails")
-
-    # -- construction -----------------------------------------------------
-
-    def add(self, kind: str, ins: Sequence[str], out: str, name: Optional[str] = None) -> GateInst:
-        if name is None:
-            name = f"u{len(self.gates) + 1}"
-        if name in self._names:
-            raise NetlistError(f"duplicate instance name {name}")
-        inst = GateInst(kind, name, tuple(ins), out)
-        self.gates.append(inst)
-        self._names.add(name)
-        self._dirty = True
-        self._rows = None
-        return inst
 
     def bind_outputs(self, ports: Sequence[Port]) -> None:
         """Replace the output port list (used once synthesis knows rails)."""
         self.outputs = tuple(ports)
         self._dirty = True
-        self._rows = None
-
-    def spec(self, kind: str) -> GateSpec:
-        return spec_from_name(kind)
 
     # -- derived structure -------------------------------------------------
 
@@ -182,76 +240,35 @@ class Netlist:
     def external_rails(self) -> Tuple[str, ...]:
         return self.input_rails() + self.ctl_inputs
 
-    def _refresh(self) -> None:
-        if not self._dirty:
-            return
-        self._driver: Dict[str, GateInst] = {}
-        self._multi: list[str] = []
-        for inst in self.gates:
-            if inst.out in self._driver:
-                self._multi.append(inst.out)
-            else:
-                self._driver[inst.out] = inst
-        self._readers: Dict[str, list] = {}
-        for inst in self.gates:
-            for pin in inst.ins:
-                self._readers.setdefault(pin, []).append(inst)
-        nets = dict.fromkeys(self.external_rails())
-        for inst in self.gates:
-            for pin in inst.ins:
-                nets.setdefault(pin)
-            nets.setdefault(inst.out)
-        for r in self.output_rails() + self.ctl_outputs:
-            nets.setdefault(r)
-        self._nets = tuple(nets)
-        self._dirty = False
+    def _ends(self):
+        return self.external_rails(), self.output_rails() + self.ctl_outputs
 
-    @property
-    def nets(self) -> Tuple[str, ...]:
-        self._refresh()
-        return self._nets
+    def _structure(self) -> tuple:
+        """The shared structure, cached; a rebuild also drops the settle rows."""
+        if self._dirty:
+            self._cache = super()._structure()
+            self._rows: Optional[tuple] = None
+            self._dirty = False
+        return self._cache
 
     def fanout(self, net: str) -> int:
-        self._refresh()
-        return len(self._readers.get(net, ()))
-
-    def topo_order(self) -> Tuple[GateInst, ...]:
-        """Gates in dependency order; raises CycleError on feedback."""
-        self._refresh()
-        pending = {inst.name: sum(1 for pin in inst.ins if pin in self._driver)
-                   for inst in self.gates}
-        ready = [inst for inst in self.gates if pending[inst.name] == 0]
-        order = []
-        head = 0
-        while head < len(ready):
-            inst = ready[head]
-            head += 1
-            order.append(inst)
-            for reader in self._readers.get(inst.out, ()):
-                count = reader.ins.count(inst.out)
-                pending[reader.name] -= count
-                if pending[reader.name] == 0:
-                    ready.append(reader)
-        if len(order) != len(self.gates):
-            stuck = sorted(n for n, k in pending.items() if k > 0)
-            raise CycleError(f"combinational cycle through {', '.join(stuck[:8])}")
-        return tuple(order)
+        return len(self._structure()[2].get(net, ()))
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list:
         """Structural defects as data; empty list iff all invariants hold."""
-        self._refresh()
+        driver, multi, _, nets = self._structure()
         defects = []
-        for net in sorted(set(self._multi)):
+        for net in sorted(set(multi)):
             defects.append(Defect("multiple-drivers", net, "more than one gate drives this net"))
         external = set(self.external_rails())
-        for net in self._nets:
-            if net not in self._driver and net not in external:
+        for net in nets:
+            if net not in driver and net not in external:
                 defects.append(Defect("undriven-net", net, "no gate output or primary input drives it"))
         for inst in self.gates:
             try:
-                spec = self.spec(inst.kind)
+                spec = spec_from_name(inst.kind)
             except GateError as exc:
                 defects.append(Defect("unknown-gate", inst.name, str(exc)))
                 continue
@@ -273,11 +290,12 @@ class Netlist:
         Each row is (products over net indices, one single-net product per
         distinct input net, output net index, instance name).
         """
+        self._structure()
         if self._rows is None:
             index = {net: i for i, net in enumerate(self.nets)}
             rows = tuple(
                 (tuple(tuple(index[inst.ins[k]] for k in prod)
-                       for prod in self.spec(inst.kind).products),
+                       for prod in spec_from_name(inst.kind).products),
                  tuple((i,) for i in dict.fromkeys(index[p] for p in inst.ins)),
                  index[inst.out], inst.name)
                 for inst in self.topo_order()
@@ -328,11 +346,6 @@ def settle(
     result = dict(zip(nets, values))
     result.update(frozen)
     return result
-
-
-# Net values plus gate hysteresis state; for these gates the two coincide
-# (a gate's state is its output net), so one map serves as both.
-WavefrontState = Dict[str, int]
 
 
 def encode_word(ports: Sequence[Port], bits: Mapping[str, Optional[int]]) -> Dict[str, int]:
@@ -560,7 +573,7 @@ def parse_netlist(text: str) -> Netlist:
     nl = Netlist(inputs, outputs, ctl_inputs=ctl_in, ctl_outputs=ctl_out)
     for lineno, kind, name, ins, out in gate_lines:
         try:
-            nl.spec(kind)
+            spec_from_name(kind)
         except GateError as exc:
             raise FormatError(lineno, str(exc)) from exc
         try:

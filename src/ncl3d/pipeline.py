@@ -21,23 +21,9 @@ RESERVED_PREFIXES = ("rg", "cd", "ko")
 ACK_NET = "ack"
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One register bank and its completion detector."""
-
-    index: int
-    bits: Tuple[Tuple[str, str], ...]   # registered (rail1, rail0) pairs
-    ki_net: str                          # request consumed by the bank
-    cd_net: str                          # completion-detector output
-    ko_net: str                          # inverted detector, sent upstream
-    register_gates: Tuple[str, ...]
-    completion_gates: Tuple[str, ...]
-
-
 @dataclass
 class PipelineSystem:
     netlist: Netlist
-    stages: List[Stage]
     inverters: Dict[str, str]            # out net -> in net, out = not in
     inputs: Tuple[Port, ...]
     outputs: Tuple[Port, ...]
@@ -62,16 +48,13 @@ def _rewire(gates, mapping: Mapping[str, str]) -> List[GateInst]:
     return out
 
 
-def _completion_tree(nl: Netlist, stage: int, bits, net_class) -> Tuple[str, Tuple[str, ...]]:
+def _completion_tree(nl: Netlist, stage: int, bits, net_class) -> None:
     """Rail-OR per bit, then 4-ary C-element reduction down to one net."""
     cd = f"cd{stage}"
-    names: List[str] = []
     level: List[str] = []
     for i, (r1, r0) in enumerate(bits):
         out = cd if len(bits) == 1 else f"{cd}.b{i}"
-        name = f"cdet{stage}_b{i}"
-        nl.add("TH12", [r1, r0], out, name=name)
-        names.append(name)
+        nl.add("TH12", [r1, r0], out, name=f"cdet{stage}_b{i}")
         net_class[out] = "completion"
         level.append(out)
     depth = 0
@@ -86,14 +69,12 @@ def _completion_tree(nl: Netlist, stage: int, bits, net_class) -> Tuple[str, Tup
                 continue
             last = j >= len(level) and len(nxt) == 0
             out = cd if last else f"{cd}.l{depth}.{len(nxt)}"
-            name = f"cdet{stage}_l{depth}_{len(nxt)}"
-            nl.add(f"TH{len(chunk)}{len(chunk)}", chunk, out, name=name)
-            names.append(name)
+            nl.add(f"TH{len(chunk)}{len(chunk)}", chunk, out,
+                   name=f"cdet{stage}_l{depth}_{len(nxt)}")
             net_class[out] = "completion"
             nxt.append(out)
         level = nxt
         depth += 1
-    return cd, tuple(names)
 
 
 def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
@@ -133,24 +114,19 @@ def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
         net_class[ki(s)] = "handshake"
         net_class[f"ko{s}"] = "handshake"
 
-    stages: List[Stage] = []
     # rails entering the bank about to be built
     incoming: List[Tuple[str, Tuple[str, str]]] = [(p.name, p.rails) for p in cl.inputs]
     cl_out_ports: Optional[Tuple[Port, ...]] = None
 
     for s in range(1, n_stages + 1):
-        reg_names: List[str] = []
         registered: List[Tuple[str, str]] = []
         for bit, (r1, r0) in incoming:
             q1, q0 = f"rg{s}.{bit}.1", f"rg{s}.{bit}.0"
             nl.add("TH22", [r1, ki(s)], q1, name=f"rg{s}_{bit}_1")
             nl.add("TH22", [r0, ki(s)], q0, name=f"rg{s}_{bit}_0")
-            reg_names += [f"rg{s}_{bit}_1", f"rg{s}_{bit}_0"]
             registered.append((q1, q0))
             net_class[q1] = net_class[q0] = "register"
-        cd, det_names = _completion_tree(nl, s, registered, net_class)
-        stages.append(Stage(s, tuple(registered), ki(s), cd, f"ko{s}",
-                            tuple(reg_names), det_names))
+        _completion_tree(nl, s, registered, net_class)
         if s == 1:
             mapping = {r: q for (_, (r1, r0)), (q1, q0) in zip(incoming, registered)
                        for r, q in ((r1, q1), (r0, q0))}
@@ -178,7 +154,6 @@ def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
     inverters = {f"ko{s}": f"cd{s}" for s in range(1, n_stages + 1)}
     system = PipelineSystem(
         netlist=nl,
-        stages=stages,
         inverters=inverters,
         inputs=nl.inputs,
         outputs=out_ports,

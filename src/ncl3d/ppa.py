@@ -53,10 +53,11 @@ def _norm_mode(mode: str) -> str:
 
 
 def _finite(value) -> bool:
-    """True for a finite real; an int too large for a float is not."""
+    """True for a finite real; an int too large for a float, or a value
+    that is no number at all, is not."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
@@ -255,12 +256,14 @@ class Calibration:
         for name in positive + ("a_miv_eff",):
             if not _finite(getattr(self, name)):
                 raise PpaError(f"calibration field {name} must be finite")
+        # residuals record the fit's misses, so they may take either sign
         for label, table in (("r_drive", self.r_drive),
-                             ("activity_mhz", self.activity_mhz)):
+                             ("activity_mhz", self.activity_mhz),
+                             ("residuals", self.residuals)):
             if not isinstance(table, Mapping):
                 raise PpaError(f"calibration field {label} must be a mapping")
             for kind, value in table.items():
-                if value <= 0:
+                if label != "residuals" and value <= 0:
                     raise PpaError(f"{label}[{kind}] must be positive")
                 if not _finite(value):
                     raise PpaError(f"{label}[{kind}] must be finite")
@@ -485,7 +488,7 @@ def _segment_cap(tech: TechParams, mode: str, alpha: float,
 
 
 def _instance_rows(cl: Netlist) -> List[Tuple[GateSpec, int]]:
-    return [(cl.spec(g.kind), max(1, cl.fanout(g.out))) for g in cl.gates]
+    return [(spec_from_name(g.kind), max(1, cl.fanout(g.out))) for g in cl.gates]
 
 
 def _avg_instance_improvement(rows: Sequence[Tuple[GateSpec, int]],
@@ -659,7 +662,7 @@ def calibrate(tech: Optional[TechParams] = None,
         seg = _segment_cap(tech, mode, alpha, net_route_factor)
         total = 0.0
         for g in cl.gates:
-            spec = cl.spec(g.kind)
+            spec = spec_from_name(g.kind)
             fanout = max(1, cl.fanout(g.out))
             c = _cap_total(spec, tech, mode, alpha, route_fraction, c_dev,
                            fanout * seg)
@@ -673,7 +676,7 @@ def calibrate(tech: Optional[TechParams] = None,
     if d2 <= d3:
         raise CalibrationError("folding does not reduce switched capacitance")
     test_rate_mhz = (p2 - p3) / (d2 - d3)
-    n_t_total = sum(sum(transistor_counts(cl.spec(g.kind))) for g in cl.gates)
+    n_t_total = sum(sum(transistor_counts(spec_from_name(g.kind))) for g in cl.gates)
     p_leak_per_t = (p2 - test_rate_mhz * d2) / n_t_total
     if test_rate_mhz <= 0 or p_leak_per_t <= 0:
         raise CalibrationError(
@@ -724,7 +727,7 @@ def circuit_delay_assignment(system: PipelineSystem, cl: Netlist,
     per: Dict[str, int] = {}
     for g in system.netlist.gates:
         load = fanout[g.name] * seg if g.name in fanout else None
-        t_d, _ = gate_delay_skew(system.netlist.spec(g.kind), tech, cal,
+        t_d, _ = gate_delay_skew(spec_from_name(g.kind), tech, cal,
                                  mode, alpha, load=load)
         per[g.name] = max(1, round(t_d))
     return DelayAssignment(per_gate=per)
@@ -750,7 +753,7 @@ def circuit_ppa(cl: Netlist, trace: Trace, tech: TechParams, cal: Calibration,
     area = 0.0
     n_t = 0
     for g in cl.gates:
-        spec = cl.spec(g.kind)
+        spec = spec_from_name(g.kind)
         load = max(1, cl.fanout(g.out)) * seg
         c = _cap_total(spec, tech, mode, alpha, cal.route_fraction,
                        cal.c_dev, load)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Mapping
 
-STUDY_ORDER = ("TH22", "TH24", "TH34", "TH54w322", "THand0", "TH24comp")
+from .gates import STUDY_GATES
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class ReferenceTable:
     circuit: Mapping[str, object]
 
     def gate_names(self):
-        return tuple(n for n in STUDY_ORDER if n in self.gates_2d)
+        return tuple(n for n in STUDY_GATES if n in self.gates_2d)
 
 
 def _rows(block: Dict[str, Dict[str, float]], key: str) -> Dict[str, GateRow]:

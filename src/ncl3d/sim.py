@@ -51,6 +51,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
+from .gates import spec_from_name
 from .netlist import FormatError
 from .pipeline import PipelineSystem
 
@@ -282,7 +283,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     state: List[int] = []
     for gi, g in enumerate(nl.gates):
         out = idx[g.out]
-        row = (nl.spec(g.kind).table,
+        row = (spec_from_name(g.kind).table,
                ((delays.delay_for(g.name, 0), ev[out][0]), (delays.delay_for(g.name, 1), ev[out][1])))
         pins: Dict[int, int] = {}
         for k, n in enumerate(g.ins):

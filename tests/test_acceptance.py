@@ -138,7 +138,7 @@ def oracle_next(name, inputs, prev):
 def test_01_gate_semantics():
     t0 = time.perf_counter()
     bad = []
-    for name in DEFAULT_CATALOG.names():
+    for name in DEFAULT_CATALOG:
         spec = DEFAULT_CATALOG[name]
         for prev in (0, 1):
             for inputs in itertools.product((0, 1), repeat=spec.arity):
@@ -305,7 +305,7 @@ def test_09_degenerate_fold_identity(tech, cal):
     tech0 = tech.replaced(R_MIV=0.0, C_MIV=0.0)
     cal0 = dataclasses.replace(cal, a_miv_eff=0.0)
     bad = []
-    for name in DEFAULT_CATALOG.names():
+    for name in DEFAULT_CATALOG:
         flat = gate_ppa(name, tech0, cal0, mode="2D")
         fold = gate_ppa(name, tech0, cal0, mode="M3D", alpha=1.0)
         for m in ("t_d", "t_s", "power"):

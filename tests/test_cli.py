@@ -359,6 +359,20 @@ def hostile(seed: bytes, model: bool = False):
     return files | edited_model(seed) if model else files
 
 
+def holds_non_finite(blob: bytes) -> bool:
+    """True when ``blob`` is JSON with an Infinity or NaN among its values."""
+    def walk(value):
+        if isinstance(value, float):
+            return not math.isfinite(value)
+        if isinstance(value, dict):
+            value = list(value.values())
+        return isinstance(value, list) and any(walk(v) for v in value)
+    try:
+        return walk(json.loads(blob))
+    except ValueError:  # not UTF-8 or not JSON
+        return False
+
+
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(netlist=hostile(bundled("fixtures/xor2.ncl")),
        boolean=hostile(bundled("fixtures/full_adder.bnl")),
@@ -369,33 +383,62 @@ def test_cli_keeps_its_exit_codes_on_arbitrary_files(netlist, boolean, vectors, 
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, blob in (("n.ncl", netlist), ("b.bnl", boolean), ("v.txt", vectors),
-                           ("t.json", tech), ("c.json", cal)):
+                           ("t.json", tech), ("c.json", cal), ("good.txt", SIM_VECTORS.encode())):
             paths[name] = os.path.join(tmp, name)
             with open(paths[name], "wb") as fh:
                 fh.write(blob)
-        for argv in (["check", paths["n.ncl"]],
-                     ["simulate", paths["n.ncl"], paths["v.txt"]],
-                     ["synth", paths["b.bnl"]],
-                     ["gate-report", "TH22", "--tech", paths["t.json"]],
-                     ["gate-report", "TH22", "--cal", paths["c.json"]],
-                     ["simulate", fixture("xor2.ncl"), paths["v.txt"], "--mode", "M3D",
-                      "--tech", paths["t.json"], "--cal", paths["c.json"]]):
+        # one hostile model file per run, the other bundled, on good vectors,
+        # so the delay model runs whenever the edited file still loads
+        m3d = ["simulate", fixture("xor2.ncl"), paths["good.txt"], "--mode", "M3D"]
+        for argv, model in ((["check", paths["n.ncl"]], None),
+                            (["simulate", paths["n.ncl"], paths["v.txt"]], None),
+                            (["synth", paths["b.bnl"]], None),
+                            (["gate-report", "TH22", "--tech", paths["t.json"]], tech),
+                            (["gate-report", "TH22", "--cal", paths["c.json"]], cal),
+                            (m3d + ["--tech", paths["t.json"]], tech),
+                            (m3d + ["--cal", paths["c.json"]], cal)):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2), argv
-            if argv[-2:] == ["--tech", paths["t.json"]] and (b"Infinity" in tech or b"NaN" in tech):
-                assert code == 2, "a non-finite tech value was accepted"
+            if model is not None and holds_non_finite(model):
+                assert code == 2, f"a non-finite model value was accepted: {argv}"
 
 
 # ------------------------------------------------------------- output pins
 
 SIM_VECTORS = "0\n1\n2\n3\n"
 
+# Structurally broken inputs, whose defect listings follow the order of the
+# net and gate graph.  The .ncl carries second drivers on x and Z.1,
+# undriven nets m and n, an arity mismatch (g4) and a cycle (g5, g6); an
+# unknown kind is a parse error, so it gets a file of its own.  The .bnl
+# carries a second driver on x and a cycle (g4, g5).
+BROKEN_FILES = {
+    "broken.ncl": ("input A B\noutput Z\n"
+                   "TH22 g1 A.1 B.1 -> x\n"
+                   "TH12 g2 A.0 B.0 -> x\n"
+                   "TH22 g3 x m -> Z.1\n"
+                   "TH23 g4 A.0 B.0 -> Z.0\n"
+                   "TH22 g5 c2 A.1 -> c1\n"
+                   "TH22 g6 c1 B.1 -> c2\n"
+                   "TH12 g7 n A.1 -> y\n"
+                   "TH12 g8 A.1 B.0 -> Z.1\n"),
+    "unknown.ncl": "input A B\noutput Z\nTH22 g1 A.1 B.1 -> Z.1\nTHX2 g2 A.0 B.0 -> Z.0\n",
+    "broken.bnl": ("input a b\noutput z\n"
+                   "AND2 g1 a b -> x\n"
+                   "OR2 g2 a b -> x\n"
+                   "XOR2 g3 x b -> z\n"
+                   "AND2 g4 q a -> p\n"
+                   "OR2 g5 p b -> q\n"),
+}
+
+EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
 # SHA-256 of stdout and of the file --out writes, for every command on the
-# bundled fixtures.  Each run happens in a scratch directory with relative
-# file names, because stdout echoes the paths it was given.  None marks a
-# run without --out.
+# bundled fixtures and on the broken files.  Each run happens in a scratch
+# directory with relative file names, because stdout echoes the paths it
+# was given.  None marks a run without --out.
 OUTPUT_PINS = {
     "gate-report-all": (["gate-report", "all", "--out", "r.json"], 0,
         "2f8535102cb53eb8a1e6138e4fbbba9fa987c23c76293bebdb485184bccc3758",
@@ -433,6 +476,17 @@ OUTPUT_PINS = {
     "sweep-multiplier-w3": (["sweep", "multiplier", "--width", "3", "--out", "r.json"], 0,
         "f6349d6f3d2162f0cb79d49aac3874e44ae8ce8b5a061b0915258f0b60e7b7c7",
         "d9140a70155295a0417f108d9452d9142accbe71d7b9a3d91eac1457b18c4ca7"),
+    "check-broken": (["check", "broken.ncl", "--out", "r.json"], 1,
+        "958f4e43bfe408f0586db30752436851b4475d96aebd2e82fb62de91824034dd",
+        "3e270bad00b0687a600fc3eb95afb1bca6fc7e551c59ab877daf53e7c5507c57"),
+    "check-unknown-kind": (["check", "unknown.ncl"], 2, EMPTY_SHA, None),
+    "synth-broken": (["synth", "broken.bnl"], 2, EMPTY_SHA, None),
+}
+
+# SHA-256 of stderr; every other run leaves it empty.
+STDERR_PINS = {
+    "check-unknown-kind": "570a7d6825b21923b4b1d3bcb3df2f6a348311eccc7852ee5760e15003ebeabc",
+    "synth-broken": "6cc0aabf24c5d002bff43d15dc7809b59e4a5d55b87f2ce216bac8171109172d",
 }
 
 
@@ -441,10 +495,13 @@ def test_command_output_is_pinned(capsys, tmp_path, monkeypatch, case):
     argv, want_code, want_out, want_file = OUTPUT_PINS[case]
     for name in ("and2.ncl", "and2_relaxed.ncl", "or2.ncl", "xor2.ncl", "full_adder.bnl"):
         (tmp_path / name).write_bytes(bundled(f"fixtures/{name}"))
+    for name, text in BROKEN_FILES.items():
+        (tmp_path / name).write_text(text)
     (tmp_path / "v.txt").write_text(SIM_VECTORS)
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     blob = (tmp_path / argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else None
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_out
     assert (None if blob is None else hashlib.sha256(blob).hexdigest()) == want_file
+    assert hashlib.sha256(err.encode()).hexdigest() == STDERR_PINS.get(case, EMPTY_SHA)

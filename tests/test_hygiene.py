@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package, test file or demo script
-imports a name it never uses, and every function, method and class the
-package defines is named somewhere besides its own definition.
+imports a name it never uses, and every function, method, class and
+module-level assignment the package defines is named somewhere besides
+its own definition.
 
 Plain AST and text scans, so they need no linter.  The package's
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -59,8 +60,9 @@ def test_no_unused_imports(path):
 
 
 def dead_definitions(modules, texts):
-    """Names of the functions, methods and classes in ``modules`` (name ->
-    source) that no text in ``texts`` names beyond their own definitions.
+    """Names of the functions, methods, classes and module-level assignments
+    in ``modules`` (name -> source) that no text in ``texts`` names beyond
+    their own definitions.
 
     A use is any whole-word occurrence, in code, a string or prose, so
     getattr lookups and documented entry points count.  Dunders are called
@@ -69,11 +71,17 @@ def dead_definitions(modules, texts):
     defined = Counter()
     owners = {}
     for module, source in modules.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined[node.name] += 1
-                    owners.setdefault(node.name, []).append(f"{module}:{node.lineno}")
+        tree = ast.parse(source)
+        names = [(node.name, node.lineno) for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        for name, lineno in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                defined[name] += 1
+                owners.setdefault(name, []).append(f"{module}:{lineno}")
     named = Counter(re.findall(r"\w+", "\n".join(texts)))
     return sorted(f"{where} {name}" for name, count in defined.items()
                   if named[name] <= count for where in owners[name])
@@ -83,9 +91,11 @@ def test_dead_definition_scan_sees_uses_anywhere():
     modules = {"m.py": ("class K:\n    def __init__(self): pass\n"
                         "    def used(self): pass\n    def unused(self): pass\n"
                         "def twice(): pass\ndef twice(): pass\n"
-                        "def called(): return K().used()\n")}
+                        "def called(): return K().used() + LIMIT\n"
+                        "LIMIT = 3\nSTALE: int = 4\n__all__ = []\n")}
     texts = list(modules.values()) + ["see `called` in the README"]
-    assert dead_definitions(modules, texts) == ["m.py:4 unused", "m.py:5 twice", "m.py:6 twice"]
+    assert dead_definitions(modules, texts) == [
+        "m.py:4 unused", "m.py:5 twice", "m.py:6 twice", "m.py:9 STALE"]
 
 
 def test_every_definition_is_used():

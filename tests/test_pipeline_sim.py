@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncl3d.boolnet import parse_boolean_netlist
+from ncl3d.gates import spec_from_name
 from ncl3d.netlist import Netlist, NetlistError, Port
 from ncl3d.pipeline import build_pipeline
 from ncl3d.ppa import circuit_delay_assignment, default_calibration, default_tech
@@ -60,10 +61,13 @@ def test_two_stage_identity_structure():
         kinds[g.kind] = kinds.get(g.kind, 0) + 1
     # 4 register bits of 2 TH22 each, plus one TH22 tree combine per bank
     assert kinds == {"TH22": 10, "TH12": 4}
-    assert len(sys2.stages) == 2
+    assert sys2.netlist.ctl_outputs == ("cd1", "cd2")
     assert sys2.inverters == {"ko1": "cd1", "ko2": "cd2"}
-    assert sys2.stages[0].ki_net == "ko2"
-    assert sys2.stages[1].ki_net == sys2.ack_net == "ack"
+    # each bank's registers take the next bank's request; the last, the ack
+    for bank, ki in ((1, "ko2"), (2, sys2.ack_net)):
+        regs = [g for g in sys2.netlist.gates if g.name.startswith(f"rg{bank}_")]
+        assert len(regs) == 4 and {g.ins[1] for g in regs} == {ki}
+    assert sys2.ack_net == "ack"
     assert sys2.request_net == "ko1"
 
 
@@ -144,7 +148,7 @@ def rise_oracle(system, vector_bits):
         t[p.rail1] = 0 if b else inf
         t[p.rail0] = inf if b else 0
     for g in system.netlist.topo_order():
-        spec = system.netlist.spec(g.kind)
+        spec = spec_from_name(g.kind)
         best = inf
         for prod in spec.products:
             arr = max(t.get(g.ins[i], inf) for i in prod)

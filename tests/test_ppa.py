@@ -228,7 +228,9 @@ def test_calibration_round_trip(cal, tmp_path):
       for field, value in (("c_dev", "2"), ("r_drive", None), ("activity_mhz", [1]),
                            ("r_drive", {"TH22": "x"}),
                            ("c_dev", math.inf), ("c_dev", -math.inf), ("a_miv_eff", math.nan),
-                           ("r_drive", {"TH22": math.inf}), ("activity_mhz", {"TH22": math.nan}))),
+                           ("r_drive", {"TH22": math.inf}), ("activity_mhz", {"TH22": math.nan}),
+                           ("residuals", {"x": math.nan}), ("residuals", {"x": "a"}),
+                           ("residuals", [1, 2]))),
 ])
 def test_calibration_parse_errors(text):
     with pytest.raises(PpaError):
