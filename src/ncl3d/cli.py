@@ -17,35 +17,14 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .boolnet import load_boolean_netlist
 from .gates import STUDY_GATES, GateError, spec_from_name
 from .netlist import (
-    FormatError,
     NetlistError,
     check_input_completeness,
     check_observability,
     load_netlist,
     serialize_netlist,
 )
-from .pipeline import build_pipeline
-from .ppa import (
-    METRICS,
-    Calibration,
-    PpaError,
-    TechParams,
-    circuit_delay_assignment,
-    default_calibration,
-    default_tech,
-    evaluate_circuit,
-    gate_improvements,
-    gate_ppa,
-    improvement_pct,
-    load_calibration,
-    load_tech,
-    sweep_alpha,
-)
-from .sim import SimulationError, check_delay_insensitivity, load_vectors, measure, simulate
-from .synth import SynthError, build_array_multiplier, count_transistors, expand_dual_rail, operand_bits
 
 # The checkers sweep every (vector, port subset) pair exhaustively up to
 # this many dual-rail inputs; beyond it they sample unless forced.
@@ -55,6 +34,18 @@ SAMPLED_TRIALS = 256
 
 class CliError(ValueError):
     pass
+
+
+# Loaders that perfbench/child.py reads as attributes of this module.  Each
+# command imports what it needs itself, so these resolve on first use.
+_PACKAGE_LOADERS = ("load_vectors", "build_pipeline", "build_array_multiplier",
+                    "default_tech", "default_calibration")
+
+
+def __getattr__(name: str):
+    if name not in _PACKAGE_LOADERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 # ------------------------------------------------------------------ helpers
@@ -104,12 +95,13 @@ def _single_alpha(spec: str) -> float:
 
 
 def _model(args) -> tuple:
+    from .ppa import default_calibration, default_tech, load_calibration, load_tech
     tech = load_tech(args.tech) if args.tech else default_tech()
     cal = load_calibration(args.cal) if args.cal else default_calibration()
     return tech, cal
 
 
-def _model_header(command: str, tech: TechParams, cal: Calibration) -> List[str]:
+def _model_header(command: str, tech, cal) -> List[str]:
     return [f"# ncl3d {command}",
             f"# tech {tech.digest()}",
             f"# calibration {cal.digest()}"]
@@ -135,6 +127,7 @@ def _itemize(label: str, items: Sequence, limit: int = 8) -> List[str]:
 
 def _mult_vectors(width: int, exhaustive: bool, seed: int) -> tuple:
     """Operand vectors and the products they must produce."""
+    from .synth import operand_bits
     if exhaustive:
         pairs = [(x, y) for x in range(1 << width) for y in range(1 << width)]
         tag = f"exhaustive {len(pairs)}"
@@ -151,6 +144,7 @@ def _mult_vectors(width: int, exhaustive: bool, seed: int) -> tuple:
 # --------------------------------------------------------------- subcommands
 
 def cmd_gate_report(args) -> int:
+    from .ppa import METRICS, gate_improvements, gate_ppa
     tech, cal = _model(args)
     alphas = _parse_alphas(args.alpha)
     # absent or "all" -> the studied six; an explicitly empty list stays empty
@@ -240,6 +234,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .pipeline import build_pipeline
+    from .sim import load_vectors, measure, simulate
     nl = load_netlist(args.netlist)
     vectors = load_vectors(args.vectors)
     system = build_pipeline(nl)
@@ -249,6 +245,7 @@ def cmd_simulate(args) -> int:
     doc: Dict = {"command": "simulate", "netlist": str(args.netlist),
                  "vector_count": len(vectors)}
     if args.mode:
+        from .ppa import circuit_delay_assignment
         tech, cal = _model(args)
         alpha = 1.0 if args.mode == "2D" else _single_alpha(args.alpha)
         delays = circuit_delay_assignment(system, nl, tech, cal, args.mode, alpha)
@@ -284,6 +281,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .boolnet import load_boolean_netlist
+    from .synth import count_transistors, expand_dual_rail
     bnl = load_boolean_netlist(args.netlist)
     nl = expand_dual_rail(bnl)
     by_kind: Dict[str, int] = {}
@@ -307,6 +306,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_multiplier_demo(args) -> int:
+    from .pipeline import build_pipeline
+    from .ppa import evaluate_circuit, improvement_pct
+    from .sim import check_delay_insensitivity, simulate
+    from .synth import build_array_multiplier, count_transistors
     if not 2 <= args.width <= 8:
         raise CliError(f"width {args.width} outside [2, 8]")
     tech, cal = _model(args)
@@ -363,6 +366,7 @@ def cmd_multiplier_demo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .ppa import METRICS, sweep_alpha
     tech, cal = _model(args)
     alphas = _parse_alphas(args.alpha)
     lines = _model_header("sweep", tech, cal)
@@ -373,6 +377,7 @@ def cmd_sweep(args) -> int:
     else:
         if not 2 <= args.width <= 8:
             raise CliError(f"width {args.width} outside [2, 8]")
+        from .synth import build_array_multiplier
         cl = build_array_multiplier(args.width)
         vectors, _, tag = _mult_vectors(args.width, args.width <= 4, args.seed)
         rows = sweep_alpha(cl, alphas, tech, cal, vectors=vectors)
@@ -489,13 +494,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_errors() -> tuple:
+    """The exceptions main reports with exit code 2 (FormatError and
+    SynthError are NetlistErrors).  It runs only once something was raised,
+    so a command that never touched ppa or sim does not load them."""
+    from .ppa import PpaError
+    from .sim import SimulationError
+    return (CliError, GateError, NetlistError, PpaError, SimulationError,
+            OSError, UnicodeDecodeError)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GateError, NetlistError, FormatError, SynthError,
-            PpaError, SimulationError, OSError, UnicodeDecodeError) as err:
+    except _usage_errors() as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -187,6 +187,8 @@ class GateGraph:
             inst = ready[head]
             head += 1
             order.append(inst)
+            if driver[inst.out] is not inst:
+                continue            # only a net's first driver releases its readers
             for reader in readers.get(inst.out, ()):
                 pending[reader.name] -= reader.ins.count(inst.out)
                 if pending[reader.name] == 0:

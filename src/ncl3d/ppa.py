@@ -19,9 +19,15 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
-from hashlib import sha256
 from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+try:
+    # the interpreter's own SHA-256: hashlib would load OpenSSL, about 3 MB
+    # of start-up memory (random.py imports _sha512 the same way)
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .gates import GateSpec, spec_from_name, transistor_counts
 from .netlist import Netlist

@@ -9,7 +9,7 @@ from ncl3d.boolnet import (
     parse_boolean_netlist,
     serialize_boolean_netlist,
 )
-from ncl3d.netlist import FormatError
+from ncl3d.netlist import CycleError, FormatError
 
 # Independent semantics, typed out rather than imported.
 EXPECTED = {
@@ -109,3 +109,16 @@ def test_cycle_is_a_defect():
     bnl.add("AND2", ["x", "a"], "y")
     bnl.add("OR2", ["x", "y"], "z")
     assert any(d.code == "cycle" for d in bnl.validate())
+
+
+def test_second_driver_does_not_hide_a_cycle():
+    """x has two drivers, and the cycle u3 -> u4 -> u3 runs through x's
+    reader u3: each of x's drivers used to release u3 once."""
+    bnl = BoolNetlist(inputs=("a",), outputs=("z",))
+    bnl.add("BUF", ["a"], "x")
+    bnl.add("BUF", ["a"], "x")
+    bnl.add("AND2", ["x", "y"], "z")
+    bnl.add("AND2", ["z", "a"], "y")
+    assert [d.code for d in bnl.validate()] == ["multiple-drivers", "cycle"]
+    with pytest.raises(CycleError, match="u3, u4$"):
+        bnl.topo_order()

@@ -106,6 +106,18 @@ def test_cycle_detection():
         check_input_completeness(nl)
 
 
+def test_second_driver_does_not_hide_a_cycle():
+    """x has two drivers, and the cycle g3 -> g4 -> g3 runs through x's
+    reader g3: each of x's drivers used to release g3 once."""
+    nl = parse_netlist("input A\noutput Z\n"
+                       "TH11 g1 A.1 -> x\nTH11 g2 A.1 -> x\n"
+                       "TH22 g3 x y -> z\nTH22 g4 z A.0 -> y\n"
+                       "TH12 g5 z A.0 -> Z.1\nTH11 g6 A.0 -> Z.0\n")
+    assert [d.code for d in nl.validate()] == ["multiple-drivers", "cycle"]
+    with pytest.raises(CycleError, match="g3, g4, g5$"):
+        nl.topo_order()
+
+
 def test_settle_verification_pass_catches_conflicting_drivers():
     nl = Netlist(["A"], ["Z"])
     nl.add("TH11", ["A.1"], "Z.1", name="g1")

@@ -372,15 +372,19 @@ def check_trace_columns(trace):
 # SHA-256 of Trace.to_tsv() and of the wave bookkeeping for the width-4
 # multiplier pipeline over all 256 operand pairs, pinned from the reference
 # simulator.  Any change to event order, transport semantics, handshake
-# bookkeeping or trace formatting moves these digests.
+# bookkeeping or trace formatting moves these digests.  "split_random"
+# gives every gate its own seeded (rise, fall) pair, so a simulator that
+# schedules an edge with the other edge's delay moves it.
 GOLDEN_WAVE_SHA256 = {
     "unit": "47c94482781a57ca383c05676e53006b613180a6635dc37b0479febe8077d5ef",
     "uniform_random": "f6c04a49945668e90a5ccde34c3b63828a46066611d0ced92f201d94b5e4b71d",
+    "split_random": "f4655abb051d3d8e79b2c75db919334b4ef53ae7d70d9f7d0ecc5989d93c383c",
     "m3d_0.7": "c2168c8dd66fa32611b8b20dcb96a5262656a48f154b394b29decc7d5b457201",
 }
 GOLDEN_TRACE_SHA256 = {
     "unit": "7d2bb83e5e7a87514b779e4340cb4d94e43e67ae5ecb8aa24dbef4c9eaa2747d",
     "uniform_random": "3760ff2bb198592f4421c2dfcdb2dec523d5f4dbbe6e1feab21b75b6d05b46bf",
+    "split_random": "5009f1ba5f0106324c898bf7bd3fa06a357f1af93cd8d82b51f3c7280692db5d",
     "m3d_0.7": "af538b5f4c49ad0bedc5e6e012bcef6f71c096eccab6527c4f741c9951e08c88",
 }
 
@@ -394,16 +398,21 @@ def mult4():
 @pytest.mark.parametrize("model", sorted(GOLDEN_TRACE_SHA256))
 def test_golden_trace_digest(mult4, model):
     cl, system = mult4
+    names = [g.name for g in system.netlist.gates]
     if model == "unit":
         delays = None
     elif model == "uniform_random":
-        names = [g.name for g in system.netlist.gates]
         delays = DelayAssignment.uniform_random(names, random.Random(0))
+    elif model == "split_random":
+        rng = random.Random(4)
+        delays = DelayAssignment(per_gate={n: (rng.randint(1, 20), rng.randint(1, 20))
+                                           for n in names})
     else:
         delays = circuit_delay_assignment(system, cl, default_tech(),
                                           default_calibration(), "M3D", 0.7)
     vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
     trace = simulate(system, vectors, delays)
+    assert trace.words() == [x * y for x in range(16) for y in range(16)]
     assert tsv_digest(trace) == GOLDEN_TRACE_SHA256[model]
     assert wave_digest(trace) == GOLDEN_WAVE_SHA256[model]
     check_trace_columns(trace)

@@ -1,0 +1,142 @@
+"""Start-up: the package's public names, which modules each command runs,
+and the entry points the benchmark harness (perfbench/child.py) relies on.
+
+Importing ncl3d runs none of its submodules; each public name resolves on
+first use.  These tests pin what that must not change: every name the
+package exported when it imported all its modules still resolves to the
+same object, ``check`` never runs the model, simulator or synthesis
+modules, and the harness's set-up and traced children still work.
+"""
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ncl3d
+from ncl3d import build_array_multiplier, serialize_netlist
+
+ROOT = Path(__file__).resolve().parent.parent
+CHILD = ROOT / "perfbench" / "child.py"
+
+# The package's exports as they stood when __init__ imported every module
+# eagerly: submodule -> the names it exported.
+EAGER_EXPORTS = {
+    "gates": "DEFAULT_CATALOG STUDY_GATES GateError GateSpec eval_set next_output "
+             "spec_from_name transistor_counts",
+    "netlist": "DR FormatError Netlist NetlistError Port check_input_completeness "
+               "check_observability encode_word load_netlist output_word parse_netlist "
+               "serialize_netlist settle",
+    "boolnet": "BoolNetlist parse_boolean_netlist serialize_boolean_netlist",
+    "synth": "SynthError TransistorCount build_array_multiplier build_boolean_multiplier "
+             "count_transistors expand_dual_rail operand_bits product_value",
+    "pipeline": "PipelineSystem build_pipeline",
+    "sim": "DeadlockError DelayAssignment DIReport EventLimitError Report SimulationError "
+           "Trace VectorError Wave check_delay_insensitivity load_vectors measure "
+           "parse_vectors simulate",
+    "refdata": "ReferenceTable load_reference",
+    "ppa": "Calibration CalibrationError CircuitResult PpaError PpaReport Scenario SweepRow "
+           "TechParams WireRC calibrate circuit_delay_assignment circuit_ppa "
+           "default_calibration default_tech evaluate_circuit gate_area gate_capacitance "
+           "gate_delay_skew gate_improvements gate_power gate_ppa load_calibration load_tech "
+           "miv_count save_calibration save_tech sweep_alpha wire_parasitics",
+}
+EXPORTS = [(m, name) for m, names in EAGER_EXPORTS.items() for name in names.split()]
+
+# Runs `python -m ncl3d ARG...` as -m does, and writes to stderr the name of
+# every ncl3d module whose body executes, however it was loaded.
+PROBE = """
+import os, runpy, sys
+def hook(event, args):
+    code = args[0] if event == "exec" else None
+    if getattr(code, "co_name", None) == "<module>":
+        folder, name = os.path.split(code.co_filename)
+        if os.path.basename(folder) == "ncl3d":
+            sys.stderr.write("executed ncl3d." + name[:-3] + "\\n")
+sys.addaudithook(hook)
+runpy.run_module("ncl3d", run_name="__main__", alter_sys=True)
+"""
+HEAVY = {"ncl3d.ppa", "ncl3d.sim", "ncl3d.synth", "ncl3d.pipeline", "ncl3d.boolnet",
+         "ncl3d.refdata"}
+
+
+def test_every_eager_export_resolves_to_its_module():
+    wrong = [f"{m}.{name}" for m, name in EXPORTS
+             if getattr(ncl3d, name) is not getattr(getattr(ncl3d, m), name)]
+    assert wrong == []
+    assert sorted(ncl3d.__all__) == sorted(name for _, name in EXPORTS)
+    assert {name for _, name in EXPORTS} <= set(dir(ncl3d))
+    with pytest.raises(AttributeError):
+        ncl3d.no_such_name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from ncl3d import *", namespace)
+    assert [name for m, name in EXPORTS
+            if namespace.get(name) is not getattr(getattr(ncl3d, m), name)] == []
+
+
+def child_env():
+    env = dict(os.environ)
+    pkg_root = str(Path(ncl3d.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_probed(tmp_path, *argv):
+    """Exit code, stdout and the ncl3d modules a fresh `ncl3d ARG...` ran,
+    as seen both by -X importtime and by the probe's audit hook."""
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c", PROBE, *argv],
+                         capture_output=True, text=True, cwd=str(tmp_path), env=child_env())
+    imported = re.findall(r"^import time:.*\| +(ncl3d\S*)$", run.stderr, re.M)
+    executed = re.findall(r"^executed (\S+)$", run.stderr, re.M)
+    return run.returncode, run.stdout, set(imported) | set(executed)
+
+
+def test_check_runs_no_model_simulator_or_synthesis_module(tmp_path):
+    (tmp_path / "mult3.ncl").write_text(serialize_netlist(build_array_multiplier(3)))
+    code, out, loaded = run_probed(tmp_path, "check", "mult3.ncl")
+    assert code == 0 and out.splitlines()[-1] == "result: PASS"
+    assert {"ncl3d.cli", "ncl3d.gates", "ncl3d.netlist"} <= loaded
+    assert loaded & HEAVY == set()
+
+
+def test_simulate_runs_no_synthesis_module(tmp_path):
+    (tmp_path / "mult2.ncl").write_text(serialize_netlist(build_array_multiplier(2)))
+    (tmp_path / "v.txt").write_text("0\n5\n15\n")
+    code, out, loaded = run_probed(tmp_path, "simulate", "mult2.ncl", "v.txt", "--mode", "M3D")
+    assert code == 0 and "words: 0 1 9" in out
+    assert {"ncl3d.sim", "ncl3d.ppa"} <= loaded
+    assert loaded & {"ncl3d.synth", "ncl3d.boolnet"} == set()
+
+
+@pytest.fixture(scope="module")
+def bench_inputs(tmp_path_factory):
+    """The files the harness's workloads read, small where size is free."""
+    tmp = tmp_path_factory.mktemp("bench")
+    (tmp / "mult3.ncl").write_text(serialize_netlist(build_array_multiplier(3)))
+    (tmp / "mult8.ncl").write_text(serialize_netlist(build_array_multiplier(8)))
+    (tmp / "v8.txt").write_text("0\n65535\n")
+    return tmp
+
+
+@pytest.mark.parametrize("workload", ["check-mult3", "demo-mult4", "sim-mult8"])
+def test_bench_setup_child_runs(bench_inputs, workload):
+    run = subprocess.run([sys.executable, str(CHILD), "setup", workload], capture_output=True,
+                         text=True, cwd=str(bench_inputs), env=child_env())
+    assert run.returncode == 0, run.stderr[-400:]
+    assert Path(run.stdout.strip()).resolve() == Path(ncl3d.__file__).resolve()
+
+
+def test_bench_trace_child_records_spans(bench_inputs):
+    run = subprocess.run([sys.executable, str(CHILD), "trace", "spans.json", "check",
+                          "mult3.ncl"], capture_output=True, text=True,
+                         cwd=str(bench_inputs), env=child_env())
+    assert run.returncode == 0, run.stderr[-400:]
+    assert run.stdout.splitlines()[-1] == "result: PASS"
+    spans = json.loads((bench_inputs / "spans.json").read_text())["spans"]
+    assert {"cli.main", "netlist.load_netlist", "netlist.settle"} <= {s["name"] for s in spans}
