@@ -3,10 +3,12 @@
 A Netlist is an acyclic graph of threshold-gate instances over named
 single-rail nets; feedback exists only inside gate hysteresis. Primary
 inputs and outputs are dual-rail ports. Evaluation is a one-pass fixpoint
-(settle) over lane ints, one bit per input vector. On it the two behavioral
-delay-insensitivity checkers run every vector at once, as parallel-pattern
-fault simulation: input-completeness sweeps partial input wavefronts, and
-observability holds one gate output stuck at 0 at a time.
+(settle) over lane ints, one bit per case. On it the two behavioral
+delay-insensitivity checkers run as parallel-pattern, parallel-fault
+simulation: lane ``j*V + k`` is case block j (a partial input wavefront
+for input-completeness, a gate held at 0 by an AND lane mask for
+observability) under vector k of the V DATA vectors, with whole blocks
+packed up to LANE_BUDGET lanes per settle.
 """
 from __future__ import annotations
 
@@ -190,7 +192,7 @@ class GateGraph:
             if driver[inst.out] is not inst:
                 continue            # only a net's first driver releases its readers
             for reader in readers.get(inst.out, ()):
-                pending[reader.name] -= reader.ins.count(inst.out)
+                pending[reader.name] -= 1      # one reader entry per pin
                 if pending[reader.name] == 0:
                     ready.append(reader)
         if len(order) != len(self.gates):
@@ -316,38 +318,37 @@ def settle(
 
     ``rails`` gives externally driven rail values (missing rails read 0);
     ``state`` gives previous net values for hysteresis (missing nets read
-    0, the all-NULL reset); ``frozen`` pins nets to fixed values, used by
-    the observability checker. Returns the complete net-value map. One
-    pass suffices on an acyclic graph; a second pass verifies that and
-    raises NonConvergenceError if any lane still changes. Values are lane
-    ints (bit k is vector k; 0/1 is one lane) and each gate steps as
-    ``set | (prev & any input)``.
+    0, the all-NULL reset); ``frozen`` maps nets to AND lane masks: in
+    both passes a frozen net's value is ANDed with its mask, so
+    ``{net: 0}`` holds the net at 0 in every lane, and the observability
+    checker holds one gate output at 0 in each block of lanes. Returns the
+    complete net-value map. One pass suffices on an acyclic graph; a
+    second pass verifies that and raises NonConvergenceError if any lane
+    still changes. Values are lane ints (bit k is vector k; 0/1 is one
+    lane) and each gate steps as ``set | (prev & any input)``.
     """
     index, rows = netlist._compiled()
     nets = netlist.nets
     state = state or {}
-    frozen = frozen or {}
     values = [state.get(net, 0) for net in nets]
     for r in netlist.external_rails():
         values[index[r]] = rails.get(r, 0)
-    if frozen:
-        pinned = {index[net] for net in frozen if net in index}
-        for i in pinned:
-            values[i] = frozen[nets[i]]
-        rows = [row for row in rows if row[2] not in pinned]
+    masks = {index[net]: m for net, m in (frozen or {}).items() if net in index}
+    for i, m in masks.items():
+        values[i] &= m
     for verify in (False, True):
         for prods, anys, out, name in rows:
             prev = values[out]
             nxt = eval_sop(prods, values)
             if prev:
                 nxt |= prev & eval_sop(anys, values)
+            if out in masks:
+                nxt &= masks[out]
             if nxt != prev:
                 if verify:
                     raise NonConvergenceError(f"net {nets[out]} (gate {name}) did not settle")
                 values[out] = nxt
-    result = dict(zip(nets, values))
-    result.update(frozen)
-    return result
+    return dict(zip(nets, values))
 
 
 def encode_word(ports: Sequence[Port], bits: Mapping[str, Optional[int]]) -> Dict[str, int]:
@@ -404,6 +405,11 @@ def _check_preconditions(netlist: Netlist) -> None:
 # Exhaustive checker sweeps refuse netlists with more dual-rail inputs.
 MAX_EXHAUSTIVE_INPUTS = 12
 
+# Lanes one checker settle carries at most: every net holds an int this
+# wide. Unbounded, the exhaustive width-5 multiplier sweep (1M lanes) peaks
+# at 81 MB RSS and runs 4x slower than under this bound (20.5 MB).
+LANE_BUDGET = 1 << 16
+
 
 def _all_vectors(netlist: Netlist) -> list:
     """Every legal DATA vector as a per-port bit tuple, under the guard."""
@@ -425,6 +431,24 @@ def _lane_rails(ports: Sequence[Port], vectors: Sequence[Tuple[int, ...]]) -> Di
     return rails
 
 
+def _chunks(cases: Sequence, width: int, *states: Mapping[str, int]):
+    """Cut ``cases`` into runs of at most LANE_BUDGET lanes (at least one
+    case each), one block of ``width`` lanes per case. Yields each run with
+    every one of ``states`` copied into each of its blocks; the copies are
+    made once, for a full run, and cut down for a shorter last run."""
+    step = max(1, LANE_BUDGET // max(width, 1))
+    count = min(step, len(cases))
+    # values fit in ``width`` lanes, so multiplying by ones copies them exactly
+    ones = sum(1 << j * width for j in range(count))
+    full = [{net: v * ones for net, v in state.items()} for state in states]
+    for lo in range(0, len(cases), step):
+        run = cases[lo:lo + step]
+        if len(run) < count:
+            cut = (1 << len(run) * width) - 1
+            full = [{net: v & cut for net, v in state.items()} for state in full]
+        yield run, full
+
+
 def check_input_completeness(
     netlist: Netlist,
     trials: Optional[int] = None,
@@ -437,8 +461,11 @@ def check_input_completeness(
     otherwise ``trials`` random (vector, subset) pairs. Checks both the
     NULL→DATA and DATA→NULL directions. Empty list iff input-complete;
     violations come in case order (vector, then subset; first draw when
-    sampled), NULL→DATA before DATA→NULL. Vectors are lanes: a subset
-    costs two settles over all the vectors it pairs with.
+    sampled), NULL→DATA before DATA→NULL.
+
+    Cases are lanes: lane ``j*V + k`` is subset block j and vector k of
+    the V vectors, so one settle per direction covers every subset of a
+    LANE_BUDGET chunk. Sampled blocks keep only the lanes their draws used.
     """
     _check_preconditions(netlist)
     ports = netlist.inputs
@@ -462,31 +489,39 @@ def check_input_completeness(
             subsets[sub] = subsets.get(sub, 0) | 1 << lane
             first.setdefault((lane, sub), t)
         vectors = list(lane_of)
+    width = len(vectors)
     rails = _lane_rails(ports, vectors)
-
-    def drive(members):
-        return {r: rails[r] for i in members for r in ports[i].rails}
-
     out_rails = [p.rails for p in netlist.outputs]
     null_state = settle(netlist, {})
-    data_state = settle(netlist, drive(range(n)), null_state)
+    data_state = settle(netlist, rails, null_state)
     hits = []
-    for sub, lanes in subsets.items():
-        # NULL -> DATA drives only the subset's rails, from the NULL state;
-        # DATA -> NULL drops them, from the settled full-DATA state.
-        for direction, driven, start, done in (
-                ("null-to-data", sub, null_state, lambda r1, r0: r1 ^ r0),
-                ("data-to-null", [i for i in range(n) if i not in sub], data_state,
-                 lambda r1, r0: ~(r1 | r0))):
-            vals = settle(netlist, drive(driven), start)
-            bits = lanes
+    for chunk, (wide_rails, null, data) in _chunks(list(subsets.items()), width,
+                                                   rails, null_state, data_state):
+        # NULL -> DATA drives only each subset's rails (in_sub), from the
+        # NULL state; DATA -> NULL drops them, from the full-DATA state.
+        for direction, in_sub, start, done in (
+                ("null-to-data", True, null, lambda r1, r0: r1 ^ r0),
+                ("data-to-null", False, data, lambda r1, r0: ~(r1 | r0))):
+            drive = {}
+            for i, p in enumerate(ports):
+                # bit 0 of each block that drives port i; (on << width) - on
+                # fills those blocks
+                on = sum(1 << j * width for j, (sub, _) in enumerate(chunk)
+                         if (i in sub) == in_sub)
+                for r in p.rails:
+                    drive[r] = wide_rails[r] & ((on << width) - on)
+            vals = settle(netlist, drive, start)
+            bits = -1
             for r1, r0 in out_rails:
                 bits &= done(vals[r1], vals[r0])
-            while bits:
-                lane = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                hits.append((lane, sub, ICViolation(
-                    direction, vectors[lane], tuple(ports[i].name for i in sub))))
+            del vals  # one wide net map alive at a time bounds the peak
+            for j, (sub, lanes) in enumerate(chunk):
+                block = bits >> j * width & lanes
+                while block:
+                    lane = (block & -block).bit_length() - 1
+                    block &= block - 1
+                    hits.append((lane, sub, ICViolation(
+                        direction, vectors[lane], tuple(ports[i].name for i in sub))))
     # case order; the sort is stable, so NULL->DATA stays first in a case
     if trials is None:
         rank = {sub: i for i, sub in enumerate(subsets)}
@@ -503,23 +538,35 @@ def check_observability(
 ) -> list:
     """Transition-suppression sweep: freeze one gate output at 0 per DATA
     wavefront; a gate no wavefront can ever observe at the outputs is
-    flagged. Empty list iff every gate is observable. Every vector is one
-    lane, so each gate costs one settle with its output stuck at 0."""
+    flagged. Empty list iff every gate is observable.
+
+    Faults are lanes: lane ``j*V + k`` is vector k of the V vectors with
+    gate j of a LANE_BUDGET chunk stuck at 0 (an AND mask on its output),
+    so one settle covers the chunk; gate j is unobservable iff block j of
+    the outputs equals the fault-free settle in every lane."""
     _check_preconditions(netlist)
     if trials is None:
         vectors = _all_vectors(netlist)
     else:
         rng = random.Random(seed)
         vectors = [tuple(rng.randint(0, 1) for _ in netlist.inputs) for _ in range(trials)]
+    width = len(vectors)
+    every = (1 << width) - 1
     rails = _lane_rails(netlist.inputs, vectors)
     null_state = settle(netlist, {})
     out_rails = netlist.output_rails()
     base = settle(netlist, rails, null_state)
     violations = []
-    for inst in netlist.gates:
-        vals = settle(netlist, rails, null_state, frozen={inst.out: 0})
-        if all(vals[r] == base[r] for r in out_rails):
-            violations.append(ObsViolation(inst.name))
+    for chunk, (wide_rails, null, wide_base) in _chunks(
+            netlist.gates, width, rails, null_state, {r: base[r] for r in out_rails}):
+        stuck = {inst.out: ~(every << j * width) for j, inst in enumerate(chunk)}
+        vals = settle(netlist, wide_rails, null, frozen=stuck)
+        diff = 0
+        for r in out_rails:
+            diff |= vals[r] ^ wide_base[r]
+        del vals  # one wide net map alive at a time bounds the peak
+        violations += [ObsViolation(inst.name) for j, inst in enumerate(chunk)
+                       if not diff >> j * width & every]
     return violations
 
 

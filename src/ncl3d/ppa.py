@@ -14,13 +14,15 @@ Free coefficients come from :func:`calibrate`, which fits the bundled
 reference measurements.  Units throughout: nm for drawn lengths, Ohm,
 fF (C_int is fF/mm), ps, uW, um^2, MHz, volts.
 """
+from __future__ import annotations
+
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 try:
     # the interpreter's own SHA-256: hashlib would load OpenSSL, about 3 MB
@@ -31,9 +33,11 @@ except ImportError:
 
 from .gates import GateSpec, spec_from_name, transistor_counts
 from .netlist import Netlist
-from .pipeline import PipelineSystem, build_pipeline
 from .refdata import ReferenceTable, load_reference
-from .sim import DelayAssignment, Report, Trace, measure, simulate
+
+if TYPE_CHECKING:  # the circuit rollup imports these itself, so gate figures skip them
+    from .pipeline import PipelineSystem
+    from .sim import DelayAssignment, Report, Trace
 
 LN2 = math.log(2.0)
 
@@ -535,6 +539,9 @@ def calibrate(tech: Optional[TechParams] = None,
     """
     from scipy.optimize import least_squares
 
+    from .pipeline import build_pipeline
+    from .sim import simulate
+
     tech = tech or default_tech()
     table = table or load_reference()
     names = table.gate_names()
@@ -726,6 +733,7 @@ def circuit_delay_assignment(system: PipelineSystem, cl: Netlist,
     Logic instances carry their fanout wire load; register and completion
     plumbing keeps the standalone pin load.
     """
+    from .sim import DelayAssignment
     mode = _norm_mode(mode)
     alpha = 1.0 if mode == "2D" else _check_alpha(alpha)
     seg = _segment_cap(tech, mode, alpha, cal.net_route_factor)
@@ -747,6 +755,7 @@ def circuit_ppa(cl: Netlist, trace: Trace, tech: TechParams, cal: Calibration,
     handshake plumbing around it is excluded, matching how the reference
     circuit is accounted.  Delay and skew come from the trace.
     """
+    from .sim import measure
     mode = _norm_mode(mode)
     alpha = 1.0 if mode == "2D" else _check_alpha(alpha)
     rep = measure(trace)
@@ -790,6 +799,8 @@ def evaluate_circuit(cl: Netlist, vectors: Sequence,
                      mode: str = "2D", alpha: float = 1.0,
                      n_stages: int = 1) -> CircuitResult:
     """Pipeline, simulate, and price one implementation of ``cl``."""
+    from .pipeline import build_pipeline
+    from .sim import measure, simulate
     tech = tech or default_tech()
     cal = cal or default_calibration()
     system = build_pipeline(cl, n_stages=n_stages)

@@ -4,15 +4,19 @@
 Here each lane is compared with a scalar settle of its own vector, and
 both checkers are compared, violation for violation and in order, with
 reference loops that settle one (vector, subset) case or one (gate,
-vector) pair at a time.
+vector) pair at a time.  The checkers pack cases side by side as lane
+blocks, up to ``LANE_BUDGET`` lanes per settle; the last tests pin that
+packing's results across budgets, its settle count and its memory.
 """
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncl3d.netlist
 from ncl3d.netlist import (
     DR,
     ICViolation,
@@ -64,8 +68,19 @@ def reference_input_completeness(netlist, trials=None, seed=0):
     return violations
 
 
+def without(netlist, gone):
+    """A copy of ``netlist`` without gate ``gone``: its output net has no
+    driver left, so it keeps its NULL value 0."""
+    nl = Netlist([p.name for p in netlist.inputs], netlist.outputs)
+    for inst in netlist.gates:
+        if inst is not gone:
+            nl.add(inst.kind, inst.ins, inst.out, name=inst.name)
+    return nl
+
+
 def reference_observability(netlist, trials=None, seed=0):
-    """One scalar settle per (gate, vector) pair, gate output frozen at 0."""
+    """One scalar settle per (gate, vector) pair, on a copy of the netlist
+    without that gate, so its output stays 0."""
     ports = netlist.inputs
     names = [p.name for p in ports]
     if trials is None:
@@ -82,8 +97,9 @@ def reference_observability(netlist, trials=None, seed=0):
         baselines.append((rails, [vals[r] for r in out_rails]))
     violations = []
     for inst in netlist.gates:
-        if not any([settle(netlist, rails, null_state, frozen={inst.out: 0})[r]
-                    for r in out_rails] != base for rails, base in baselines):
+        cut = without(netlist, inst)
+        if not any([settle(cut, rails, null_state)[r] for r in out_rails] != base
+                   for rails, base in baselines):
             violations.append(ObsViolation(inst.name))
     return violations
 
@@ -223,3 +239,61 @@ def test_zero_trials_sample_nothing():
     nl = and_template()
     assert check_input_completeness(nl, trials=0) == []
     assert check_observability(nl, trials=0) == reference_observability(nl, trials=0)
+
+
+# ------------------------------------------------------------ lane packing
+
+# Lane budgets: below one block (one case per settle), three 16-lane blocks
+# (the width-2 multiplier's 14 subsets and 16 gates leave a partial last
+# chunk), and the default.
+BUDGETS = (1, 50, ncl3d.netlist.LANE_BUDGET)
+
+
+def test_every_lane_budget_matches_the_oracle_in_order(monkeypatch):
+    for nl in [relaxed_multiplier(2, seed) for seed in (5, 7)] + [relaxed_and_template()]:
+        for trials, seed in ((None, 0), (48, 5), (0, 0), (1, 3)):
+            want = (reference_input_completeness(nl, trials, seed),
+                    reference_observability(nl, trials, seed))
+            for budget in BUDGETS:
+                monkeypatch.setattr(ncl3d.netlist, "LANE_BUDGET", budget)
+                assert (check_input_completeness(nl, trials, seed),
+                        check_observability(nl, trials, seed)) == want, (budget, trials)
+
+
+def counted_settles(monkeypatch):
+    """Patch the settle the checkers call to log each call; return the log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("frozen"))
+        return settle(*args, **kwargs)
+
+    monkeypatch.setattr(ncl3d.netlist, "settle", counted)
+    return calls
+
+
+def test_each_sweep_settles_once_per_direction_and_chunk(monkeypatch):
+    calls = counted_settles(monkeypatch)
+    nl = build_array_multiplier(3)      # 6 ports, 64 vectors, 62 subsets, 60 gates
+    assert check_input_completeness(nl) == [] and len(calls) == 4     # 126 at two per subset
+    calls.clear()
+    assert check_observability(nl) == [] and len(calls) == 3          # 62 at one per gate
+    assert len(calls[-1]) == 60         # the last settle holds every gate stuck
+    monkeypatch.setattr(ncl3d.netlist, "LANE_BUDGET", 50)
+    calls.clear()
+    check_input_completeness(relaxed_multiplier(2, 5))
+    assert len(calls) == 2 + 2 * 5      # 14 subsets in chunks of 3
+    calls.clear()
+    check_observability(relaxed_multiplier(2, 5))
+    assert len(calls) == 2 + 6          # 16 gates in chunks of 3
+
+
+def test_input_completeness_sweep_memory_is_bounded():
+    nl = build_array_multiplier(4)      # 256 vectors x 254 subsets = 65,024 lanes
+    tracemalloc.start()
+    try:
+        assert check_input_completeness(nl) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ncl3d.cli import _parse_alphas, CliError, cmd_gate_report, main
-from ncl3d.netlist import load_netlist
+from ncl3d.netlist import load_netlist, serialize_netlist
+from test_bitparallel import relaxed_multiplier
 
 
 def fixture(name: str) -> str:
@@ -433,6 +434,11 @@ BROKEN_FILES = {
                    "OR2 g5 p b -> q\n"),
 }
 
+# Relaxed multipliers as (width, seed) of relaxed_multiplier: width 4 has
+# 8 ports, so check sweeps it exhaustively and flags both IC and
+# observability violations; width 5 has 10, so check samples 256 cases.
+RELAXED_FILES = {"mult4_relaxed.ncl": (4, 9), "mult5_relaxed.ncl": (5, 17)}
+
 EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 # SHA-256 of stdout and of the file --out writes, for every command on the
@@ -480,6 +486,12 @@ OUTPUT_PINS = {
         "958f4e43bfe408f0586db30752436851b4475d96aebd2e82fb62de91824034dd",
         "3e270bad00b0687a600fc3eb95afb1bca6fc7e551c59ab877daf53e7c5507c57"),
     "check-unknown-kind": (["check", "unknown.ncl"], 2, EMPTY_SHA, None),
+    "check-mult4-relaxed": (["check", "mult4_relaxed.ncl", "--out", "r.json"], 1,
+        "581f6f8f9a0104c3fb99a38a1768f87fcd1b22499099ae4ecbeef744da38e72e",
+        "b0dc61757321a297f05bdb0ee7fec40ff6c3c1b3e78420bfe828ea1647d6f888"),
+    "check-mult5-relaxed": (["check", "mult5_relaxed.ncl", "--out", "r.json"], 1,
+        "5c0c5f6e0fbe7ff27cde64c02cf72299eeeb8029bebe62878dd5ccceb5ec27a7",
+        "a845af009229e11878f926b2f0586381537915697d7c8984878c9cd984fed5fd"),
     "synth-broken": (["synth", "broken.bnl"], 2, EMPTY_SHA, None),
 }
 
@@ -497,6 +509,9 @@ def test_command_output_is_pinned(capsys, tmp_path, monkeypatch, case):
         (tmp_path / name).write_bytes(bundled(f"fixtures/{name}"))
     for name, text in BROKEN_FILES.items():
         (tmp_path / name).write_text(text)
+    for name, (width, seed) in RELAXED_FILES.items():
+        if name in argv:
+            (tmp_path / name).write_text(serialize_netlist(relaxed_multiplier(width, seed)))
     (tmp_path / "v.txt").write_text(SIM_VECTORS)
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)

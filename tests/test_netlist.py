@@ -118,6 +118,20 @@ def test_second_driver_does_not_hide_a_cycle():
         nl.topo_order()
 
 
+def test_a_repeated_pin_waits_for_every_driver():
+    """gz reads x twice and y once; each of x's two reader entries used to
+    release both pins, so gz was released before y, or never."""
+    nl = parse_netlist("input A B\noutput Z\n"
+                       "TH12 gx A.1 B.1 -> x\nTH12 gw A.0 B.0 -> w\nTH11 gy w -> y\n"
+                       "TH33 gz x x y -> Z.1\nTH12 g0 A.0 B.0 -> Z.0\n")
+    assert nl.validate() == []
+    assert [g.name for g in nl.topo_order()] == ["gx", "gw", "g0", "gy", "gz"]
+    nl = parse_netlist("input A B\noutput Z\n"
+                       "TH12 gw A.0 B.0 -> w\nTH11 gy w -> y\nTH12 gx A.1 B.1 -> x\n"
+                       "TH33 gz x y x -> Z.1\nTH12 g0 A.0 B.0 -> Z.0\n")
+    assert [g.name for g in nl.topo_order()] == ["gw", "gx", "g0", "gy", "gz"]
+
+
 def test_settle_verification_pass_catches_conflicting_drivers():
     nl = Netlist(["A"], ["Z"])
     nl.add("TH11", ["A.1"], "Z.1", name="g1")

@@ -5,7 +5,8 @@ Importing ncl3d runs none of its submodules; each public name resolves on
 first use.  These tests pin what that must not change: every name the
 package exported when it imported all its modules still resolves to the
 same object, ``check`` never runs the model, simulator or synthesis
-modules, and the harness's set-up and traced children still work.
+modules, ``gate-report`` never runs the simulator or pipeline, and the
+harness's set-up and traced children still work.
 """
 import json
 import os
@@ -112,6 +113,13 @@ def test_simulate_runs_no_synthesis_module(tmp_path):
     assert code == 0 and "words: 0 1 9" in out
     assert {"ncl3d.sim", "ncl3d.ppa"} <= loaded
     assert loaded & {"ncl3d.synth", "ncl3d.boolnet"} == set()
+
+
+def test_gate_report_runs_no_simulator_or_pipeline(tmp_path):
+    code, out, loaded = run_probed(tmp_path, "gate-report", "TH22", "--alpha", "0.7")
+    assert code == 0 and "TH22" in out
+    assert {"ncl3d.ppa", "ncl3d.refdata"} <= loaded
+    assert loaded & {"ncl3d.sim", "ncl3d.pipeline", "ncl3d.synth", "ncl3d.boolnet"} == set()
 
 
 @pytest.fixture(scope="module")
