@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .gates import GateError, eval_sop, spec_from_name
 
@@ -248,12 +248,21 @@ class Netlist(GateGraph):
         return self.external_rails(), self.output_rails() + self.ctl_outputs
 
     def _structure(self) -> tuple:
-        """The shared structure, cached; a rebuild also drops the settle rows."""
+        """The shared structure, cached; a rebuild also drops what derive built."""
         if self._dirty:
             self._cache = super()._structure()
-            self._rows: Optional[tuple] = None
+            self._derived: Dict[Callable, object] = {}
             self._dirty = False
         return self._cache
+
+    def derive(self, build: Callable[["Netlist"], Any]) -> Any:
+        """``build(self)``, computed once and kept with the cached structure,
+        so adding a gate or rebinding the outputs drops it.  ``settle`` keeps
+        its rows here and ``simulate`` its gate rows."""
+        self._structure()
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     def fanout(self, net: str) -> int:
         return len(self._structure()[2].get(net, ()))
@@ -286,26 +295,22 @@ class Netlist(GateGraph):
             defects.append(Defect("cycle", "netlist", str(exc)))
         return defects
 
-    # -- evaluation ----------------------------------------------------------
 
-    def _compiled(self):
-        """Net index map and topo-ordered settle rows.
+def _settle_rows(netlist: Netlist) -> tuple:
+    """Net index map and topo-ordered settle rows.
 
-        Each row is (products over net indices, one single-net product per
-        distinct input net, output net index, instance name).
-        """
-        self._structure()
-        if self._rows is None:
-            index = {net: i for i, net in enumerate(self.nets)}
-            rows = tuple(
-                (tuple(tuple(index[inst.ins[k]] for k in prod)
-                       for prod in spec_from_name(inst.kind).products),
-                 tuple((i,) for i in dict.fromkeys(index[p] for p in inst.ins)),
-                 index[inst.out], inst.name)
-                for inst in self.topo_order()
-            )
-            self._rows = (index, rows)
-        return self._rows
+    Each row is (products over net indices, one single-net product per
+    distinct input net, output net index, instance name).
+    """
+    index = {net: i for i, net in enumerate(netlist.nets)}
+    rows = tuple(
+        (tuple(tuple(index[inst.ins[k]] for k in prod)
+               for prod in spec_from_name(inst.kind).products),
+         tuple((i,) for i in dict.fromkeys(index[p] for p in inst.ins)),
+         index[inst.out], inst.name)
+        for inst in netlist.topo_order()
+    )
+    return index, rows
 
 
 def settle(
@@ -327,7 +332,7 @@ def settle(
     still changes. Values are lane ints (bit k is vector k; 0/1 is one
     lane) and each gate steps as ``set | (prev & any input)``.
     """
-    index, rows = netlist._compiled()
+    index, rows = netlist.derive(_settle_rows)
     nets = netlist.nets
     state = state or {}
     values = [state.get(net, 0) for net in nets]

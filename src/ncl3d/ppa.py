@@ -755,14 +755,18 @@ def circuit_ppa(cl: Netlist, trace: Trace, tech: TechParams, cal: Calibration,
     handshake plumbing around it is excluded, matching how the reference
     circuit is accounted.  Delay and skew come from the trace.
     """
-    from .sim import measure
+    from .sim import _measure
+    return _circuit_ppa(cl, trace, *_measure(trace), tech, cal, mode, alpha)
+
+
+def _circuit_ppa(cl: Netlist, trace: Trace, rep: Report, counts: Mapping[str, int],
+                 tech: TechParams, cal: Calibration, mode: str, alpha: float) -> PpaReport:
+    """circuit_ppa on the trace's Report and per-net transition counts."""
     mode = _norm_mode(mode)
     alpha = 1.0 if mode == "2D" else _check_alpha(alpha)
-    rep = measure(trace)
     if rep.worst_forward_latency is None:
         raise PpaError("trace carries no completed waves to time")
     seg = _segment_cap(tech, mode, alpha, cal.net_route_factor)
-    counts = trace.transition_counts()
     n_waves = len(trace.waves)
     p_dyn = 0.0
     area = 0.0
@@ -800,15 +804,16 @@ def evaluate_circuit(cl: Netlist, vectors: Sequence,
                      n_stages: int = 1) -> CircuitResult:
     """Pipeline, simulate, and price one implementation of ``cl``."""
     from .pipeline import build_pipeline
-    from .sim import measure, simulate
+    from .sim import _measure, simulate
     tech = tech or default_tech()
     cal = cal or default_calibration()
     system = build_pipeline(cl, n_stages=n_stages)
     delays = circuit_delay_assignment(system, cl, tech, cal, mode, alpha)
     trace = simulate(system, vectors, delays)
+    rep, counts = _measure(trace)
     return CircuitResult(
-        ppa=circuit_ppa(cl, trace, tech, cal, mode, alpha),
-        metrics=measure(trace),
+        ppa=_circuit_ppa(cl, trace, rep, counts, tech, cal, mode, alpha),
+        metrics=rep,
         trace=trace,
     )
 

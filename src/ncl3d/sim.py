@@ -9,16 +9,21 @@ timestamps apply in insertion order, so a run is a pure function of
 
 The queue is bucketed by timestep: ``buckets[t]`` lists the (net, value)
 events due at t in push order and a heap holds the distinct pending
-times, so the heap is pushed and popped once per timestep, not once per
-event.  The current bucket is drained by index; zero-delay events (the
-completion inverters and the environment) append to it and so run after
-everything already due at t, in the order they were pushed.
+times.  Each timestep is popped once from both and its bucket drained
+by a list iterator, which sees appends: zero-delay events (the completion
+inverters, and the environment, which pushes only at the current time)
+append to the bucket being drained and so run after everything already
+due at t, in push order.  The live-lock limit counts popped events by
+bucket length once per timestep, and again after each inverter append,
+as a ring of inverters can grow one bucket without end.
 
 Each gate keeps an input mask (bit k is input pin k).  A net change
 flips the mask bits of the pins it feeds (``fanout[net]``) and looks the
 new mask up in the gate's truth table (``GateSpec.table``, which
-``next_output`` reads too, built by the SOP evaluator ``settle`` runs);
-rise and fall delays are resolved once per gate before the run.
+``next_output`` reads too, built by the SOP evaluator ``settle`` runs).
+These rows do not depend on the delays, so they are built once per
+netlist and kept with its cached structure (``Netlist.derive``); a run
+resolves each gate's (rise, fall) pair once and copies the reset state.
 
 The environment is infinitely fast: the producer answers the first
 bank's request and the consumer acknowledges word completion in the
@@ -32,8 +37,9 @@ counts for word completion and scans only the touched outputs, in port
 order, for arrival times.
 
 An event is one of two tuples per net, ``(net, 0)`` and ``(net, 1)``,
-built once per run and shared by the queue, the gate fanout rows, the
-inverters and the environment, so scheduling an event allocates nothing.
+built once per netlist and shared by the queue, the per-gate delay rows,
+the inverters and the environment, so scheduling an event allocates
+nothing.
 The trace is stored as columns: each applied transition appends the
 event tuple it popped to one list and its time to an ``array('q')``,
 about 20 bytes per transition against about 90 for a fresh
@@ -48,11 +54,12 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .gates import spec_from_name
-from .netlist import FormatError
+from .netlist import FormatError, Netlist
 from .pipeline import PipelineSystem
 
 
@@ -207,14 +214,21 @@ class Report:
 
 
 def measure(trace: Trace) -> Report:
+    return _measure(trace)[0]
+
+
+def _measure(trace: Trace) -> Tuple[Report, Dict[str, int]]:
+    """measure's Report and the per-net transition counts it was built from,
+    for callers that need both from one pass over the trace."""
     if not trace.completed:
         raise SimulationError("incomplete trace")
     lat = tuple(w.t_data_complete - w.t_applied for w in trace.waves)
     completions = [w.t_data_complete for w in trace.waves]
     cycles = tuple(b - a for a, b in zip(completions, completions[1:]))
     skews = tuple(w.output_skew for w in trace.waves)
+    counts = trace.transition_counts()
     by_class: Dict[str, int] = {}
-    for net, n in trace.transition_counts().items():
+    for net, n in counts.items():
         cls = trace.net_class.get(net, "other")
         by_class[cls] = by_class.get(cls, 0) + n
     return Report(
@@ -227,7 +241,7 @@ def measure(trace: Trace) -> Report:
         transitions_by_class=by_class,
         total_transitions=len(trace.records),
         words=tuple(trace.words()),
-    )
+    ), counts
 
 
 def _as_bit_vectors(system: PipelineSystem, vectors) -> List[Dict[str, int]]:
@@ -246,6 +260,25 @@ def _as_bit_vectors(system: PipelineSystem, vectors) -> List[Dict[str, int]]:
     return out
 
 
+def _gate_rows(nl: Netlist) -> tuple:
+    """(net names, net index, event pair per net, (name, output) per gate,
+    fanout[net]: (gate, pin bits OR-ing each pin the net drives, truth
+    table) per gate the net feeds), the delay-independent part of a run."""
+    names = nl.nets
+    idx = {n: i for i, n in enumerate(names)}
+    fanout: List[list] = [[] for _ in names]
+    for gi, g in enumerate(nl.gates):
+        table = spec_from_name(g.kind).table
+        pins: Dict[int, int] = {}
+        for k, n in enumerate(g.ins):
+            pins[idx[n]] = pins.get(idx[n], 0) | 1 << k
+        for net, bits in pins.items():
+            fanout[net].append((gi, bits, table))
+    ev = tuple(((n, 0), (n, 1)) for n in range(len(names)))
+    gates = tuple((g.name, idx[g.out]) for g in nl.gates)
+    return names, idx, ev, gates, tuple(map(tuple, fanout))
+
+
 def simulate(system: PipelineSystem, data_vectors: Sequence,
              delays: Optional[DelayAssignment] = None,
              max_events: Optional[int] = None) -> Trace:
@@ -257,41 +290,32 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     """
     delays = delays or DelayAssignment()
     vectors = _as_bit_vectors(system, data_vectors)
-    nl = system.netlist
-
-    names = list(nl.nets)
-    known = set(names)
-    for out in system.inverters:
-        if out not in known:
-            names.append(out)
-    idx = {n: i for i, n in enumerate(names)}
+    names, idx, ev, gates, gate_fanout = system.netlist.derive(_gate_rows)
+    extra = tuple(out for out in system.inverters if out not in idx)
+    if extra:
+        names += extra
+        idx = {n: i for i, n in enumerate(names)}
+        ev += tuple(((n, 0), (n, 1)) for n in range(len(ev), len(names)))
 
     values = [0] * len(names)
     for n, v in system.reset_state().items():
         values[idx[n]] = v
 
-    # ev[net][v] is the one event tuple (net, v) of this run.
-    ev = [((n, 0), (n, 1)) for n in range(len(names))]
-
-    # Per-gate kernel state: input mask and hysteresis state.  fanout[net]
-    # lists (gate, pin bits, truth table, ((fall, out event 0), (rise, out
-    # event 1))) for every gate the net feeds, with pin bits OR-ing each pin
-    # it drives there.
-    fanout: List[List[Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, Event], ...]]]] = \
-        [[] for _ in names]
-    masks: List[int] = []
-    state: List[int] = []
-    for gi, g in enumerate(nl.gates):
-        out = idx[g.out]
-        row = (spec_from_name(g.kind).table,
-               ((delays.delay_for(g.name, 0), ev[out][0]), (delays.delay_for(g.name, 1), ev[out][1])))
-        pins: Dict[int, int] = {}
-        for k, n in enumerate(g.ins):
-            pins[idx[n]] = pins.get(idx[n], 0) | 1 << k
-        for net, bits in pins.items():
-            fanout[net].append((gi, bits, *row))
-        masks.append(sum(bits for net, bits in pins.items() if values[net]))
-        state.append(values[idx[g.out]])
+    # Per-gate kernel state: input mask, hysteresis state, and
+    # sched[gate] = ((fall, out event 0), (rise, out event 1)).
+    get, default = delays.per_gate.get, delays.default
+    sched = []
+    for name, out in gates:
+        d = get(name, default)
+        rise, fall = d if isinstance(d, tuple) else (d, d)
+        sched.append(((fall, ev[out][0]), (rise, ev[out][1])))
+    fanout = gate_fanout + ((),) * len(extra)
+    masks = [0] * len(gates)
+    for net, v in enumerate(values):
+        if v:
+            for gi, bits, _ in fanout[net]:
+                masks[gi] |= bits
+    state = [values[out] for _, out in gates]
 
     req = idx[system.request_net]
     ack = idx[system.ack_net]
@@ -319,19 +343,6 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
         inv_of[idx[src]] = idx[out]
     special = [bool(rail_outs[n] or inv_of[n] >= 0) or n == req for n in range(len(names))]
 
-    # Pending events by time: buckets[t] lists events in push order and times
-    # is a heap of the bucket keys.
-    buckets: Dict[int, List[Event]] = {}
-    times: List[int] = []
-
-    def push(t: int, event: Event) -> None:
-        bucket = buckets.get(t)
-        if bucket is None:
-            buckets[t] = [event]
-            heappush(times, t)
-        else:
-            bucket.append(event)
-
     # The trace columns: the applied events and their times.
     rec_events: List[Event] = []
     rec_times = array("q")
@@ -343,24 +354,25 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     arrivals: Dict[str, int] = {}
     pending: Optional[Tuple[int, int, int, Dict[str, int], int, Dict[str, int]]] = None
 
-    def run_env(t: int) -> None:
+    def run_env(t: int, push) -> None:
+        """Act on the request and output rails at t, pushing events due at t."""
         nonlocal prod_next, prod_phase, cons_phase, pending
         if prod_phase == "data" and prod_next < len(vectors) and values[req] == 1:
             bits = vectors[prod_next]
             for name, (r1, r0) in zip(in_names, in_rails):
                 b = bits[name]
                 if values[r1] != b:
-                    push(t, ev[r1][b])
+                    push(ev[r1][b])
                 if values[r0] != 1 - b:
-                    push(t, ev[r0][1 - b])
+                    push(ev[r0][1 - b])
             t_applied.append(t)
             prod_phase = "null"
         elif prod_phase == "null" and values[req] == 0:
             for r1, r0 in in_rails:
                 if values[r1]:
-                    push(t, ev[r1][0])
+                    push(ev[r1][0])
                 if values[r0]:
-                    push(t, ev[r0][0])
+                    push(ev[r0][0])
             prod_next += 1
             prod_phase = "data"
         if cons_phase == "data":
@@ -372,51 +384,49 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                 value = sum(b << i for i, b in enumerate(bits.values()))
                 pending = (len(waves), t_applied[len(waves)], t, bits, value, dict(arrivals))
                 arrivals.clear()
-                push(t, ev[ack][0])
+                push(ev[ack][0])
                 cons_phase = "null"
         elif cons_phase == "null" and class_count[0] == n_out:
             k, t0, t_data, bits, value, arr = pending
             waves.append(Wave(k, t0, t_data, t, bits, value, arr))
             pending = None
-            push(t, ev[ack][1])
+            push(ev[ack][1])
             cons_phase = "data"
         touched.clear()
 
     limit = max_events if max_events is not None else 50 * (len(vectors) + 2) * max(len(names), 1)
-    popped = 0
-
+    popped = 0                    # events popped before the current timestep
+    # Pending events by time: buckets[t] lists events in push order and times
+    # is a heap of the bucket keys.
+    buckets: Dict[int, List[Event]] = {0: []}
+    times = [0]
     rec_event = rec_events.append
     rec_time = rec_times.append
     t_max = (1 << 63) - 1                 # the largest time rec_times holds
-    run_env(0)
+    run_env(0, buckets[0].append)
     while times:
-        t = times[0]
+        t = heappop(times)
         if t > t_max:
             raise SimulationError(f"event time {t} ps does not fit the trace's 64-bit time column")
-        bucket = buckets[t]
-        i = 0
+        bucket = buckets.pop(t)
+        events = iter(bucket)
         while True:
             env_changed = False
-            while i < len(bucket):
-                event = bucket[i]
+            for event in events:
                 net, v = event
-                i += 1
-                popped += 1
-                if popped > limit:
-                    raise EventLimitError(f"exceeded {limit} events at t={t}; circuit is live-locked")
                 if values[net] == v:
                     continue
                 values[net] = v
                 rec_event(event)
                 rec_time(t)
-                for gi, bits, table, sched in fanout[net]:
+                for gi, bits, table in fanout[net]:
                     mask = masks[gi] ^ bits       # the pins the net feeds all flip
                     masks[gi] = mask
                     nxt = table[mask]
                     if nxt >= 0 and nxt != state[gi]:
                         state[gi] = nxt
-                        delay, out_event = sched[nxt]
-                        t_out = t + delay             # push(), inlined on the hot path
+                        delay, out_event = sched[gi][nxt]
+                        t_out = t + delay
                         later = buckets.get(t_out)
                         if later is None:
                             buckets[t_out] = [out_event]
@@ -436,13 +446,18 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                         env_changed = True
                     if inv_of[net] >= 0:
                         bucket.append(ev[inv_of[net]][1 - v])
+                        if popped + len(bucket) > limit:
+                            break         # a zero-delay loop; raised below
+            if popped + len(bucket) > limit:
+                raise EventLimitError(f"exceeded {limit} events at t={t}; circuit is live-locked")
             if not env_changed:
                 break
-            run_env(t)                    # may append same-time events
-            if i == len(bucket):
+            drained = len(bucket)
+            run_env(t, bucket.append)
+            if len(bucket) == drained:
                 break
-        del buckets[t]
-        heappop(times)
+            events = islice(bucket, drained, None)
+        popped += len(bucket)
 
     done = (prod_next == len(vectors) and prod_phase == "data"
             and cons_phase == "data" and len(waves) == len(vectors))
@@ -461,7 +476,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                                        f"output rails at ({a},{b})")
         raise DeadlockError(system.ack_net, "handshake never returned to idle")
 
-    return Trace(records=Records(tuple(names), rec_events, rec_times), waves=waves,
+    return Trace(records=Records(names, rec_events, rec_times), waves=waves,
                  completed=True, vector_count=len(vectors), net_class=dict(system.net_class))
 
 

@@ -4,9 +4,11 @@ Latency assertions use an independent earliest-arrival oracle computed
 on the netlist DAG; multiplier words are checked against integer
 arithmetic.
 """
+import dataclasses
 import gc
 import hashlib
 import random
+import signal
 import tracemalloc
 
 import pytest
@@ -182,17 +184,77 @@ def test_multiplier_pipeline_streams_products():
     assert cd == [1, 0] * len(vectors)
 
 
+def causal_mismatches(system, trace, delays=None):
+    """Nets whose recorded transitions differ from those their drivers cause.
+
+    An independent replay of ``trace`` under transport semantics.  Walking
+    the records in order, a gate whose state flips at t (by its sum of
+    products, not its truth table) predicts its new output value at t plus
+    that edge's delay, and a completion inverter predicts the negation of
+    its source at t.  A net's caused transitions are its predictions sorted
+    by (time, order made), less those that repeat the running value.  Nets
+    the environment drives are not checked.
+    """
+    delays = delays or DelayAssignment()
+    value = system.reset_state()
+    readers, state, predicted = {}, {}, {}
+    for g in system.netlist.gates:
+        for net in dict.fromkeys(g.ins):
+            readers.setdefault(net, []).append((g, spec_from_name(g.kind).products))
+        state[g.name] = value[g.out]
+        predicted[g.out] = []
+    inverters = {}
+    for out, src in system.inverters.items():
+        inverters.setdefault(src, []).append(out)
+        predicted[out] = []
+    start = {net: value[net] for net in predicted}
+    recorded = {net: [] for net in predicted}
+    for seq, (t, net, v) in enumerate(trace.records):
+        value[net] = v
+        if net in recorded:
+            recorded[net].append((t, v))
+        for out in inverters.get(net, ()):
+            predicted[out].append((t, seq, 1 - v))
+        for g, products in readers.get(net, ()):
+            ins = [value[n] for n in g.ins]
+            if any(all(ins[i] for i in prod) for prod in products):
+                nxt = 1
+            else:
+                nxt = state[g.name] if any(ins) else 0
+            if nxt != state[g.name]:
+                state[g.name] = nxt
+                d = delays.per_gate.get(g.name, delays.default)
+                rise, fall = d if isinstance(d, tuple) else (d, d)
+                predicted[g.out].append((t + (rise if nxt else fall), seq, nxt))
+    bad = []
+    for net, preds in predicted.items():
+        running, caused = start[net], []
+        for t, _, v in sorted(preds):
+            if v != running:
+                caused.append((t, v))
+                running = v
+        if caused != recorded[net]:
+            bad.append(net)
+    return bad
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=boolean_circuit(), words=st.lists(st.integers(0, 15), max_size=6),
-       stages=st.integers(1, 2), seed=st.integers(0, 2**16))
-def test_random_delays_reproduce_boolean_evaluation(case, words, stages, seed):
+       stages=st.integers(1, 2), seed=st.integers(0, 2**16), split=st.booleans())
+def test_random_delays_reproduce_boolean_evaluation(case, words, stages, seed, split):
     """The dual-rail expansion of a random Boolean netlist, pipelined and
-    simulated under random per-gate delays, outputs the Boolean words."""
+    simulated under random per-gate delays (one per gate, or a (rise, fall)
+    pair), outputs the Boolean words, and every gate transition is caused."""
     bnl, _ = case
     system = build_pipeline(expand_dual_rail(bnl), stages)
     vectors = [w % (1 << len(bnl.inputs)) for w in words]
     names = [g.name for g in system.netlist.gates]
-    delays = DelayAssignment.uniform_random(names, random.Random(seed))
+    rng = random.Random(seed)
+    if split:
+        delays = DelayAssignment(per_gate={n: (rng.randint(1, 20), rng.randint(1, 20))
+                                           for n in names})
+    else:
+        delays = DelayAssignment.uniform_random(names, rng)
     expected = []
     for v in vectors:
         outs = bnl.evaluate_outputs({x: v >> i & 1 for i, x in enumerate(bnl.inputs)})
@@ -200,6 +262,7 @@ def test_random_delays_reproduce_boolean_evaluation(case, words, stages, seed):
     trace = simulate(system, vectors, delays)
     assert trace.words() == expected
     assert len(trace.records) == sum(trace.transition_counts().values())
+    assert causal_mismatches(system, trace, delays) == []
 
 
 def test_cycle_time_is_stable_for_a_steady_stream():
@@ -257,6 +320,40 @@ def test_event_limit_guards_against_livelock():
     with pytest.raises(EventLimitError) as err:
         simulate(and_pipeline(), [3, 3], max_events=5)
     assert str(err.value) == "exceeded 5 events at t=2; circuit is live-locked"
+
+
+def test_live_lock_inside_one_timestep_hits_the_event_limit():
+    """A ring of three zero-delay inverters through ack oscillates without
+    time advancing; the event limit must still stop the run."""
+    system = and_pipeline()
+    ring = dataclasses.replace(system, inverters={**system.inverters, "ring.q": "ack",
+                                                  "ring.r": "ring.q", "ack": "ring.r"})
+
+    def hang(signum, frame):
+        raise TimeoutError("simulate did not stop a live-lock within one timestep")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(EventLimitError) as err:
+            simulate(ring, [3, 1, 2])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(err.value) == "exceeded 4250 events at t=8; circuit is live-locked"
+
+
+def test_changing_the_netlist_after_a_run_changes_the_next_run():
+    """simulate's per-netlist cache follows a gate added after a run."""
+    def spied(system):
+        system.netlist.add("TH12", list(system.outputs[0].rails), "spy", name="spy")
+        return system
+
+    system = and_pipeline()
+    simulate(system, [3, 1])
+    trace = simulate(spied(system), [3, 1])
+    assert trace.records == simulate(spied(and_pipeline()), [3, 1]).records
+    assert trace.transition_counts()["spy"] == 4
 
 
 def test_event_time_past_64_bits_is_a_simulation_error():
@@ -416,6 +513,7 @@ def test_golden_trace_digest(mult4, model):
     assert tsv_digest(trace) == GOLDEN_TRACE_SHA256[model]
     assert wave_digest(trace) == GOLDEN_WAVE_SHA256[model]
     check_trace_columns(trace)
+    assert causal_mismatches(system, trace, delays) == []
 
 
 def test_golden_three_stage_pipeline_digest():
@@ -428,6 +526,7 @@ def test_golden_three_stage_pipeline_digest():
     assert tsv_digest(trace) == "ed2e52f68815625b5ec21bc7bdf65661f46f478b22cf84af94717f2a9ef3cb8c"
     assert wave_digest(trace) == "ee580c6d53db24a1c2f3be156871685369d318ee71c67720992836346e2343a8"
     check_trace_columns(trace)
+    assert causal_mismatches(system, trace, delays) == []
 
 
 def test_golden_shared_output_rails_digest():
@@ -450,6 +549,25 @@ def test_golden_shared_output_rails_digest():
     assert tsv_digest(trace) == "67c783086bd007982a1bb1a0d2412d266a5bdf302af6928176415dc8b467f4de"
     assert wave_digest(trace) == "48937186a331c8e8fe75fd6d524f66993702fad7847ce8ba8d0bfc602142ab50"
     check_trace_columns(trace)
+    assert causal_mismatches(system, trace, delays) == []
+
+
+def test_causal_replay_rejects_a_trace_under_other_delays():
+    """The replay checker has power: a split-delay trace replayed against
+    its delays with rise and fall swapped, or with one gate's rise one ps
+    late, fails on the gates whose timing moved."""
+    system = build_pipeline(build_array_multiplier(2), 1)
+    rng = random.Random(5)
+    per = {g.name: (rng.randint(1, 20), rng.randint(1, 20)) for g in system.netlist.gates}
+    delays = DelayAssignment(per_gate=per)
+    trace = simulate(system, list(range(16)), delays)
+    assert causal_mismatches(system, trace, delays) == []
+    swapped = DelayAssignment(per_gate={n: (f, r) for n, (r, f) in per.items()})
+    assert len(causal_mismatches(system, trace, swapped)) > 1
+    gate = system.netlist.gates[-1]
+    rise, fall = per[gate.name]
+    late = DelayAssignment(per_gate={**per, gate.name: (rise + 1, fall)})
+    assert causal_mismatches(system, trace, late) == [gate.out]
 
 
 def test_trace_memory_per_transition(mult4):
