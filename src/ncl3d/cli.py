@@ -307,7 +307,7 @@ def cmd_synth(args) -> int:
 
 def cmd_multiplier_demo(args) -> int:
     from .pipeline import build_pipeline
-    from .ppa import evaluate_circuit, improvement_pct
+    from .ppa import evaluate_circuits, improvement_pct
     from .sim import check_delay_insensitivity, simulate
     from .synth import build_array_multiplier, count_transistors
     if not 2 <= args.width <= 8:
@@ -340,9 +340,7 @@ def cmd_multiplier_demo(args) -> int:
     if not di.passed:
         lines.append(f"  {di.detail}")
 
-    # keep the figures only, so the 2D trace is freed before the M3D run
-    flat = evaluate_circuit(cl, vectors, tech, cal, "2D").ppa
-    fold = evaluate_circuit(cl, vectors, tech, cal, "M3D", alpha).ppa
+    flat, fold = evaluate_circuits(cl, vectors, tech, cal, [("2D", 1.0), ("M3D", alpha)])
     impr = improvement_pct(flat, fold)
     lines.append(f"{'figure':<10} {'2D':>12} {'M3D a=' + format(alpha, '.2f'):>12} "
                  f"{'impr%':>7}")

@@ -471,6 +471,11 @@ def check_input_completeness(
     Cases are lanes: lane ``j*V + k`` is subset block j and vector k of
     the V vectors, so one settle per direction covers every subset of a
     LANE_BUDGET chunk. Sampled blocks keep only the lanes their draws used.
+
+    Random-delay trials (``sim.check_delay_insensitivity``) do not see
+    this defect class: the four-phase environment changes the inputs only
+    after every output has completed or reset, so an output that fires on
+    part of its inputs still gives the same words (``and2_relaxed.ncl``).
     """
     _check_preconditions(netlist)
     ports = netlist.inputs

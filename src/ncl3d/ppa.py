@@ -37,7 +37,7 @@ from .refdata import ReferenceTable, load_reference
 
 if TYPE_CHECKING:  # the circuit rollup imports these itself, so gate figures skip them
     from .pipeline import PipelineSystem
-    from .sim import DelayAssignment, Report, Trace
+    from .sim import DelayAssignment, Trace
 
 LN2 = math.log(2.0)
 
@@ -497,6 +497,20 @@ def _segment_cap(tech: TechParams, mode: str, alpha: float,
     return c
 
 
+def _switched_cap(cl: Netlist, trace: Trace, tech: TechParams, mode: str, alpha: float,
+                  route_fraction: float, c_dev: float, net_route_factor: float) -> float:
+    """Capacitance the gates of ``cl`` switch per wave, in fF: each gate's
+    load times its output transitions per DATA/NULL round trip."""
+    counts = trace.transition_counts()
+    seg = _segment_cap(tech, mode, alpha, net_route_factor)
+    total = 0.0
+    for g in cl.gates:
+        c = _cap_total(spec_from_name(g.kind), tech, mode, alpha, route_fraction, c_dev,
+                       max(1, cl.fanout(g.out)) * seg)
+        total += counts.get(g.out, 0) / (2.0 * len(trace.waves)) * c
+    return total
+
+
 def _instance_rows(cl: Netlist) -> List[Tuple[GateSpec, int]]:
     return [(spec_from_name(g.kind), max(1, cl.fanout(g.out))) for g in cl.gates]
 
@@ -665,25 +679,11 @@ def calibrate(tech: Optional[TechParams] = None,
     # power pair (cycle rate, leak per transistor) from the two circuit
     # anchors; transition counts are delay independent, so one unit-delay
     # run of the multiplier fixes the per-net activity
-    system = build_pipeline(cl, n_stages=1)
-    trace = simulate(system, vectors)
-    counts = trace.transition_counts()
-    n_waves = len(trace.waves)
+    trace = simulate(build_pipeline(cl, n_stages=1), vectors)
     v2 = tech.V_DD ** 2
-
-    def weighted_cap(mode: str, alpha: float) -> float:
-        seg = _segment_cap(tech, mode, alpha, net_route_factor)
-        total = 0.0
-        for g in cl.gates:
-            spec = spec_from_name(g.kind)
-            fanout = max(1, cl.fanout(g.out))
-            c = _cap_total(spec, tech, mode, alpha, route_fraction, c_dev,
-                           fanout * seg)
-            total += counts.get(g.out, 0) / (2.0 * n_waves) * c
-        return total
-
-    d2 = weighted_cap("2D", 1.0) * v2 * 1e-3    # uW per MHz
-    d3 = weighted_cap("M3D", alpha_ref) * v2 * 1e-3
+    d2, d3 = (_switched_cap(cl, trace, tech, mode, alpha, route_fraction, c_dev,
+                            net_route_factor) * v2 * 1e-3       # uW per MHz
+              for mode, alpha in (("2D", 1.0), ("M3D", alpha_ref)))
     p2 = float(table.circuit["power_2d_uw"])
     p3 = float(table.circuit["power_m3d_uw"])
     if d2 <= d3:
@@ -755,36 +755,21 @@ def circuit_ppa(cl: Netlist, trace: Trace, tech: TechParams, cal: Calibration,
     handshake plumbing around it is excluded, matching how the reference
     circuit is accounted.  Delay and skew come from the trace.
     """
-    from .sim import _measure
-    return _circuit_ppa(cl, trace, *_measure(trace), tech, cal, mode, alpha)
-
-
-def _circuit_ppa(cl: Netlist, trace: Trace, rep: Report, counts: Mapping[str, int],
-                 tech: TechParams, cal: Calibration, mode: str, alpha: float) -> PpaReport:
-    """circuit_ppa on the trace's Report and per-net transition counts."""
+    from .sim import measure
+    rep = measure(trace)
     mode = _norm_mode(mode)
     alpha = 1.0 if mode == "2D" else _check_alpha(alpha)
     if rep.worst_forward_latency is None:
         raise PpaError("trace carries no completed waves to time")
-    seg = _segment_cap(tech, mode, alpha, cal.net_route_factor)
-    n_waves = len(trace.waves)
-    p_dyn = 0.0
-    area = 0.0
-    n_t = 0
-    for g in cl.gates:
-        spec = spec_from_name(g.kind)
-        load = max(1, cl.fanout(g.out)) * seg
-        c = _cap_total(spec, tech, mode, alpha, cal.route_fraction,
-                       cal.c_dev, load)
-        p_dyn += counts.get(g.out, 0) / (2.0 * n_waves) * c
-        area += gate_area(spec, tech, cal, mode)
-        n_t += sum(transistor_counts(spec))
+    p_dyn = _switched_cap(cl, trace, tech, mode, alpha, cal.route_fraction, cal.c_dev,
+                          cal.net_route_factor)
     p_dyn *= cal.test_rate_mhz * tech.V_DD ** 2 * 1e-3
+    specs = [spec_from_name(g.kind) for g in cl.gates]
     return PpaReport(
         t_d=float(rep.worst_forward_latency),
         t_s=float(rep.worst_output_skew),
-        power=p_dyn + n_t * cal.p_leak_per_t,
-        area=area,
+        power=p_dyn + sum(sum(transistor_counts(s)) for s in specs) * cal.p_leak_per_t,
+        area=sum(gate_area(s, tech, cal, mode) for s in specs),
         mode=mode,
         alpha=alpha,
     )
@@ -804,18 +789,30 @@ def evaluate_circuit(cl: Netlist, vectors: Sequence,
                      n_stages: int = 1) -> CircuitResult:
     """Pipeline, simulate, and price one implementation of ``cl``."""
     from .pipeline import build_pipeline
-    from .sim import _measure, simulate
+    from .sim import measure, simulate
     tech = tech or default_tech()
     cal = cal or default_calibration()
     system = build_pipeline(cl, n_stages=n_stages)
     delays = circuit_delay_assignment(system, cl, tech, cal, mode, alpha)
     trace = simulate(system, vectors, delays)
-    rep, counts = _measure(trace)
     return CircuitResult(
-        ppa=_circuit_ppa(cl, trace, rep, counts, tech, cal, mode, alpha),
-        metrics=rep,
+        ppa=circuit_ppa(cl, trace, tech, cal, mode, alpha),
+        metrics=measure(trace),
         trace=trace,
     )
+
+
+def evaluate_circuits(cl: Netlist, vectors: Sequence, tech: TechParams,
+                      cal: Calibration, forms: Sequence[Tuple[str, float]]) -> List[PpaReport]:
+    """``evaluate_circuit(...).ppa`` for each (mode, alpha) in ``forms``,
+    run side by side on the usable cores; the figures are the same."""
+    from .forkmap import fork_map
+
+    def run(chunk):
+        reports = (evaluate_circuit(cl, vectors, tech, cal, m, a).ppa for m, a in chunk)
+        # plain floats: marshal would send a NumPy scalar (from calibrate) as bytes
+        return [(*(float(getattr(r, m)) for m in METRICS), r.mode, r.alpha) for r in reports]
+    return [PpaReport(*row) for row in fork_map(run, list(forms))]
 
 
 # ------------------------------------------------------------------- sweeps
@@ -846,12 +843,10 @@ def sweep_alpha(target: Union[Sequence[str], Netlist],
     if isinstance(target, Netlist):
         if vectors is None:
             raise PpaError("a circuit sweep needs input vectors")
-        base = evaluate_circuit(target, vectors, tech, cal, "2D").ppa
-        for a in order:
-            fold = evaluate_circuit(target, vectors, tech, cal, "M3D", a).ppa
-            rows.append(SweepRow(alpha=a, improvements=improvement_pct(base, fold),
-                                 per_gate={}))
-        return rows
+        base, *folds = evaluate_circuits(target, vectors, tech, cal,
+                                         [("2D", 1.0)] + [("M3D", a) for a in order])
+        return [SweepRow(alpha=a, improvements=improvement_pct(base, fold), per_gate={})
+                for a, fold in zip(order, folds)]
     kinds = list(target)
     if not kinds:
         raise PpaError("no gate types to sweep")

@@ -53,6 +53,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
@@ -108,12 +109,6 @@ class DelayAssignment:
                                          and all(map(_positive_int, d)))):
                 raise ValueError(f"gate delays must be positive ints or (rise, fall) "
                                  f"pairs of them, got {d!r}")
-
-    def delay_for(self, name: str, value: int) -> int:
-        d = self.per_gate.get(name, self.default)
-        if isinstance(d, tuple):
-            return d[0] if value else d[1]
-        return d
 
     @classmethod
     def uniform_random(cls, names: Iterable[str], rng: random.Random,
@@ -190,11 +185,16 @@ class Trace:
         lines += [f"{t}\t{n}\t{v}" for t, n, v in self.records]
         return "\n".join(lines) + "\n"
 
-    def transition_counts(self) -> Dict[str, int]:
-        """Transitions per net name, in order of each net's first transition."""
+    @cached_property
+    def _counts(self) -> Dict[str, int]:
         names = self.records.names
         counts = Counter(map(itemgetter(0), self.records.events))
         return {names[net]: n for net, n in counts.items()}
+
+    def transition_counts(self) -> Dict[str, int]:
+        """Transitions per net name, in order of each net's first transition
+        (a copy of the counts made on the first call; records are read-only)."""
+        return dict(self._counts)
 
     def words(self) -> List[int]:
         return [w.value for w in self.waves]
@@ -214,21 +214,14 @@ class Report:
 
 
 def measure(trace: Trace) -> Report:
-    return _measure(trace)[0]
-
-
-def _measure(trace: Trace) -> Tuple[Report, Dict[str, int]]:
-    """measure's Report and the per-net transition counts it was built from,
-    for callers that need both from one pass over the trace."""
     if not trace.completed:
         raise SimulationError("incomplete trace")
     lat = tuple(w.t_data_complete - w.t_applied for w in trace.waves)
     completions = [w.t_data_complete for w in trace.waves]
     cycles = tuple(b - a for a, b in zip(completions, completions[1:]))
     skews = tuple(w.output_skew for w in trace.waves)
-    counts = trace.transition_counts()
     by_class: Dict[str, int] = {}
-    for net, n in counts.items():
+    for net, n in trace._counts.items():
         cls = trace.net_class.get(net, "other")
         by_class[cls] = by_class.get(cls, 0) + n
     return Report(
@@ -241,7 +234,7 @@ def _measure(trace: Trace) -> Tuple[Report, Dict[str, int]]:
         transitions_by_class=by_class,
         total_transitions=len(trace.records),
         words=tuple(trace.words()),
-    ), counts
+    )
 
 
 def _as_bit_vectors(system: PipelineSystem, vectors) -> List[Dict[str, int]]:
@@ -493,6 +486,11 @@ def check_delay_insensitivity(system: PipelineSystem, data_vectors: Sequence,
                               n_trials: int = 100, seed: int = 0) -> DIReport:
     """Re-run under random positive per-gate delays; outputs must not move.
 
+    The assignments are drawn up front from one ``random.Random(seed)``
+    and run as contiguous chunks, one per usable core (``forkmap``).  Each
+    chunk stops at its first failure and the report names the first in
+    trial order, so it is the report of one trial after another.
+
     Random trials do not catch the input-completeness defect class; the
     static checkers in :mod:`ncl3d.netlist` do.  The bundled
     ``and2_relaxed.ncl`` has 6 input-completeness violations, yet never
@@ -502,6 +500,7 @@ def check_delay_insensitivity(system: PipelineSystem, data_vectors: Sequence,
     output has completed or reset, so an output that fires early is never
     told apart from one that fires on time.
     """
+    from .forkmap import fork_map
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     rng = random.Random(seed)
@@ -511,15 +510,25 @@ def check_delay_insensitivity(system: PipelineSystem, data_vectors: Sequence,
     except SimulationError as err:
         return DIReport(False, 0, (), DelayAssignment(), f"baseline run failed: {err}")
     expect = tuple(baseline.words())
-    for trial in range(n_trials):
-        assignment = DelayAssignment.uniform_random(gate_names, rng)
-        try:
-            got = tuple(simulate(system, data_vectors, assignment).words())
-        except SimulationError as err:
-            return DIReport(False, trial + 1, expect, assignment, f"trial {trial}: {err}")
-        if got != expect:
-            return DIReport(False, trial + 1, expect, assignment,
-                            f"trial {trial}: outputs {got} != {expect}")
+    assignments = [DelayAssignment.uniform_random(gate_names, rng) for _ in range(n_trials)]
+
+    def run(chunk: List[DelayAssignment]) -> List[Optional[str]]:
+        """None per passing trial, up to what went wrong in the first failing one."""
+        out: List[Optional[str]] = []
+        for assignment in chunk:
+            try:
+                got = tuple(simulate(system, data_vectors, assignment).words())
+            except SimulationError as err:
+                return out + [str(err)]
+            if got != expect:
+                return out + [f"outputs {got} != {expect}"]
+            out.append(None)
+        return out
+
+    for trial, failure in enumerate(fork_map(run, assignments)):
+        if failure is not None:
+            return DIReport(False, trial + 1, expect, assignments[trial],
+                            f"trial {trial}: {failure}")
     return DIReport(True, n_trials, expect)
 
 

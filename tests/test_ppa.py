@@ -23,6 +23,7 @@ from ncl3d.ppa import (
     dump_calibration,
     dump_tech,
     evaluate_circuit,
+    evaluate_circuits,
     gate_area,
     gate_capacitance,
     gate_delay_skew,
@@ -445,6 +446,36 @@ def test_transition_counts_are_delay_independent():
     jittered = simulate(system, vectors,
                         DelayAssignment.uniform_random(names, rng))
     assert jittered.transition_counts() == base
+
+
+def test_evaluate_circuit_counts_each_trace_once(monkeypatch, tech, cal):
+    """measure and circuit_ppa both read the trace's per-net counts; the
+    trace counts its transitions once and hands each caller a copy."""
+    from ncl3d import sim
+    passes = []
+    real = sim.Counter
+
+    def counting(*args):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sim, "Counter", counting)
+    cl = build_array_multiplier(2)
+    vectors = [operand_bits(2, x, y) for x in range(4) for y in range(4)]
+    result = evaluate_circuit(cl, vectors, tech, cal, "M3D", 0.7)
+    assert len(passes) == 1
+    counts = result.trace.transition_counts()
+    counts.clear()
+    assert sum(result.trace.transition_counts().values()) == len(result.trace.records)
+    assert len(passes) == 1
+
+
+def test_evaluate_circuits_matches_one_at_a_time(tech, cal):
+    cl = build_array_multiplier(2)
+    vectors = [operand_bits(2, x, y) for x in range(4) for y in range(4)]
+    forms = [("2D", 1.0), ("M3D", 0.7), ("M3D", 0.5)]
+    assert evaluate_circuits(cl, vectors, tech, cal, forms) == [
+        evaluate_circuit(cl, vectors, tech, cal, m, a).ppa for m, a in forms]
 
 
 def test_evaluate_circuit_needs_waves(tech, cal):

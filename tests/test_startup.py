@@ -5,8 +5,9 @@ Importing ncl3d runs none of its submodules; each public name resolves on
 first use.  These tests pin what that must not change: every name the
 package exported when it imported all its modules still resolves to the
 same object, ``check`` never runs the model, simulator or synthesis
-modules, ``gate-report`` never runs the simulator or pipeline, and the
-harness's set-up and traced children still work.
+modules, ``gate-report`` never runs the simulator or pipeline, the
+commands that fork workers load no process pool, and the harness's
+set-up and traced children still work.
 """
 import json
 import os
@@ -103,7 +104,7 @@ def test_check_runs_no_model_simulator_or_synthesis_module(tmp_path):
     code, out, loaded = run_probed(tmp_path, "check", "mult3.ncl")
     assert code == 0 and out.splitlines()[-1] == "result: PASS"
     assert {"ncl3d.cli", "ncl3d.gates", "ncl3d.netlist"} <= loaded
-    assert loaded & HEAVY == set()
+    assert loaded & (HEAVY | {"ncl3d.forkmap"}) == set()
 
 
 def test_simulate_runs_no_synthesis_module(tmp_path):
@@ -120,6 +121,22 @@ def test_gate_report_runs_no_simulator_or_pipeline(tmp_path):
     assert code == 0 and "TH22" in out
     assert {"ncl3d.ppa", "ncl3d.refdata"} <= loaded
     assert loaded & {"ncl3d.sim", "ncl3d.pipeline", "ncl3d.synth", "ncl3d.boolnet"} == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("multiplier-demo", "--width", "2", "--trials", "4"),
+    ("sweep", "multiplier", "--width", "2", "--alpha", "0.5:0.9:0.2"),
+], ids=lambda argv: argv[0])
+def test_forked_evaluations_load_no_process_pool(tmp_path, argv):
+    """The DI trials and the paired evaluations fork the warm process;
+    a process pool would cost more start-up than they save."""
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "ncl3d", *argv],
+                         capture_output=True, text=True, cwd=str(tmp_path), env=child_env())
+    assert run.returncode == 0, run.stderr[-400:]
+    imported = set(re.findall(r"^import time:.*\| +(\S+)$", run.stderr, re.M))
+    assert "ncl3d.forkmap" in imported
+    assert {m for m in imported
+            if m.split(".")[0] in ("multiprocessing", "concurrent")} == set()
 
 
 @pytest.fixture(scope="module")
