@@ -306,9 +306,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_multiplier_demo(args) -> int:
+    from .forkmap import fork_map
     from .pipeline import build_pipeline
-    from .ppa import evaluate_circuits, improvement_pct
-    from .sim import check_delay_insensitivity, simulate
+    from .ppa import PpaReport, improvement_pct, ppa_jobs
+    from .sim import di_trials, simulate, trial_failed
     from .synth import build_array_multiplier, count_transistors
     if not 2 <= args.width <= 8:
         raise CliError(f"width {args.width} outside [2, 8]")
@@ -322,7 +323,14 @@ def cmd_multiplier_demo(args) -> int:
     exhaustive = args.exhaustive or args.width <= 4
     vectors, expected, tag = _mult_vectors(args.width, exhaustive, args.seed)
     system = build_pipeline(cl)
-    words = tuple(simulate(system, vectors).words())
+    di_vectors = vectors[:16]
+    trials, di_report = di_trials(system, di_vectors, args.trials, args.seed)
+    # every simulation in one round, long jobs first: the products run,
+    # the 2D and M3D evaluations, then the DI trials
+    words, flat, fold, *outcomes = fork_map(
+        [lambda: tuple(simulate(system, vectors).words()),
+         *ppa_jobs(cl, vectors, tech, cal, [("2D", 1.0), ("M3D", alpha)]), *trials],
+        trial_failed)
     correct = sum(1 for got, want in zip(words, expected) if got == want)
     ok_products = correct == len(expected)
     lines.append(f"verification: {tag}: {correct}/{len(expected)} products correct, "
@@ -332,15 +340,13 @@ def cmd_multiplier_demo(args) -> int:
         lines.append(f"  first mismatch at vector {bad}: got {words[bad]}, "
                      f"want {expected[bad]}")
 
-    di_vectors = vectors[:16]
-    di = check_delay_insensitivity(system, di_vectors, n_trials=args.trials,
-                                   seed=args.seed)
+    di = di_report(outcomes)
     lines.append(f"delay insensitivity: {args.trials} random assignments over "
                  f"{len(di_vectors)} vectors: {'pass' if di.passed else 'FAIL'}")
     if not di.passed:
         lines.append(f"  {di.detail}")
 
-    flat, fold = evaluate_circuits(cl, vectors, tech, cal, [("2D", 1.0), ("M3D", alpha)])
+    flat, fold = PpaReport(*flat), PpaReport(*fold)
     impr = improvement_pct(flat, fold)
     lines.append(f"{'figure':<10} {'2D':>12} {'M3D a=' + format(alpha, '.2f'):>12} "
                  f"{'impr%':>7}")

@@ -1,22 +1,27 @@
 """Independent jobs on every usable core, by forking the warm process.
 
-``fork_map(fn, jobs)`` returns what ``fn(jobs)`` returns.  ``fn`` treats
-its jobs in order and independently and returns a list of plain values
-(what ``marshal`` writes), one per job, or fewer if it stopped early.  The
-jobs are cut into contiguous chunks, one per usable CPU.  The parent runs
-the first and a forked child each other one, which sends its list over a
-pipe and leaves by ``os._exit``, so no stdio buffer or exit hook runs
-twice.  A chunk that stopped early ends the join.  A chunk whose child did
-not start, or failed before sending its whole list, runs again in the
-parent, so an exception a job raises surfaces there as it would serially.
-Everything runs in-process without ``fork``, with one usable CPU, with
-another thread alive or with fewer than 2 jobs.  Every child is reaped
-before ``fork_map`` returns or raises.
+``fork_map(jobs, stop)`` returns what the serial loop returns: each job's
+result (a job is a callable taking no argument) in job order, up to the
+first result for which ``stop`` is true.  Results are plain values (what
+``marshal`` writes).  The parent and a forked child per other usable CPU
+take one job at a time from a queue of job indices, a pipe filled before
+the first fork.  Indices leave it in increasing order, so a worker whose
+job stops the loop or raises has only later jobs to cancel, by emptying
+the queue.  A child sends its results, keyed by index, over its own pipe
+and leaves by ``os._exit``, so no stdio buffer or exit hook runs twice.  A
+job that no child sent (it raised, or its child did not start or died)
+runs again in the parent, so the first exception in job order surfaces
+there as it would serially.  Everything runs in-process without ``fork``,
+with one usable CPU, with another thread alive or with fewer than 2 jobs.
+Every child is reaped before ``fork_map`` returns or raises.
 """
 import marshal
 import os
 import signal
 import threading
+
+SLOT = 4          # bytes per queue entry
+SLOTS = 1024      # entries in a 4 KiB page, the smallest pipe buffer there is
 
 
 def usable_cpus() -> int:
@@ -25,42 +30,74 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fork_map(fn, jobs: list) -> list:
+def fork_map(jobs: list, stop=lambda result: False) -> list:
     n = min(len(jobs), usable_cpus())
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return fn(jobs)
-    cut = [len(jobs) * k // n for k in range(n + 1)]
-    children = []                             # (pid or None, read end, chunk)
+        return _serial(jobs, stop, {}, {})
+    per = -(-len(jobs) // SLOTS)              # past SLOTS jobs, an entry is a run of them
+    queue, w = os.pipe()
+    os.write(w, b"".join(k.to_bytes(SLOT, "little") for k in range(0, len(jobs), per)))
+    os.close(w)
+    children = []                             # (pid or None, read end)
     try:
-        for a, b in zip(cut[1:], cut[2:]):
-            chunk = jobs[a:b]
+        for _ in range(n - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:                   # no process to spare: the parent runs it
+            except OSError:                   # no process to spare: the others run its share
                 pid = None
             if pid == 0:
                 try:
                     with open(w, "wb") as out:
-                        out.write(marshal.dumps(fn(chunk)))
+                        out.write(marshal.dumps(_work(jobs, stop, queue, per)[0]))
                     os._exit(0)
                 finally:
-                    os._exit(1)               # reached only if the chunk or its write raised
+                    os._exit(1)               # reached only if the work or its write raised
             os.close(w)
-            children.append((pid, open(r, "rb"), chunk))
-        results = fn(jobs[:cut[1]])
-        for k, (_, pipe, chunk) in enumerate(children, start=1):
-            if len(results) < cut[k]:         # an earlier chunk stopped early
-                break
+            children.append((pid, open(r, "rb")))
+        done, failed = _work(jobs, stop, queue, per)
+        for _, pipe in children:
             try:
-                part = marshal.loads(pipe.read())
-            except (EOFError, ValueError, TypeError):    # nothing, or a truncated list
-                part = None
-            results += fn(chunk) if part is None else part
-        return results
+                done.update(marshal.loads(pipe.read()))
+            except (EOFError, ValueError, TypeError):    # nothing, or a truncated dict
+                pass
+        return _serial(jobs, stop, done, failed)
     finally:
-        for pid, pipe, _ in children:
+        os.close(queue)
+        for pid, pipe in children:
             pipe.close()
             if pid:
                 os.kill(pid, signal.SIGKILL)  # done sending, or no longer needed
                 os.waitpid(pid, 0)
+
+
+def _work(jobs: list, stop, queue: int, per: int):
+    """Run the jobs taken from ``queue`` until it is empty, or up to the
+    first that stops or raises; then empty it.  Returns the results and the
+    exception, each keyed by job index."""
+    done, failed = {}, {}
+    while len(head := os.read(queue, SLOT)) == SLOT:
+        first = int.from_bytes(head, "little")
+        for k in range(first, min(first + per, len(jobs))):
+            try:
+                done[k] = jobs[k]()
+            except Exception as err:
+                failed[k] = err
+            if k in failed or stop(done[k]):
+                while os.read(queue, SLOT * SLOTS):       # cancel every later job
+                    pass
+                return done, failed
+    return done, failed
+
+
+def _serial(jobs: list, stop, done: dict, failed: dict) -> list:
+    """The serial loop, taking a job's result or exception from ``done`` or
+    ``failed`` where a worker left one."""
+    out = []
+    for k, job in enumerate(jobs):
+        if k in failed:
+            raise failed[k]
+        out.append(done[k] if k in done else job())
+        if stop(out[-1]):
+            break
+    return out

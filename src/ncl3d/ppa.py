@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -37,7 +37,7 @@ from .refdata import ReferenceTable, load_reference
 
 if TYPE_CHECKING:  # the circuit rollup imports these itself, so gate figures skip them
     from .pipeline import PipelineSystem
-    from .sim import DelayAssignment, Trace
+    from .sim import DelayAssignment, Report, Trace
 
 LN2 = math.log(2.0)
 
@@ -580,7 +580,9 @@ def calibrate(tech: Optional[TechParams] = None,
     avg_target = table.average_improvement_pct["t_d"] / 100.0
 
     def anchor_residuals(x):
-        rf, cd = x
+        # plain floats: a NumPy scalar would also reach the _wires cache,
+        # whose equal-valued keys hand it on to every later figure
+        rf, cd = map(float, x)
         ref = _study_improvements(tech, table, alpha_ref, rf, cd)
         low = _study_improvements(tech, table, SWEEP_LOW_ALPHA, rf, cd)
         return [sum(ref) / len(ref) - avg_target, max(low) - SWEEP_LOW_TARGET]
@@ -748,15 +750,17 @@ def circuit_delay_assignment(system: PipelineSystem, cl: Netlist,
 
 
 def circuit_ppa(cl: Netlist, trace: Trace, tech: TechParams, cal: Calibration,
-                mode: str = "2D", alpha: float = 1.0) -> PpaReport:
+                mode: str = "2D", alpha: float = 1.0, *,
+                report: Optional[Report] = None) -> PpaReport:
     """Roll a simulated trace and the gate model up to circuit figures.
 
     Area and power cover the gates of ``cl`` (the measured block); the
     handshake plumbing around it is excluded, matching how the reference
-    circuit is accounted.  Delay and skew come from the trace.
+    circuit is accounted.  Delay and skew come from the trace, through
+    ``report`` if the caller has measured it already.
     """
     from .sim import measure
-    rep = measure(trace)
+    rep = measure(trace) if report is None else report
     mode = _norm_mode(mode)
     alpha = 1.0 if mode == "2D" else _check_alpha(alpha)
     if rep.worst_forward_latency is None:
@@ -795,9 +799,10 @@ def evaluate_circuit(cl: Netlist, vectors: Sequence,
     system = build_pipeline(cl, n_stages=n_stages)
     delays = circuit_delay_assignment(system, cl, tech, cal, mode, alpha)
     trace = simulate(system, vectors, delays)
+    rep = measure(trace)
     return CircuitResult(
-        ppa=circuit_ppa(cl, trace, tech, cal, mode, alpha),
-        metrics=measure(trace),
+        ppa=circuit_ppa(cl, trace, tech, cal, mode, alpha, report=rep),
+        metrics=rep,
         trace=trace,
     )
 
@@ -807,12 +812,15 @@ def evaluate_circuits(cl: Netlist, vectors: Sequence, tech: TechParams,
     """``evaluate_circuit(...).ppa`` for each (mode, alpha) in ``forms``,
     run side by side on the usable cores; the figures are the same."""
     from .forkmap import fork_map
+    return [PpaReport(*row) for row in fork_map(ppa_jobs(cl, vectors, tech, cal, forms))]
 
-    def run(chunk):
-        reports = (evaluate_circuit(cl, vectors, tech, cal, m, a).ppa for m, a in chunk)
-        # plain floats: marshal would send a NumPy scalar (from calibrate) as bytes
-        return [(*(float(getattr(r, m)) for m in METRICS), r.mode, r.alpha) for r in reports]
-    return [PpaReport(*row) for row in fork_map(run, list(forms))]
+
+def ppa_jobs(cl: Netlist, vectors: Sequence, tech: TechParams, cal: Calibration,
+             forms: Sequence[Tuple[str, float]]) -> list:
+    """One job for ``forkmap.fork_map`` per (mode, alpha) in ``forms``: the
+    fields of ``evaluate_circuit(...).ppa``, which ``PpaReport(*row)`` takes."""
+    return [lambda m=m, a=a: astuple(evaluate_circuit(cl, vectors, tech, cal, m, a).ppa)
+            for m, a in forms]
 
 
 # ------------------------------------------------------------------- sweeps

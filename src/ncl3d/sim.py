@@ -53,7 +53,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
@@ -486,10 +486,9 @@ def check_delay_insensitivity(system: PipelineSystem, data_vectors: Sequence,
                               n_trials: int = 100, seed: int = 0) -> DIReport:
     """Re-run under random positive per-gate delays; outputs must not move.
 
-    The assignments are drawn up front from one ``random.Random(seed)``
-    and run as contiguous chunks, one per usable core (``forkmap``).  Each
-    chunk stops at its first failure and the report names the first in
-    trial order, so it is the report of one trial after another.
+    The trials are the jobs of :func:`di_trials`, shared out among the
+    usable cores (``forkmap``).  The first failure in trial order cancels
+    the later ones, so this is the report of one trial after another.
 
     Random trials do not catch the input-completeness defect class; the
     static checkers in :mod:`ncl3d.netlist` do.  The bundled
@@ -501,6 +500,20 @@ def check_delay_insensitivity(system: PipelineSystem, data_vectors: Sequence,
     told apart from one that fires on time.
     """
     from .forkmap import fork_map
+    jobs, report = di_trials(system, data_vectors, n_trials, seed)
+    return report(fork_map(jobs, trial_failed))
+
+
+def di_trials(system: PipelineSystem, data_vectors: Sequence,
+              n_trials: int = 100, seed: int = 0) -> tuple:
+    """The trials of :func:`check_delay_insensitivity` as jobs for
+    ``forkmap.fork_map``, and the function that makes the report from their
+    results in trial order, cut after the first failure (:func:`trial_failed`).
+
+    The assignments are drawn up front from one ``random.Random(seed)``.
+    The unit-delay baseline runs here, before any trial, as each trial holds
+    its outputs to it wherever it runs; a failed baseline leaves no trials.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     rng = random.Random(seed)
@@ -508,28 +521,32 @@ def check_delay_insensitivity(system: PipelineSystem, data_vectors: Sequence,
     try:
         baseline = simulate(system, data_vectors)
     except SimulationError as err:
-        return DIReport(False, 0, (), DelayAssignment(), f"baseline run failed: {err}")
+        failed = DIReport(False, 0, (), DelayAssignment(), f"baseline run failed: {err}")
+        return [], lambda results: failed
     expect = tuple(baseline.words())
     assignments = [DelayAssignment.uniform_random(gate_names, rng) for _ in range(n_trials)]
 
-    def run(chunk: List[DelayAssignment]) -> List[Optional[str]]:
-        """None per passing trial, up to what went wrong in the first failing one."""
-        out: List[Optional[str]] = []
-        for assignment in chunk:
-            try:
-                got = tuple(simulate(system, data_vectors, assignment).words())
-            except SimulationError as err:
-                return out + [str(err)]
-            if got != expect:
-                return out + [f"outputs {got} != {expect}"]
-            out.append(None)
-        return out
+    def trial(assignment: DelayAssignment) -> Optional[str]:
+        """None if the trial passes, else what went wrong."""
+        try:
+            got = tuple(simulate(system, data_vectors, assignment).words())
+        except SimulationError as err:
+            return str(err)
+        return None if got == expect else f"outputs {got} != {expect}"
 
-    for trial, failure in enumerate(fork_map(run, assignments)):
-        if failure is not None:
-            return DIReport(False, trial + 1, expect, assignments[trial],
-                            f"trial {trial}: {failure}")
-    return DIReport(True, n_trials, expect)
+    def report(results: List[Optional[str]]) -> DIReport:
+        for k, failure in enumerate(results):
+            if failure is not None:
+                return DIReport(False, k + 1, expect, assignments[k], f"trial {k}: {failure}")
+        return DIReport(True, n_trials, expect)
+
+    return [partial(trial, a) for a in assignments], report
+
+
+def trial_failed(result) -> bool:
+    """Whether a job's result is a failed DI trial; no other job in the
+    package returns a str."""
+    return isinstance(result, str)
 
 
 def parse_vectors(text: str) -> List[int]:

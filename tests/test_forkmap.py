@@ -1,25 +1,37 @@
-"""Independent jobs split across forked workers (ncl3d.forkmap) and the
-delay-insensitivity check that runs its trials that way.
+"""Independent jobs shared out among forked workers (ncl3d.forkmap), the
+delay-insensitivity check that runs its trials that way, and
+multiplier-demo, which runs all its simulations in one such round.
 
-The split must not show: ``fork_map(fn, jobs)`` returns what ``fn(jobs)``
-does, and ``check_delay_insensitivity`` returns the report of the serial
-trial loop it replaced (kept below as the reference).  No fixture fails a
-random trial without failing the unit-delay baseline first, so failures
-are injected by wrapping ``ncl3d.sim.simulate`` and picking trials by
-their delays, drawn from the same ``random.Random(seed)`` stream.  Every
-test also checks that no child process is left behind.
+Workers take one job at a time, so which process runs which job varies
+from run to run, and none of it may show: ``fork_map(jobs, stop)``
+returns what the serial loop returns (``serial_loop`` below), and
+``check_delay_insensitivity`` returns the report of the serial trial loop
+it replaced (``serial_reference``).  Where a test needs one worker held on
+a job, the job waits on a pipe that another job writes, rather than on a
+clock.  No fixture fails a random trial without failing the unit-delay
+baseline first, so failures are injected by wrapping ``ncl3d.sim.simulate``
+and picking trials by their delays, drawn from the same
+``random.Random(seed)`` stream.  Every test also checks that no child
+process is left behind.
 """
+import mmap
 import os
 import random
+import select
+import signal
 import threading
 import time
+from contextlib import contextmanager
+from functools import partial
 
 import pytest
 
 from ncl3d import forkmap, sim
+from ncl3d.cli import main
 from ncl3d.forkmap import fork_map
 from ncl3d.pipeline import build_pipeline
-from ncl3d.sim import DelayAssignment, DIReport, SimulationError, check_delay_insensitivity
+from ncl3d.sim import (DelayAssignment, DIReport, SimulationError, check_delay_insensitivity,
+                       trial_failed)
 from ncl3d.synth import build_array_multiplier
 
 VECTORS = [15, 6, 9, 0]
@@ -101,10 +113,10 @@ def inject(monkeypatch, system, n_trials, seed, failures):
 
 @pytest.mark.parametrize("n_trials,failures", [
     (8, {}),
-    (8, {2: "raise"}),                     # first chunk only
-    (8, {6: "words"}),                     # a later chunk only
-    (8, {1: "words", 5: "raise"}),         # both chunks
-    (8, {3: "raise", 4: "words"}),         # the last trial of chunk 0, the first of chunk 1
+    (8, {2: "raise"}),                     # an early trial
+    (8, {6: "words"}),                     # a late trial
+    (8, {1: "words", 5: "raise"}),         # two failures, far apart
+    (8, {3: "raise", 4: "words"}),         # two failures in a row, likely in two workers
     (1, {0: "raise"}),
     (7, {5: "words"}),
     (7, {}),
@@ -121,6 +133,7 @@ def test_di_first_failure_survives_the_split(monkeypatch, cpus, system, n_trials
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_di_first_failure_with_more_chunks(monkeypatch, cpus, system, n):
+    """With more workers than cores as well."""
     cpus(n)
     inject(monkeypatch, system, 9, 2, {4: "words", 8: "raise"})
     assert (check_delay_insensitivity(system, VECTORS, n_trials=9, seed=2)
@@ -142,17 +155,27 @@ def test_a_failing_child_is_recomputed_in_the_parent(monkeypatch, cpus, system):
 
 
 def test_a_bug_in_the_parents_chunk_propagates_unchanged(monkeypatch, cpus, system):
+    """The parent's own trial raises; the child's first trial waits for
+    that, so the parent is sure to take one."""
     parent = os.getpid()
     real = sim.simulate
+    gate_r, gate_w = os.pipe()
 
     def parent_bug(system, data_vectors, delays=None, max_events=None):
         if delays is not None and os.getpid() == parent:
+            os.write(gate_w, b"x")
             raise RuntimeError("injected bug")
+        if delays is not None:
+            select.select([gate_r], [], [], 10)
         return real(system, data_vectors, delays, max_events)
 
     monkeypatch.setattr(sim, "simulate", parent_bug)
-    with pytest.raises(RuntimeError) as err:
-        check_delay_insensitivity(system, VECTORS, n_trials=6, seed=4)
+    try:
+        with pytest.raises(RuntimeError) as err:
+            check_delay_insensitivity(system, VECTORS, n_trials=6, seed=4)
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
     assert type(err.value) is RuntimeError and str(err.value) == "injected bug"
 
 
@@ -172,28 +195,57 @@ def test_a_bug_in_a_childs_chunk_is_raised_by_the_parent(monkeypatch, cpus, syst
         check_delay_insensitivity(system, VECTORS, n_trials=6, seed=4)
 
 
-def pids(chunk):
-    return [os.getpid()] * len(chunk)
-
-
-def test_later_chunks_run_in_children(cpus):
+def test_jobs_run_in_the_parent_and_every_child(cpus):
+    """Three workers, three jobs that each wait until all three have
+    started: each runs in a process of its own, one of them the parent,
+    and the results come back in job order."""
     cpus(3)
-    got = fork_map(pids, list(range(7)))
-    assert got[:2] == [os.getpid()] * 2
-    assert len(set(got[2:4])) == 1 and len(set(got[4:])) == 1
-    assert len({got[0], got[2], got[4]}) == 3
+
+    def meet(here, k):
+        here[k] = 1
+        deadline = time.monotonic() + 10
+        while here[:] != b"\x01" * 3 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return k, os.getpid()
+
+    with mmap.mmap(-1, 3) as here:            # shared with the children
+        got = fork_map([partial(meet, here, k) for k in range(3)])
+    assert [k for k, _ in got] == [0, 1, 2]
+    assert len({pid for _, pid in got}) == 3 and os.getpid() in {pid for _, pid in got}
+
+
+def test_a_long_first_job_does_not_hold_back_the_others(cpus):
+    """The first job waits until the last has run, which only the other
+    worker can do, so that worker runs every short job."""
+    gate_r, gate_w = os.pipe()
+
+    def long():
+        select.select([gate_r], [], [], 10)
+        return os.getpid()
+
+    def last():
+        os.write(gate_w, b"x")
+        return os.getpid()
+
+    try:
+        got = fork_map([long] + [os.getpid] * 8 + [last])
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    assert len(set(got[1:])) == 1 and got[0] != got[1]
+    assert os.getpid() in (got[0], got[1])
 
 
 def test_one_cpu_or_a_live_thread_runs_serially(monkeypatch, cpus, system):
-    jobs = list(range(6))
+    jobs = [os.getpid] * 6
     cpus(1)
-    assert fork_map(pids, jobs) == [os.getpid()] * 6
+    assert fork_map(jobs) == [os.getpid()] * 6
     cpus(2)
     stop = threading.Event()
     worker = threading.Thread(target=stop.wait)
     worker.start()
     try:
-        assert fork_map(pids, jobs) == [os.getpid()] * 6
+        assert fork_map(jobs) == [os.getpid()] * 6
         inject(monkeypatch, system, 6, 8, {4: "raise"})
         assert (check_delay_insensitivity(system, VECTORS, n_trials=6, seed=8)
                 == serial_reference(system, VECTORS, 6, 8))
@@ -204,50 +256,175 @@ def test_one_cpu_or_a_live_thread_runs_serially(monkeypatch, cpus, system):
 
 
 def test_fewer_than_two_jobs_or_no_fork_runs_serially(monkeypatch, cpus):
-    assert fork_map(pids, []) == []
-    assert fork_map(pids, [1]) == [os.getpid()]
+    assert fork_map([]) == []
+    assert fork_map([os.getpid]) == [os.getpid()]
 
     def no_fork():
         raise OSError("no more processes")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert fork_map(pids, list(range(4))) == [os.getpid()] * 4
+    assert fork_map([os.getpid] * 4) == [os.getpid()] * 4
     monkeypatch.delattr(os, "fork")
-    assert fork_map(pids, list(range(4))) == [os.getpid()] * 4
+    assert fork_map([os.getpid] * 4) == [os.getpid()] * 4
+
+
+def serial_loop(jobs, stop=lambda result: False):
+    out = []
+    for job in jobs:
+        out.append(job())
+        if stop(out[-1]):
+            break
+    return out
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and message of what it raises."""
+    try:
+        return "returned", run()
+    except Exception as err:
+        return "raised", type(err), str(err)
 
 
 @pytest.mark.parametrize("last", [3, 7])
-def test_an_early_stop_drops_the_later_chunks(cpus, last):
-    def until_last(chunk):
-        out = []
-        for job in chunk:
-            out.append(job)
-            if job == last:
-                break
-        return out
+def test_an_early_stop_drops_the_later_jobs(cpus, last):
+    jobs = [partial(int, k) for k in range(10)]
+    assert (fork_map(jobs, lambda r: r == last) == serial_loop(jobs, lambda r: r == last)
+            == list(range(last + 1)))
 
-    jobs = list(range(10))
-    assert fork_map(until_last, jobs) == until_last(jobs) == list(range(last + 1))
+
+@pytest.mark.parametrize("how", ["stop", "raise"])
+def test_a_stop_or_an_exception_cancels_only_the_later_jobs(how):
+    """A worker that meets either empties the queue, after every job
+    before it has been taken (here job 0, by another worker)."""
+    ran = []
+
+    def job(k):
+        ran.append(k)
+        if k == 3 and how == "raise":
+            raise KeyError(k)
+        return "stop" if k == 3 else k
+
+    queue, w = os.pipe()
+    os.write(w, b"".join(k.to_bytes(forkmap.SLOT, "little") for k in range(1, 8)))
+    os.close(w)
+    try:
+        jobs = [partial(job, k) for k in range(8)]
+        done, failed = forkmap._work(jobs, lambda r: r == "stop", queue, 1)
+        assert os.read(queue, 64) == b""
+    finally:
+        os.close(queue)
+    assert ran == [1, 2, 3] and set(done) | set(failed) == {1, 2, 3}
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in place of a hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_more_jobs_than_a_pipe_holds_indices(cpus):
+    """20,000 four-byte indices would overfill a 64 KiB pipe."""
+    jobs = [partial(int, k) for k in range(20_000)]
+    with deadline(60):
+        assert fork_map(jobs) == list(range(20_000))
+        assert fork_map(jobs, lambda r: r == 17_001) == list(range(17_002))
+
+
+def mixed_jobs(n_trials, fail):
+    """The demo's job kinds: words, two report rows, then DI trials.
+    ``fail`` maps a position to "raise" or, for a trial, "fail"."""
+    jobs = [lambda: (0, 1, 2, 4), lambda: (1.5, 0.25, 3.0, 10.0, "2D", 1.0),
+            lambda: (1.25, 0.2, 2.5, 5.5, "M3D", 0.7)] + [lambda: None] * n_trials
+    for k, how in fail.items():
+        if how == "raise":
+            jobs[k] = partial(lambda k: {}[f"job {k}"], k)
+        else:
+            jobs[k] = partial(str.format, "trial {} failed", k)
+    return jobs
+
+
+def mixed_failures(n):
+    """No failure; one raise, or one failed trial, at each position; and
+    each ordered pair of the two."""
+    hows = [(k, how) for k in range(n) for how in ("raise", "fail") if how == "raise" or k >= 3]
+    return [{}] + [dict([a]) for a in hows] + [dict([a, b]) for a in hows for b in hows
+                                               if a[0] < b[0]]
+
+
+def test_mixed_jobs_match_the_serial_loop_under_failures_anywhere(cpus):
+    for fail in mixed_failures(7):
+        jobs = mixed_jobs(4, fail)
+        assert outcome(partial(fork_map, jobs, trial_failed)) == \
+            outcome(partial(serial_loop, jobs, trial_failed)), fail
+
+
+def test_the_first_exception_in_job_order_is_raised(cpus):
+    """Job 1 raises first in time, in one worker; job 0, held until then
+    in the other, raises too and is the one that surfaces."""
+    gate_r, gate_w = os.pipe()
+
+    def first():
+        select.select([gate_r], [], [], 10)
+        raise KeyError("job 0")
+
+    def second():
+        os.write(gate_w, b"x")
+        raise ValueError("job 1")
+
+    try:
+        with pytest.raises(KeyError, match="job 0"):
+            fork_map([first, second, os.getpid])
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
 
 
 def test_results_larger_than_a_pipe_buffer(cpus):
-    def big(chunk):
-        return [str(job) * 100_000 for job in chunk]
-
-    jobs = list(range(1, 5))
-    assert fork_map(big, jobs) == big(jobs)
+    jobs = [partial(str.__mul__, str(k), 100_000) for k in range(1, 5)]
+    assert fork_map(jobs) == serial_loop(jobs)
 
 
 def test_an_interrupt_in_the_parent_kills_and_reaps_the_children(cpus):
     parent = os.getpid()
 
-    def slow_children(chunk):
+    def slow_children():
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(20)
-        return chunk
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        fork_map(slow_children, list(range(4)))
+        fork_map([slow_children] * 4)
     assert time.monotonic() - start < 10
+
+
+@pytest.mark.parametrize("failures", [{}, {1: "raise"}, {2: "words"}], ids=str)
+def test_multiplier_demo_forks_once(monkeypatch, capsys, cpus, system, failures):
+    """Products run, 2D and M3D evaluations and DI trials share one fork
+    round (one child on two CPUs), and print what one process prints."""
+    inject(monkeypatch, system, 4, 5, failures)
+    argv = ["multiplier-demo", "--width", "2", "--trials", "4", "--seed", "5"]
+    cpus(1)
+    assert main(argv) == (1 if failures else 0)
+    serial = capsys.readouterr().out
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    cpus(2)
+    assert main(argv) == (1 if failures else 0)
+    assert capsys.readouterr().out == serial
+    assert len(forks) == 1

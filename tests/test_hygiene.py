@@ -102,3 +102,30 @@ def test_every_definition_is_used():
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     texts = [p.read_text(encoding="utf-8") for p in USERS]
     assert dead_definitions(modules, texts) == []
+
+
+def process_calls(source: str):
+    """(line, name) of each use of ``os.fork`` or ``os._exit``, as an
+    attribute of ``os`` or imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("fork", "_exit")
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{a.name}") for a in node.names
+                      if a.name in ("fork", "_exit")]
+    return sorted(found)
+
+
+def test_process_call_scan():
+    src = "import os\nfrom os import _exit\nos.fork()\nos.getpid()\nfork = 1\n"
+    assert process_calls(src) == [(2, "os._exit"), (3, "os.fork")]
+
+
+def test_only_forkmap_forks_or_exits():
+    """Forking and leaving a forked child live in one place, which reaps
+    every child it makes."""
+    users = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if process_calls(p.read_text(encoding="utf-8"))]
+    assert users == ["forkmap.py"]

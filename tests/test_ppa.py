@@ -7,6 +7,7 @@ model is required to hold.
 """
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -18,6 +19,7 @@ from ncl3d.ppa import (
     TechParams,
     calibrate,
     circuit_delay_assignment,
+    circuit_ppa,
     default_calibration,
     default_tech,
     dump_calibration,
@@ -238,17 +240,30 @@ def test_calibration_parse_errors(text):
         parse_calibration(text)
 
 
-def test_bundled_calibration_matches_refit(cal):
+@pytest.fixture(scope="module")
+def refit():
+    return calibrate()
+
+
+def test_bundled_calibration_matches_refit(cal, refit):
     """The committed coefficients are exactly what calibrate() produces."""
-    fresh = calibrate()
     for name in ("a_unit", "a_miv_eff", "c_dev", "k_skew", "route_fraction",
                  "net_route_factor", "test_rate_mhz", "p_leak_per_t"):
-        assert getattr(fresh, name) == pytest.approx(getattr(cal, name),
+        assert getattr(refit, name) == pytest.approx(getattr(cal, name),
                                                      rel=1e-9), name
     for kind in cal.r_drive:
-        assert fresh.r_drive[kind] == pytest.approx(cal.r_drive[kind], rel=1e-9)
-        assert fresh.activity_mhz[kind] == pytest.approx(
+        assert refit.r_drive[kind] == pytest.approx(cal.r_drive[kind], rel=1e-9)
+        assert refit.activity_mhz[kind] == pytest.approx(
             cal.activity_mhz[kind], rel=1e-9)
+
+
+def test_refit_holds_plain_floats(refit):
+    """No NumPy scalar leaks out of the fit: marshal, which carries results
+    between forked workers, would send one as bytes."""
+    maps = ("r_drive", "activity_mhz", "residuals")
+    values = [getattr(refit, f.name) for f in fields(refit) if f.name not in maps]
+    values += [v for m in maps for v in getattr(refit, m).values()]
+    assert {type(v) for v in values} == {float}
 
 
 # ------------------------------------------------------------- gate figures
@@ -468,6 +483,23 @@ def test_evaluate_circuit_counts_each_trace_once(monkeypatch, tech, cal):
     counts.clear()
     assert sum(result.trace.transition_counts().values()) == len(result.trace.records)
     assert len(passes) == 1
+
+
+def test_evaluate_circuit_measures_its_trace_once(monkeypatch, tech, cal):
+    from ncl3d import sim
+    reports = []
+    real = sim.measure
+
+    def measure(trace):
+        reports.append(real(trace))
+        return reports[-1]
+
+    monkeypatch.setattr(sim, "measure", measure)
+    cl = build_array_multiplier(2)
+    vectors = [operand_bits(2, x, y) for x in range(4) for y in range(4)]
+    result = evaluate_circuit(cl, vectors, tech, cal, "M3D", 0.7)
+    assert len(reports) == 1 and result.metrics is reports[0]
+    assert result.ppa == circuit_ppa(cl, result.trace, tech, cal, "M3D", 0.7)
 
 
 def test_evaluate_circuits_matches_one_at_a_time(tech, cal):
