@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 a checker or verification found a violation,
 2 bad usage, unreadable input, or malformed file.
 """
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -110,6 +109,7 @@ def _model_header(command: str, tech, cal) -> List[str]:
 def _write_report(args, doc: Dict) -> List[str]:
     if not getattr(args, "out", None):
         return []
+    import json
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     return [f"wrote {args.out}"]
@@ -362,7 +362,7 @@ def cmd_multiplier_demo(args) -> int:
            "verification": {"mode": tag, "correct": correct,
                             "total": len(expected)},
            "delay_insensitivity": {"trials": args.trials, "passed": di.passed},
-           "ppa": {"2D": flat.__dict__, "M3D": fold.__dict__,
+           "ppa": {"2D": flat._asdict(), "M3D": fold._asdict(),
                    "improvement_pct": impr},
            "passed": passed}
     lines += _write_report(args, doc)

@@ -18,10 +18,9 @@ pure weighted threshold (TH24comp, THand0) exist only as catalog entries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 Product = Tuple[int, ...]
 Products = Tuple[Product, ...]
@@ -87,16 +86,7 @@ def threshold_products(weights: Sequence[int], threshold: int) -> Products:
     return canonical_sop(hits, n)
 
 
-@dataclass(frozen=True)
-class GateSpec:
-    """One gate type: set function plus transistor-level bookkeeping.
-
-    ``pmos``/``nmos`` are None for ad hoc gates, in which case
-    :func:`transistor_counts` falls back to a documented estimate.
-    ``miv_override`` replaces the default inter-tier via count (arity + 2)
-    used by the monolithic-3D area model.
-    """
-
+class _GateFields(NamedTuple):
     name: str
     arity: int
     products: Products
@@ -106,7 +96,20 @@ class GateSpec:
     nmos: Optional[int] = None
     miv_override: Optional[int] = None
 
-    def __post_init__(self):
+
+class GateSpec(_GateFields):
+    """One gate type: set function plus transistor-level bookkeeping.
+
+    ``pmos``/``nmos`` are None for ad hoc gates, in which case
+    :func:`transistor_counts` falls back to a documented estimate.
+    ``miv_override`` replaces the default inter-tier via count (arity + 2)
+    used by the monolithic-3D area model.  Construction validates the
+    fields; ``_replace`` and ``_make`` would skip that, so nothing calls them.
+    No ``__slots__``: the cached ``table`` lives in the instance dict.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.arity <= 4:
             raise GateError(f"{self.name}: arity {self.arity} outside [1, 4]")
         if self.products != canonical_sop(self.products, self.arity):
@@ -127,6 +130,7 @@ class GateSpec:
         for count in (self.pmos, self.nmos):
             if count is not None and count < 1:
                 raise GateError(f"{self.name}: transistor counts must be >= 1")
+        return self
 
     @cached_property
     def table(self) -> Tuple[int, ...]:

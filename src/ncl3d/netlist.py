@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gates import GateError, eval_sop, spec_from_name
 
@@ -72,8 +71,7 @@ class DR(Enum):
         return 1 if self is DR.DATA1 else 0
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(NamedTuple):
     """A dual-rail port: a name bound to its two rail nets.
 
     Input ports always use the canonical ``name.1``/``name.0`` rails (they
@@ -98,8 +96,7 @@ def port(name: str) -> Port:
     return Port(name, f"{name}.1", f"{name}.0")
 
 
-@dataclass(frozen=True)
-class GateInst:
+class GateInst(NamedTuple):
     """One gate instance: type name, instance name, input nets, output net."""
 
     kind: str
@@ -108,8 +105,7 @@ class GateInst:
     out: str
 
 
-@dataclass(frozen=True)
-class Defect:
+class Defect(NamedTuple):
     """One structural rule violation found by validate()."""
 
     code: str
@@ -375,8 +371,7 @@ def output_word(netlist: Netlist, values: Mapping[str, int]) -> Dict[str, DR]:
     return {p.name: port_value(values, p) for p in netlist.outputs}
 
 
-@dataclass(frozen=True)
-class ICViolation:
+class ICViolation(NamedTuple):
     """Outputs completed a wavefront before the inputs did."""
 
     direction: str               # "null-to-data" or "data-to-null"
@@ -389,8 +384,7 @@ class ICViolation:
                 f"of vector {word} already complete all outputs")
 
 
-@dataclass(frozen=True)
-class ObsViolation:
+class ObsViolation(NamedTuple):
     """A gate whose transitions never reach a primary output."""
 
     gate: str

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 try:
     # the interpreter's own SHA-256: hashlib would load OpenSSL, about 3 MB
@@ -33,10 +33,10 @@ except ImportError:
 
 from .gates import GateSpec, spec_from_name, transistor_counts
 from .netlist import Netlist
-from .refdata import ReferenceTable, load_reference
 
-if TYPE_CHECKING:  # the circuit rollup imports these itself, so gate figures skip them
+if TYPE_CHECKING:  # the circuit rollup and calibrate import these themselves
     from .pipeline import PipelineSystem
+    from .refdata import ReferenceTable
     from .sim import DelayAssignment, Report, Trace
 
 LN2 = math.log(2.0)
@@ -184,8 +184,7 @@ class Scenario(Enum):
     INPUT_TO_NODE = "input_to_node"    # input pin branch
 
 
-@dataclass(frozen=True)
-class WireRC:
+class WireRC(NamedTuple):
     r: float             # Ohm
     c: float             # fF
     includes_miv: bool
@@ -406,8 +405,7 @@ def gate_area(kind: Union[str, GateSpec], tech: TechParams, cal: Calibration,
     return max(p, n) * cal.a_unit + miv_count(spec) * cal.a_miv_eff
 
 
-@dataclass(frozen=True)
-class PpaReport:
+class PpaReport(NamedTuple):
     t_d: float      # ps
     t_s: float      # ps
     power: float    # uW
@@ -554,6 +552,7 @@ def calibrate(tech: Optional[TechParams] = None,
     from scipy.optimize import least_squares
 
     from .pipeline import build_pipeline
+    from .refdata import load_reference
     from .sim import simulate
 
     tech = tech or default_tech()
@@ -779,8 +778,7 @@ def circuit_ppa(cl: Netlist, trace: Trace, tech: TechParams, cal: Calibration,
     )
 
 
-@dataclass(frozen=True)
-class CircuitResult:
+class CircuitResult(NamedTuple):
     ppa: PpaReport
     metrics: Report
     trace: Trace
@@ -819,14 +817,13 @@ def ppa_jobs(cl: Netlist, vectors: Sequence, tech: TechParams, cal: Calibration,
              forms: Sequence[Tuple[str, float]]) -> list:
     """One job for ``forkmap.fork_map`` per (mode, alpha) in ``forms``: the
     fields of ``evaluate_circuit(...).ppa``, which ``PpaReport(*row)`` takes."""
-    return [lambda m=m, a=a: astuple(evaluate_circuit(cl, vectors, tech, cal, m, a).ppa)
+    return [lambda m=m, a=a: tuple(evaluate_circuit(cl, vectors, tech, cal, m, a).ppa)
             for m, a in forms]
 
 
 # ------------------------------------------------------------------- sweeps
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     alpha: float
     improvements: Mapping[str, float]              # percent, 2D baseline
     per_gate: Mapping[str, Mapping[str, float]]    # empty for circuit sweeps

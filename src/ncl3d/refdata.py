@@ -6,23 +6,20 @@ and circuit-level figures for the width-4 multiplier.  Calibration fits
 the analytical model against the 2D rows and the improvement columns.
 """
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, Mapping
+from typing import Dict, Mapping, NamedTuple
 
 from .gates import STUDY_GATES
 
 
-@dataclass(frozen=True)
-class GateRow:
+class GateRow(NamedTuple):
     t_d: float        # ps
     t_s: float        # ps
     power: float      # uW
     area: float       # um^2
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
+class ReferenceTable(NamedTuple):
     alpha: float
     gates_2d: Mapping[str, GateRow]
     gates_m3d: Mapping[str, GateRow]

@@ -57,7 +57,7 @@ from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from .gates import spec_from_name
 from .netlist import FormatError, Netlist
@@ -116,8 +116,7 @@ class DelayAssignment:
         return cls(per_gate={n: rng.randint(lo, hi) for n in names})
 
 
-@dataclass(frozen=True)
-class Wave:
+class Wave(NamedTuple):
     """One DATA/NULL round trip observed at the primary outputs."""
 
     index: int
@@ -200,8 +199,7 @@ class Trace:
         return [w.value for w in self.waves]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     forward_latencies: Tuple[int, ...]
     worst_forward_latency: Optional[int]
     cycle_times: Tuple[int, ...]
@@ -473,8 +471,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                  completed=True, vector_count=len(vectors), net_class=dict(system.net_class))
 
 
-@dataclass(frozen=True)
-class DIReport:
+class DIReport(NamedTuple):
     passed: bool
     n_trials: int
     words: Tuple[int, ...]

@@ -9,8 +9,7 @@ compact carry/sum threshold-gate full adder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .boolnet import BoolNetlist
 from .gates import spec_from_name
@@ -83,8 +82,7 @@ def expand_dual_rail(bnl: BoolNetlist) -> Netlist:
 
 # -- array multiplier ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _AdderCell:
+class _AdderCell(NamedTuple):
     """One reduction cell of the array: a half or full adder."""
 
     kind: str  # "HA" or "FA"
@@ -220,8 +218,7 @@ def build_array_multiplier(
     return nl
 
 
-@dataclass(frozen=True)
-class TransistorCount:
+class TransistorCount(NamedTuple):
     pmos: int
     nmos: int
 

@@ -14,6 +14,7 @@ and picking trials by their delays, drawn from the same
 ``random.Random(seed)`` stream.  Every test also checks that no child
 process is left behind.
 """
+import marshal
 import mmap
 import os
 import random
@@ -428,3 +429,27 @@ def test_multiplier_demo_forks_once(monkeypatch, capsys, cpus, system, failures)
     assert main(argv) == (1 if failures else 0)
     assert capsys.readouterr().out == serial
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("failures", [{2: "words"}, {1: "raise"}], ids=str)
+def test_multiplier_demo_results_survive_marshal(monkeypatch, capsys, cpus, system, failures):
+    """A child sends its results with marshal.  A result marshal cannot
+    write, such as a record (a tuple subclass), makes the send fail, and
+    fork_map then quietly runs the child's share again in the parent."""
+    inject(monkeypatch, system, 4, 5, failures)
+    results = []
+
+    def recording_fork_map(jobs, stop=lambda result: False):
+        results.extend(fork_map(jobs, stop))
+        return list(results)
+
+    monkeypatch.setattr(forkmap, "fork_map", recording_fork_map)
+    cpus(1)
+    assert main(["multiplier-demo", "--width", "2", "--trials", "4", "--seed", "5"]) == 1
+    capsys.readouterr()
+    words, flat, fold, *outcomes = results
+    assert len(words) == 16 and len(flat) == len(fold) == 6
+    assert None in outcomes and isinstance(outcomes[-1], str)
+    for result in results:
+        back = marshal.loads(marshal.dumps(result))
+        assert back == result and type(back) is type(result)

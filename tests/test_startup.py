@@ -5,9 +5,10 @@ Importing ncl3d runs none of its submodules; each public name resolves on
 first use.  These tests pin what that must not change: every name the
 package exported when it imported all its modules still resolves to the
 same object, ``check`` never runs the model, simulator or synthesis
-modules, ``gate-report`` never runs the simulator or pipeline, the
-commands that fork workers load no process pool, and the harness's
-set-up and traced children still work.
+modules and never imports ``dataclasses``, ``inspect`` or ``json``,
+``gate-report`` never runs the simulator or pipeline, only calibration
+reads the reference table, the commands that fork workers load no process
+pool, and the harness's set-up and traced children still work.
 """
 import json
 import os
@@ -49,7 +50,9 @@ EAGER_EXPORTS = {
 EXPORTS = [(m, name) for m, names in EAGER_EXPORTS.items() for name in names.split()]
 
 # Runs `python -m ncl3d ARG...` as -m does, and writes to stderr the name of
-# every ncl3d module whose body executes, however it was loaded.
+# every ncl3d module whose body executes, however it was loaded, and of every
+# other module the command added to sys.modules (so not those that site hooks
+# load).  ncl3d's own submodules sit there as lazy stubs, hence the hook.
 PROBE = """
 import os, runpy, sys
 def hook(event, args):
@@ -59,7 +62,12 @@ def hook(event, args):
         if os.path.basename(folder) == "ncl3d":
             sys.stderr.write("executed ncl3d." + name[:-3] + "\\n")
 sys.addaudithook(hook)
-runpy.run_module("ncl3d", run_name="__main__", alter_sys=True)
+before = set(sys.modules)
+try:
+    runpy.run_module("ncl3d", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.writelines(f"imported {m}\\n" for m in set(sys.modules) - before
+                          if m.split(".")[0] != "ncl3d")
 """
 HEAVY = {"ncl3d.ppa", "ncl3d.sim", "ncl3d.synth", "ncl3d.pipeline", "ncl3d.boolnet",
          "ncl3d.refdata"}
@@ -89,13 +97,18 @@ def child_env():
     return env
 
 
+def probe(tmp_path, *argv):
+    return subprocess.run([sys.executable, "-X", "importtime", "-c", PROBE, *argv],
+                          capture_output=True, text=True, cwd=str(tmp_path), env=child_env())
+
+
 def run_probed(tmp_path, *argv):
-    """Exit code, stdout and the ncl3d modules a fresh `ncl3d ARG...` ran,
-    as seen both by -X importtime and by the probe's audit hook."""
-    run = subprocess.run([sys.executable, "-X", "importtime", "-c", PROBE, *argv],
-                         capture_output=True, text=True, cwd=str(tmp_path), env=child_env())
+    """Exit code, stdout and the modules a fresh `ncl3d ARG...` ran: the
+    ncl3d ones seen by -X importtime or the probe's audit hook, and every
+    other module it imported."""
+    run = probe(tmp_path, *argv)
     imported = re.findall(r"^import time:.*\| +(ncl3d\S*)$", run.stderr, re.M)
-    executed = re.findall(r"^executed (\S+)$", run.stderr, re.M)
+    executed = re.findall(r"^(?:executed|imported) (\S+)$", run.stderr, re.M)
     return run.returncode, run.stdout, set(imported) | set(executed)
 
 
@@ -105,6 +118,10 @@ def test_check_runs_no_model_simulator_or_synthesis_module(tmp_path):
     assert code == 0 and out.splitlines()[-1] == "result: PASS"
     assert {"ncl3d.cli", "ncl3d.gates", "ncl3d.netlist"} <= loaded
     assert loaded & (HEAVY | {"ncl3d.forkmap"}) == set()
+    # records are NamedTuples and only --out loads json: dataclasses alone
+    # costs about 13 ms, as it loads inspect
+    assert "argparse" in loaded
+    assert loaded & {"dataclasses", "inspect", "json"} == set()
 
 
 def test_simulate_runs_no_synthesis_module(tmp_path):
@@ -113,14 +130,15 @@ def test_simulate_runs_no_synthesis_module(tmp_path):
     code, out, loaded = run_probed(tmp_path, "simulate", "mult2.ncl", "v.txt", "--mode", "M3D")
     assert code == 0 and "words: 0 1 9" in out
     assert {"ncl3d.sim", "ncl3d.ppa"} <= loaded
-    assert loaded & {"ncl3d.synth", "ncl3d.boolnet"} == set()
+    assert loaded & {"ncl3d.synth", "ncl3d.boolnet", "ncl3d.refdata"} == set()
 
 
 def test_gate_report_runs_no_simulator_or_pipeline(tmp_path):
     code, out, loaded = run_probed(tmp_path, "gate-report", "TH22", "--alpha", "0.7")
     assert code == 0 and "TH22" in out
-    assert {"ncl3d.ppa", "ncl3d.refdata"} <= loaded
-    assert loaded & {"ncl3d.sim", "ncl3d.pipeline", "ncl3d.synth", "ncl3d.boolnet"} == set()
+    assert "ncl3d.ppa" in loaded
+    assert loaded & {"ncl3d.sim", "ncl3d.pipeline", "ncl3d.synth", "ncl3d.boolnet",
+                     "ncl3d.refdata"} == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -129,12 +147,13 @@ def test_gate_report_runs_no_simulator_or_pipeline(tmp_path):
 ], ids=lambda argv: argv[0])
 def test_forked_evaluations_load_no_process_pool(tmp_path, argv):
     """The DI trials and the paired evaluations fork the warm process;
-    a process pool would cost more start-up than they save."""
-    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "ncl3d", *argv],
-                         capture_output=True, text=True, cwd=str(tmp_path), env=child_env())
+    a process pool would cost more start-up than they save.  Neither
+    command calibrates, so neither reads the reference table."""
+    run = probe(tmp_path, *argv)
     assert run.returncode == 0, run.stderr[-400:]
     imported = set(re.findall(r"^import time:.*\| +(\S+)$", run.stderr, re.M))
     assert "ncl3d.forkmap" in imported
+    assert "ncl3d.refdata" not in re.findall(r"^executed (\S+)$", run.stderr, re.M)
     assert {m for m in imported
             if m.split(".")[0] in ("multiprocessing", "concurrent")} == set()
 
