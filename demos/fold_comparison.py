@@ -9,10 +9,11 @@ from ncl3d import (
     default_calibration,
     default_tech,
     evaluate_circuit,
-    gate_improvements,
     gate_ppa,
     operand_bits,
+    sweep_alpha,
 )
+from ncl3d.ppa import improvement_pct
 
 ALPHA = 0.7
 tech = default_tech()
@@ -33,11 +34,9 @@ for name in STUDY_GATES:
 print()
 print("average improvement from folding, by alpha")
 print(f"{'alpha':>5} {'t_d %':>6} {'t_s %':>6} {'power %':>8} {'area %':>7}")
-for alpha in (0.8, 0.7, 0.6):
-    rows = [gate_improvements(n, tech, cal, alpha) for n in STUDY_GATES]
-    avg = {m: sum(r[m] for r in rows) / len(rows)
-           for m in ("t_d", "t_s", "power", "area")}
-    print(f"{alpha:>5.1f} {avg['t_d']:>6.1f} {avg['t_s']:>6.1f} "
+for row in sweep_alpha(STUDY_GATES, (0.8, 0.7, 0.6), tech, cal):
+    avg = row.improvements
+    print(f"{row.alpha:>5.1f} {avg['t_d']:>6.1f} {avg['t_s']:>6.1f} "
           f"{avg['power']:>8.1f} {avg['area']:>7.1f}")
 print("deeper folds shorten wires; area depends only on the fold itself")
 
@@ -51,6 +50,6 @@ print(f"{'mode':<4} {'t_d ps':>8} {'t_s ps':>8} {'power uW':>9} {'area um2':>9}"
 for r in (flat, fold):
     print(f"{r.mode:<4} {r.t_d:>8.0f} {r.t_s:>8.0f} "
           f"{r.power:>9.2f} {r.area:>9.4f}")
+pct = improvement_pct(flat, fold)
 for m in ("area", "t_d", "t_s", "power"):
-    pct = 100.0 * (1.0 - getattr(fold, m) / getattr(flat, m))
-    print(f"{m:<5} improvement: {pct:.1f}%")
+    print(f"{m:<5} improvement: {pct[m]:.1f}%")

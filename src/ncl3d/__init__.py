@@ -35,8 +35,7 @@ _EXPORTS = {
     "ppa": ("Calibration", "CalibrationError", "CircuitResult", "PpaError", "PpaReport",
             "Scenario", "SweepRow", "TechParams", "WireRC", "calibrate",
             "circuit_delay_assignment", "circuit_ppa", "default_calibration",
-            "default_tech", "evaluate_circuit", "gate_area", "gate_capacitance",
-            "gate_delay_skew", "gate_improvements", "gate_power", "gate_ppa",
+            "default_tech", "evaluate_circuit", "gate_improvements", "gate_ppa",
             "load_calibration", "load_tech", "miv_count", "save_calibration",
             "save_tech", "sweep_alpha", "wire_parasitics"),
 }

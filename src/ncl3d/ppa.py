@@ -10,6 +10,12 @@ response, skew is a fixed fraction of delay, power splits into an
 activity-driven dynamic term and a per-transistor leak, and area is a
 transistor-count model with a via adder for the folded form.
 
+:func:`gate_ppa` is the one pricing path per gate: it returns all four
+figures from one RC step, the worst wire resistance and the switched
+capacitance.  Every entry that takes a form checks it one way: the mode
+is ``2D`` or ``M3D``, the fold ratio ``alpha`` lies in (0, 1] in either
+mode, and a 2D form reports alpha 1.0.
+
 Free coefficients come from :func:`calibrate`, which fits the bundled
 reference measurements.  Units throughout: nm for drawn lengths, Ohm,
 fF (C_int is fF/mm), ps, uW, um^2, MHz, volts.
@@ -32,7 +38,7 @@ except ImportError:
     from hashlib import sha256
 
 from .gates import GateSpec, spec_from_name, transistor_counts
-from .netlist import Netlist
+from .netlist import GateInst, Netlist
 
 if TYPE_CHECKING:  # the circuit rollup and calibrate import these themselves
     from .pipeline import PipelineSystem
@@ -55,11 +61,14 @@ class CalibrationError(PpaError):
     """The model cannot reproduce the reference data it was fit against."""
 
 
-def _norm_mode(mode: str) -> str:
+def _form(mode: str, alpha: float) -> Tuple[str, float]:
+    """The checked (mode, alpha) of one implementation; 2D reports alpha 1.0."""
     m = str(mode).upper()
     if m not in MODES:
         raise PpaError(f"unknown mode {mode!r}, expected one of {MODES}")
-    return m
+    if not 0.0 < alpha <= 1.0:
+        raise PpaError(f"fold ratio alpha={alpha} outside (0, 1]")
+    return m, 1.0 if m == "2D" else float(alpha)
 
 
 def _finite(value) -> bool:
@@ -69,12 +78,6 @@ def _finite(value) -> bool:
         return math.isfinite(value)
     except (OverflowError, TypeError):
         return False
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha <= 1.0:
-        raise PpaError(f"fold ratio alpha={alpha} outside (0, 1]")
-    return float(alpha)
 
 
 # --------------------------------------------------------------- technology
@@ -200,8 +203,7 @@ def wire_parasitics(scenario: Scenario, tech: TechParams, mode: str = "2D",
     inter-tier via.  Via counts: one for supply, ground, and input branches,
     two for the landed output net.
     """
-    mode = _norm_mode(mode)
-    _check_alpha(alpha)
+    mode, alpha = _form(mode, alpha)
     if route_fraction <= 0.0:
         raise PpaError(f"route_fraction must be positive, got {route_fraction}")
     if scenario in (Scenario.VDD_TO_NODE, Scenario.NODE_TO_GND):
@@ -278,18 +280,10 @@ class Calibration:
                     raise PpaError(f"{label}[{kind}] must be finite")
 
     def r_drive_for(self, kind: str) -> float:
-        if kind in self.r_drive:
-            return self.r_drive[kind]
-        if not self.r_drive:
-            raise PpaError("calibration carries no drive resistances")
-        return sum(self.r_drive.values()) / len(self.r_drive)
+        return _per_type(self.r_drive, kind, "drive resistances")
 
     def activity_for(self, kind: str) -> float:
-        if kind in self.activity_mhz:
-            return self.activity_mhz[kind]
-        if not self.activity_mhz:
-            raise PpaError("calibration carries no activity figures")
-        return sum(self.activity_mhz.values()) / len(self.activity_mhz)
+        return _per_type(self.activity_mhz, kind, "activity figures")
 
     def to_dict(self) -> Dict[str, object]:
         doc: Dict[str, object] = {}
@@ -300,6 +294,15 @@ class Calibration:
 
     def digest(self) -> str:
         return _digest(self.to_dict())
+
+
+def _per_type(table: Mapping[str, float], kind: str, noun: str) -> float:
+    """``table[kind]``, or the average over the table for an unlisted type."""
+    if kind in table:
+        return table[kind]
+    if not table:
+        raise PpaError(f"calibration carries no {noun}")
+    return sum(table.values()) / len(table)
 
 
 def dump_calibration(cal: Calibration) -> str:
@@ -339,70 +342,40 @@ def _wires(tech: TechParams, mode: str, alpha: float,
             for s in Scenario}
 
 
-def _cap_total(spec: GateSpec, tech: TechParams, mode: str, alpha: float,
-               route_fraction: float, c_dev: float,
-               load: Optional[float]) -> float:
-    """Switched capacitance: devices, all four wire classes, output load."""
+def _rc(spec: GateSpec, tech: TechParams, mode: str, alpha: float,
+        route_fraction: float, c_dev: float,
+        load: Optional[float] = None) -> Tuple[float, float]:
+    """(worst wire resistance in Ohm, switched capacitance in fF) of one gate.
+
+    The capacitance counts the devices, all four wire classes and the output
+    load: ``load``, or the pin default.
+    """
     w = _wires(tech, mode, alpha, route_fraction)
     c = c_dev * spec.max_stack
     c += w[Scenario.VDD_TO_NODE].c + w[Scenario.NODE_TO_GND].c
     c += w[Scenario.NODE_TO_NODE].c + spec.arity * w[Scenario.INPUT_TO_NODE].c
     c += tech.C_load if load is None else load
-    return c
+    return max(x.r for x in w.values()), c
 
 
-def _worst_wire_r(tech: TechParams, mode: str, alpha: float,
-                  route_fraction: float) -> float:
-    return max(w.r for w in _wires(tech, mode, alpha, route_fraction).values())
+def _delay(spec: GateSpec, tech: TechParams, cal: Calibration, mode: str,
+           alpha: float, load: Optional[float] = None) -> Tuple[float, float]:
+    """(propagation delay in ps, switched capacitance in fF): the ln(2)*R*C
+    step response through the gate's drive and its worst wire."""
+    r, c = _rc(spec, tech, mode, alpha, cal.route_fraction, cal.c_dev, load)
+    return LN2 * (cal.r_drive_for(spec.name) + r) * c * 1e-3, c
+
+
+def _area(spec: GateSpec, cal: Calibration, mode: str) -> float:
+    """Footprint in um^2. Folding stacks the smaller device plane on top."""
+    p, n = transistor_counts(spec)
+    if mode == "2D":
+        return (p + n) * cal.a_unit
+    return max(p, n) * cal.a_unit + miv_count(spec) * cal.a_miv_eff
 
 
 def _as_spec(kind: Union[str, GateSpec]) -> GateSpec:
     return kind if isinstance(kind, GateSpec) else spec_from_name(kind)
-
-
-def gate_capacitance(kind: Union[str, GateSpec], tech: TechParams,
-                     cal: Calibration, mode: str = "2D", alpha: float = 1.0,
-                     load: Optional[float] = None) -> float:
-    """Total switched capacitance in fF. ``load`` overrides the pin default."""
-    spec = _as_spec(kind)
-    return _cap_total(spec, tech, _norm_mode(mode), _check_alpha(alpha),
-                      cal.route_fraction, cal.c_dev, load)
-
-
-def gate_delay_skew(kind: Union[str, GateSpec], tech: TechParams,
-                    cal: Calibration, mode: str = "2D", alpha: float = 1.0,
-                    load: Optional[float] = None) -> Tuple[float, float]:
-    """(propagation delay, output skew) in ps for one gate type."""
-    spec = _as_spec(kind)
-    mode = _norm_mode(mode)
-    alpha = _check_alpha(alpha)
-    c = _cap_total(spec, tech, mode, alpha, cal.route_fraction, cal.c_dev, load)
-    r = cal.r_drive_for(spec.name) + _worst_wire_r(tech, mode, alpha,
-                                                   cal.route_fraction)
-    t_d = LN2 * r * c * 1e-3
-    return t_d, cal.k_skew * t_d
-
-
-def gate_power(kind: Union[str, GateSpec], tech: TechParams, cal: Calibration,
-               mode: str = "2D", alpha: float = 1.0,
-               load: Optional[float] = None,
-               activity_mhz: Optional[float] = None) -> float:
-    """Average power in uW: activity-weighted dynamic term plus leak."""
-    spec = _as_spec(kind)
-    c = gate_capacitance(spec, tech, cal, mode, alpha, load)
-    act = cal.activity_for(spec.name) if activity_mhz is None else activity_mhz
-    n_t = sum(transistor_counts(spec))
-    return act * c * tech.V_DD ** 2 * 1e-3 + n_t * cal.p_leak_per_t
-
-
-def gate_area(kind: Union[str, GateSpec], tech: TechParams, cal: Calibration,
-              mode: str = "2D") -> float:
-    """Footprint in um^2. Folding stacks the smaller device plane on top."""
-    spec = _as_spec(kind)
-    p, n = transistor_counts(spec)
-    if _norm_mode(mode) == "2D":
-        return (p + n) * cal.a_unit
-    return max(p, n) * cal.a_unit + miv_count(spec) * cal.a_miv_eff
 
 
 class PpaReport(NamedTuple):
@@ -416,14 +389,17 @@ class PpaReport(NamedTuple):
 
 def gate_ppa(kind: Union[str, GateSpec], tech: TechParams, cal: Calibration,
              mode: str = "2D", alpha: float = 1.0) -> PpaReport:
-    mode = _norm_mode(mode)
-    alpha = 1.0 if mode == "2D" else _check_alpha(alpha)
-    t_d, t_s = gate_delay_skew(kind, tech, cal, mode, alpha)
+    """Delay and skew in ps, average power in uW (activity-weighted dynamic
+    term plus leak) and footprint in um^2 of one gate type in one form."""
+    mode, alpha = _form(mode, alpha)
+    spec = _as_spec(kind)
+    t_d, c = _delay(spec, tech, cal, mode, alpha)
+    n_t = sum(transistor_counts(spec))
     return PpaReport(
         t_d=t_d,
-        t_s=t_s,
-        power=gate_power(kind, tech, cal, mode, alpha),
-        area=gate_area(kind, tech, cal, mode),
+        t_s=cal.k_skew * t_d,
+        power=cal.activity_for(spec.name) * c * tech.V_DD ** 2 * 1e-3 + n_t * cal.p_leak_per_t,
+        area=_area(spec, cal, mode),
         mode=mode,
         alpha=alpha,
     )
@@ -459,19 +435,17 @@ _CDEV_BOUNDS = (0.05, 10.0)
 def _fit_r_drive(spec: GateSpec, t_d2: float, tech: TechParams,
                  route_fraction: float, c_dev: float) -> float:
     """Drive resistance that reproduces the 2D delay exactly."""
-    c2 = _cap_total(spec, tech, "2D", 1.0, route_fraction, c_dev, None)
-    return t_d2 * 1e3 / (LN2 * c2) - _worst_wire_r(tech, "2D", 1.0, route_fraction)
+    r, c2 = _rc(spec, tech, "2D", 1.0, route_fraction, c_dev)
+    return t_d2 * 1e3 / (LN2 * c2) - r
 
 
 def _delay_improvement(spec: GateSpec, r_drive: float, tech: TechParams,
                        alpha: float, route_fraction: float, c_dev: float,
                        load2: Optional[float] = None,
                        load3: Optional[float] = None) -> float:
-    c2 = _cap_total(spec, tech, "2D", 1.0, route_fraction, c_dev, load2)
-    c3 = _cap_total(spec, tech, "M3D", alpha, route_fraction, c_dev, load3)
-    r2 = r_drive + _worst_wire_r(tech, "2D", 1.0, route_fraction)
-    r3 = r_drive + _worst_wire_r(tech, "M3D", alpha, route_fraction)
-    return 1.0 - (r3 * c3) / (r2 * c2)
+    r2, c2 = _rc(spec, tech, "2D", 1.0, route_fraction, c_dev, load2)
+    r3, c3 = _rc(spec, tech, "M3D", alpha, route_fraction, c_dev, load3)
+    return 1.0 - ((r_drive + r3) * c3) / ((r_drive + r2) * c2)
 
 
 def _study_improvements(tech: TechParams, table: ReferenceTable, alpha: float,
@@ -495,32 +469,33 @@ def _segment_cap(tech: TechParams, mode: str, alpha: float,
     return c
 
 
-def _switched_cap(cl: Netlist, trace: Trace, tech: TechParams, mode: str, alpha: float,
-                  route_fraction: float, c_dev: float, net_route_factor: float) -> float:
-    """Capacitance the gates of ``cl`` switch per wave, in fF: each gate's
+def _instance_rows(cl: Netlist) -> List[Tuple[GateInst, GateSpec, int]]:
+    """(instance, spec, fanout of at least 1) for each gate of ``cl``."""
+    return [(g, spec_from_name(g.kind), max(1, cl.fanout(g.out))) for g in cl.gates]
+
+
+def _switched_cap(rows: Sequence[Tuple[GateInst, GateSpec, int]], trace: Trace,
+                  tech: TechParams, mode: str, alpha: float, route_fraction: float,
+                  c_dev: float, net_route_factor: float) -> float:
+    """Capacitance the gates of ``rows`` switch per wave, in fF: each gate's
     load times its output transitions per DATA/NULL round trip."""
     counts = trace.transition_counts()
     seg = _segment_cap(tech, mode, alpha, net_route_factor)
     total = 0.0
-    for g in cl.gates:
-        c = _cap_total(spec_from_name(g.kind), tech, mode, alpha, route_fraction, c_dev,
-                       max(1, cl.fanout(g.out)) * seg)
+    for g, spec, fanout in rows:
+        _, c = _rc(spec, tech, mode, alpha, route_fraction, c_dev, fanout * seg)
         total += counts.get(g.out, 0) / (2.0 * len(trace.waves)) * c
     return total
 
 
-def _instance_rows(cl: Netlist) -> List[Tuple[GateSpec, int]]:
-    return [(spec_from_name(g.kind), max(1, cl.fanout(g.out))) for g in cl.gates]
-
-
-def _avg_instance_improvement(rows: Sequence[Tuple[GateSpec, int]],
+def _avg_instance_improvement(rows: Sequence[Tuple[GateInst, GateSpec, int]],
                               r_drive: Mapping[str, float], tech: TechParams,
                               alpha: float, route_fraction: float,
                               c_dev: float, lam: float) -> float:
     seg2 = _segment_cap(tech, "2D", 1.0, lam)
     seg3 = _segment_cap(tech, "M3D", alpha, lam)
     total = 0.0
-    for spec, fanout in rows:
+    for _, spec, fanout in rows:
         total += _delay_improvement(spec, r_drive[spec.name], tech, alpha,
                                     route_fraction, c_dev,
                                     load2=fanout * seg2, load3=fanout * seg3)
@@ -638,16 +613,14 @@ def calibrate(tech: Optional[TechParams] = None,
         route_fraction=route_fraction, net_route_factor=1.0,
         test_rate_mhz=1.0, p_leak_per_t=1.0,
         r_drive=dict(r_drive), activity_mhz={n: 1.0 for n in names})
-    area_errs = []
-    for n in names:
-        got = gate_improvements(specs[n], tech, probe, alpha_ref)["area"]
-        area_errs.append(got - table.improvements_pct[n]["area"])
-        if abs(area_errs[-1]) > 5.0:
-            raise CalibrationError(
-                f"{n} fold area improvement off by {area_errs[-1]:.1f} points")
+    area_impr = [gate_improvements(specs[n], tech, probe, alpha_ref)["area"]
+                 for n in names]
+    for n, got in zip(names, area_impr):
+        err = got - table.improvements_pct[n]["area"]
+        if abs(err) > 5.0:
+            raise CalibrationError(f"{n} fold area improvement off by {err:.1f} points")
     avg_area = table.average_improvement_pct["area"]
-    got_avg = sum(gate_improvements(specs[n], tech, probe, alpha_ref)["area"]
-                  for n in names) / len(names)
+    got_avg = sum(area_impr) / len(names)
     if abs(got_avg - avg_area) > 3.0:
         raise CalibrationError(
             f"average fold area improvement {got_avg:.1f}% misses {avg_area}%")
@@ -682,7 +655,7 @@ def calibrate(tech: Optional[TechParams] = None,
     # run of the multiplier fixes the per-net activity
     trace = simulate(build_pipeline(cl, n_stages=1), vectors)
     v2 = tech.V_DD ** 2
-    d2, d3 = (_switched_cap(cl, trace, tech, mode, alpha, route_fraction, c_dev,
+    d2, d3 = (_switched_cap(rows, trace, tech, mode, alpha, route_fraction, c_dev,
                             net_route_factor) * v2 * 1e-3       # uW per MHz
               for mode, alpha in (("2D", 1.0), ("M3D", alpha_ref)))
     p2 = float(table.circuit["power_2d_uw"])
@@ -690,7 +663,7 @@ def calibrate(tech: Optional[TechParams] = None,
     if d2 <= d3:
         raise CalibrationError("folding does not reduce switched capacitance")
     test_rate_mhz = (p2 - p3) / (d2 - d3)
-    n_t_total = sum(sum(transistor_counts(spec_from_name(g.kind))) for g in cl.gates)
+    n_t_total = sum(sum(transistor_counts(spec)) for _, spec, _ in rows)
     p_leak_per_t = (p2 - test_rate_mhz * d2) / n_t_total
     if test_rate_mhz <= 0 or p_leak_per_t <= 0:
         raise CalibrationError(
@@ -701,7 +674,7 @@ def calibrate(tech: Optional[TechParams] = None,
     # per-type activity from the standalone 2D power rows
     activity = {}
     for n in names:
-        c2 = _cap_total(specs[n], tech, "2D", 1.0, route_fraction, c_dev, None)
+        _, c2 = _rc(specs[n], tech, "2D", 1.0, route_fraction, c_dev)
         leak = sum(transistor_counts(specs[n])) * p_leak_per_t
         act = (table.gates_2d[n].power - leak) * 1e3 / (c2 * v2)
         if act <= 0:
@@ -735,15 +708,13 @@ def circuit_delay_assignment(system: PipelineSystem, cl: Netlist,
     plumbing keeps the standalone pin load.
     """
     from .sim import DelayAssignment
-    mode = _norm_mode(mode)
-    alpha = 1.0 if mode == "2D" else _check_alpha(alpha)
+    mode, alpha = _form(mode, alpha)
     seg = _segment_cap(tech, mode, alpha, cal.net_route_factor)
-    fanout = {g.name: max(1, cl.fanout(g.out)) for g in cl.gates}
+    fanout = {g.name: n for g, _, n in _instance_rows(cl)}
     per: Dict[str, int] = {}
     for g in system.netlist.gates:
         load = fanout[g.name] * seg if g.name in fanout else None
-        t_d, _ = gate_delay_skew(spec_from_name(g.kind), tech, cal,
-                                 mode, alpha, load=load)
+        t_d, _ = _delay(spec_from_name(g.kind), tech, cal, mode, alpha, load)
         per[g.name] = max(1, round(t_d))
     return DelayAssignment(per_gate=per)
 
@@ -759,20 +730,19 @@ def circuit_ppa(cl: Netlist, trace: Trace, tech: TechParams, cal: Calibration,
     ``report`` if the caller has measured it already.
     """
     from .sim import measure
+    mode, alpha = _form(mode, alpha)
     rep = measure(trace) if report is None else report
-    mode = _norm_mode(mode)
-    alpha = 1.0 if mode == "2D" else _check_alpha(alpha)
     if rep.worst_forward_latency is None:
         raise PpaError("trace carries no completed waves to time")
-    p_dyn = _switched_cap(cl, trace, tech, mode, alpha, cal.route_fraction, cal.c_dev,
+    rows = _instance_rows(cl)
+    p_dyn = _switched_cap(rows, trace, tech, mode, alpha, cal.route_fraction, cal.c_dev,
                           cal.net_route_factor)
     p_dyn *= cal.test_rate_mhz * tech.V_DD ** 2 * 1e-3
-    specs = [spec_from_name(g.kind) for g in cl.gates]
     return PpaReport(
         t_d=float(rep.worst_forward_latency),
         t_s=float(rep.worst_output_skew),
-        power=p_dyn + sum(sum(transistor_counts(s)) for s in specs) * cal.p_leak_per_t,
-        area=sum(gate_area(s, tech, cal, mode) for s in specs),
+        power=p_dyn + sum(sum(transistor_counts(s)) for _, s, _ in rows) * cal.p_leak_per_t,
+        area=sum(_area(s, cal, mode) for _, s, _ in rows),
         mode=mode,
         alpha=alpha,
     )
@@ -787,14 +757,13 @@ class CircuitResult(NamedTuple):
 def evaluate_circuit(cl: Netlist, vectors: Sequence,
                      tech: Optional[TechParams] = None,
                      cal: Optional[Calibration] = None,
-                     mode: str = "2D", alpha: float = 1.0,
-                     n_stages: int = 1) -> CircuitResult:
+                     mode: str = "2D", alpha: float = 1.0) -> CircuitResult:
     """Pipeline, simulate, and price one implementation of ``cl``."""
     from .pipeline import build_pipeline
     from .sim import measure, simulate
     tech = tech or default_tech()
     cal = cal or default_calibration()
-    system = build_pipeline(cl, n_stages=n_stages)
+    system = build_pipeline(cl)
     delays = circuit_delay_assignment(system, cl, tech, cal, mode, alpha)
     trace = simulate(system, vectors, delays)
     rep = measure(trace)
@@ -816,9 +785,10 @@ def evaluate_circuits(cl: Netlist, vectors: Sequence, tech: TechParams,
 def ppa_jobs(cl: Netlist, vectors: Sequence, tech: TechParams, cal: Calibration,
              forms: Sequence[Tuple[str, float]]) -> list:
     """One job for ``forkmap.fork_map`` per (mode, alpha) in ``forms``: the
-    fields of ``evaluate_circuit(...).ppa``, which ``PpaReport(*row)`` takes."""
+    fields of ``evaluate_circuit(...).ppa``, which ``PpaReport(*row)`` takes.
+    Each form is checked here, before any job runs."""
     return [lambda m=m, a=a: tuple(evaluate_circuit(cl, vectors, tech, cal, m, a).ppa)
-            for m, a in forms]
+            for m, a in (_form(*f) for f in forms)]
 
 
 # ------------------------------------------------------------------- sweeps
@@ -841,7 +811,7 @@ def sweep_alpha(target: Union[Sequence[str], Netlist],
     """
     tech = tech or default_tech()
     cal = cal or default_calibration()
-    order = sorted({_check_alpha(a) for a in alphas}, reverse=True)
+    order = sorted({_form("M3D", a)[1] for a in alphas}, reverse=True)
     if not order:
         raise PpaError("no fold ratios to sweep")
     rows: List[SweepRow] = []

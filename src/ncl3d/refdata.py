@@ -3,7 +3,8 @@
 The package ships one reference table: per-gate 2D and M3D delay, skew,
 power, and area, the claimed percentage improvements, their averages,
 and circuit-level figures for the width-4 multiplier.  Calibration fits
-the analytical model against the 2D rows and the improvement columns.
+the analytical model against the 2D rows and the improvement columns, so
+the table loads those and leaves the file's M3D rows unread.
 """
 import json
 from importlib import resources
@@ -22,7 +23,6 @@ class GateRow(NamedTuple):
 class ReferenceTable(NamedTuple):
     alpha: float
     gates_2d: Mapping[str, GateRow]
-    gates_m3d: Mapping[str, GateRow]
     improvements_pct: Mapping[str, Mapping[str, float]]
     average_improvement_pct: Mapping[str, float]
     circuit: Mapping[str, object]
@@ -45,7 +45,6 @@ def load_reference() -> ReferenceTable:
     return ReferenceTable(
         alpha=float(raw["alpha"]),
         gates_2d=_rows(gates, "d2"),
-        gates_m3d=_rows(gates, "m3d"),
         improvements_pct={n: dict(e["improvement_pct"]) for n, e in gates.items()},
         average_improvement_pct=dict(raw["average_improvement_pct"]),
         circuit=dict(raw["circuit"]),

@@ -111,9 +111,8 @@ class DelayAssignment:
                                  f"pairs of them, got {d!r}")
 
     @classmethod
-    def uniform_random(cls, names: Iterable[str], rng: random.Random,
-                       lo: int = 1, hi: int = 20) -> "DelayAssignment":
-        return cls(per_gate={n: rng.randint(lo, hi) for n in names})
+    def uniform_random(cls, names: Iterable[str], rng: random.Random) -> "DelayAssignment":
+        return cls(per_gate={n: rng.randint(1, 20) for n in names})
 
 
 class Wave(NamedTuple):
@@ -123,7 +122,6 @@ class Wave(NamedTuple):
     t_applied: int
     t_data_complete: int
     t_null_complete: int
-    bits: Mapping[str, int]
     value: int                       # bits packed LSB-first in output port order
     arrivals: Mapping[str, int]      # per-output time the bit turned DATA
 
@@ -176,7 +174,6 @@ class Trace:
     records: Records
     waves: List[Wave]
     completed: bool
-    vector_count: int
     net_class: Dict[str, str]
 
     def to_tsv(self) -> str:
@@ -343,7 +340,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     cons_phase = "data"           # what the consumer is waiting for
     t_applied: List[int] = []
     arrivals: Dict[str, int] = {}
-    pending: Optional[Tuple[int, int, int, Dict[str, int], int, Dict[str, int]]] = None
+    pending: Optional[Tuple[int, int, int, int, Dict[str, int]]] = None
 
     def run_env(t: int, push) -> None:
         """Act on the request and output rails at t, pushing events due at t."""
@@ -371,15 +368,14 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                 if out_class[o] == 1 and out_names[o] not in arrivals:
                     arrivals[out_names[o]] = t
             if class_count[1] == n_out:
-                bits = {n: values[r1] for n, (r1, _) in zip(out_names, out_rails)}
-                value = sum(b << i for i, b in enumerate(bits.values()))
-                pending = (len(waves), t_applied[len(waves)], t, bits, value, dict(arrivals))
+                value = sum(values[r1] << i for i, (r1, _) in enumerate(out_rails))
+                pending = (len(waves), t_applied[len(waves)], t, value, dict(arrivals))
                 arrivals.clear()
                 push(ev[ack][0])
                 cons_phase = "null"
         elif cons_phase == "null" and class_count[0] == n_out:
-            k, t0, t_data, bits, value, arr = pending
-            waves.append(Wave(k, t0, t_data, t, bits, value, arr))
+            k, t0, t_data, value, arr = pending
+            waves.append(Wave(k, t0, t_data, t, value, arr))
             pending = None
             push(ev[ack][1])
             cons_phase = "data"
@@ -468,7 +464,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
         raise DeadlockError(system.ack_net, "handshake never returned to idle")
 
     return Trace(records=Records(names, rec_events, rec_times), waves=waves,
-                 completed=True, vector_count=len(vectors), net_class=dict(system.net_class))
+                 completed=True, net_class=dict(system.net_class))
 
 
 class DIReport(NamedTuple):

@@ -449,6 +449,11 @@ OUTPUT_PINS = {
     "gate-report-all": (["gate-report", "all", "--out", "r.json"], 0,
         "2f8535102cb53eb8a1e6138e4fbbba9fa987c23c76293bebdb485184bccc3758",
         "ac390f435548ee214b48bed140e301e0a8ad9739866d8054794c12ead68cb26d"),
+    # gates without a reference row: drive and activity take the map average
+    "gate-report-fallback": (["gate-report", "TH12", "TH13", "TH23", "TH33", "TH44",
+                              "TH34w2", "--alpha", "0.6,0.8", "--out", "r.json"], 0,
+        "cb716a76d0aac30baf719d68bfe63dec79d5d8efa7b0c676871bff5a8bb120dc",
+        "3893fbc03ef0160c9e382975bd15613874ca8e311420a3fd4befc3877b955ce5"),
     "check-and2": (["check", "and2.ncl", "--out", "r.json"], 0,
         "ecf1144d24015298a675c9b253ef72caa7625b38d0941557a685ab6dcbcd5937",
         "ca5a22a56aac957c77947f338998c8e8c33b1ac087e24864f23086f52c207f77"),

@@ -1,7 +1,7 @@
 """Source hygiene: no module in the package, test file or demo script
-imports a name it never uses, and every function, method, class and
+imports a name it never uses, every function, method, class and
 module-level assignment the package defines is named somewhere besides
-its own definition.
+its own definition, and every NamedTuple field the package defines is read.
 
 Plain AST and text scans, so they need no linter.  The package's
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -102,6 +102,39 @@ def test_every_definition_is_used():
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     texts = [p.read_text(encoding="utf-8") for p in USERS]
     assert dead_definitions(modules, texts) == []
+
+
+def unread_fields(modules, texts):
+    """``Class.field`` for each field of a NamedTuple class in ``modules``
+    (name -> source) that no text in ``texts`` reads as ``.field`` or names
+    in quotes.  Dataclass fields are left out: ``TechParams`` reads its
+    fields only through ``dataclasses.fields()``."""
+    found = []
+    for source in modules.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+                    for b in node.bases):
+                found += [(node.name, stmt.target.id) for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)]
+    text = "\n".join(texts)
+    read = set(re.findall(r"\.(\w+)", text)) | set(re.findall(r"[\"'](\w+)[\"']", text))
+    return sorted(f"{cls}.{name}" for cls, name in found if name not in read)
+
+
+def test_unread_field_scan():
+    modules = {"m.py": ("class Row(typing.NamedTuple):\n    kept: int\n    quoted: int\n"
+                        "    stale: int\n    def f(self): return self.kept\n"
+                        "class Plain:\n    other: int\n")}
+    texts = list(modules.values()) + ["getattr(r, 'quoted')"]
+    assert unread_fields(modules, texts) == ["Row.stale"]
+
+
+def test_every_named_tuple_field_is_read():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    texts = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")) + SCRIPTS
+             + sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unread_fields(modules, texts) == []
 
 
 def process_calls(source: str):

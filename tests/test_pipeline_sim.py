@@ -363,7 +363,7 @@ def test_event_time_past_64_bits_is_a_simulation_error():
 
 def test_measure_requires_a_finished_trace():
     with pytest.raises(SimulationError):
-        measure(Trace([], [], False, 1, {}))
+        measure(Trace([], [], False, {}))
 
 
 # ------------------------------------------------------- delay insensitivity

@@ -7,7 +7,7 @@ model is required to hold.
 """
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -26,17 +26,14 @@ from ncl3d.ppa import (
     dump_tech,
     evaluate_circuit,
     evaluate_circuits,
-    gate_area,
-    gate_capacitance,
-    gate_delay_skew,
     gate_improvements,
-    gate_power,
     gate_ppa,
     load_calibration,
     load_tech,
     miv_count,
     parse_calibration,
     parse_tech,
+    ppa_jobs,
     sweep_alpha,
     wire_parasitics,
 )
@@ -298,30 +295,33 @@ def test_flat_gate_rows_reproduced(tech, cal, table):
         assert got.mode == "2D" and got.alpha == 1.0
 
 
-def test_gate_delay_formula(tech, cal):
-    # rebuild one delay from public pieces: ln2 * (Rdrive + worst wire R)
-    # * (device + wires + pin load) in fF gives ps after the 1e-3 scale
-    spec = spec_from_name("TH22")
-    rf = cal.route_fraction
-    wires = {s: wire_parasitics(s, tech, "2D", 1.0, rf) for s in Scenario}
+def flat_wires_and_cap(spec, tech, cal):
+    """The four 2D wire classes and the switched capacitance of ``spec``,
+    rebuilt from public pieces: devices, every wire class and the pin load."""
+    wires = {s: wire_parasitics(s, tech, "2D", 1.0, cal.route_fraction) for s in Scenario}
     c = (cal.c_dev * spec.max_stack
          + wires[Scenario.VDD_TO_NODE].c + wires[Scenario.NODE_TO_GND].c
          + wires[Scenario.NODE_TO_NODE].c
          + spec.arity * wires[Scenario.INPUT_TO_NODE].c
          + tech.C_load)
-    assert gate_capacitance("TH22", tech, cal) == pytest.approx(c, rel=1e-12)
+    return wires, c
+
+
+def test_gate_delay_formula(tech, cal):
+    # ln2 * (Rdrive + worst wire R) * C in fF gives ps after the 1e-3 scale
+    wires, c = flat_wires_and_cap(spec_from_name("TH22"), tech, cal)
     r = cal.r_drive["TH22"] + max(w.r for w in wires.values())
-    t_d, t_s = gate_delay_skew("TH22", tech, cal)
-    assert t_d == pytest.approx(math.log(2) * r * c * 1e-3, rel=1e-12)
-    assert t_s == pytest.approx(cal.k_skew * t_d, rel=1e-12)
+    got = gate_ppa("TH22", tech, cal)
+    assert got.t_d == pytest.approx(math.log(2) * r * c * 1e-3, rel=1e-12)
+    assert got.t_s == pytest.approx(cal.k_skew * got.t_d, rel=1e-12)
 
 
 def test_gate_power_split(tech, cal):
     spec = spec_from_name("TH24")
-    quiet = gate_power(spec, tech, cal, activity_mhz=1e-12)
+    quiet = gate_ppa(spec, tech, replace(cal, activity_mhz={"TH24": 1e-12})).power
     assert quiet == pytest.approx(26 * cal.p_leak_per_t, rel=1e-6)
-    busy = gate_power(spec, tech, cal, activity_mhz=100.0)
-    c = gate_capacitance(spec, tech, cal)
+    busy = gate_ppa(spec, tech, replace(cal, activity_mhz={"TH24": 100.0})).power
+    _, c = flat_wires_and_cap(spec, tech, cal)
     assert busy - quiet == pytest.approx(100.0 * c * 1.21 * 1e-3, rel=1e-6)
 
 
@@ -383,16 +383,48 @@ def test_degenerate_fold_gate_identity(tech, cal, table):
 def test_fold_area_always_smaller(tech, cal):
     for name in ("TH12", "TH22", "TH24", "TH34", "TH54w322", "THand0",
                  "TH24comp", "TH44"):
-        assert gate_area(name, tech, cal, "M3D") < gate_area(name, tech, cal, "2D")
+        assert gate_ppa(name, tech, cal, "M3D", 0.7).area < gate_ppa(name, tech, cal).area
 
 
-def test_gate_mode_validation(tech, cal):
+# Every public entry that takes a form, called on the context of
+# form_context; gate_improvements and sweep_alpha price folded forms only,
+# so they take an alpha alone.
+FORM_ENTRIES = {
+    "wire_parasitics": lambda c, m, a: wire_parasitics(Scenario.NODE_TO_NODE, c["tech"], m, a),
+    "gate_ppa": lambda c, m, a: gate_ppa("TH22", c["tech"], c["cal"], m, a),
+    "gate_improvements": lambda c, m, a: gate_improvements("TH22", c["tech"], c["cal"], a),
+    "circuit_delay_assignment": lambda c, m, a: circuit_delay_assignment(
+        c["system"], c["cl"], c["tech"], c["cal"], m, a),
+    "circuit_ppa": lambda c, m, a: circuit_ppa(c["cl"], c["trace"], c["tech"], c["cal"], m, a),
+    "evaluate_circuit": lambda c, m, a: evaluate_circuit(
+        c["cl"], c["vectors"], c["tech"], c["cal"], m, a),
+    "evaluate_circuits": lambda c, m, a: evaluate_circuits(
+        c["cl"], c["vectors"], c["tech"], c["cal"], [(m, a)]),
+    "ppa_jobs": lambda c, m, a: ppa_jobs(c["cl"], c["vectors"], c["tech"], c["cal"], [(m, a)]),
+    "sweep_alpha": lambda c, m, a: sweep_alpha(["TH22"], [a], c["tech"], c["cal"]),
+}
+FOLD_ONLY = {"gate_improvements", "sweep_alpha"}
+BAD_FORMS = [(entry, mode, alpha) for entry in FORM_ENTRIES
+             for mode, alpha in [("flat", 0.7), ("2D", 0.0), ("2D", -0.1), ("2D", 1.5),
+                                 ("M3D", 0.0), ("M3D", -0.1), ("M3D", 1.5)]
+             if entry not in FOLD_ONLY or mode == "M3D"]
+
+
+@pytest.fixture(scope="module")
+def form_context(tech, cal):
+    cl = build_array_multiplier(2)
+    vectors = [operand_bits(2, x, y) for x in range(4) for y in range(4)]
+    system = build_pipeline(cl)
+    return {"tech": tech, "cal": cal, "cl": cl, "vectors": vectors, "system": system,
+            "trace": simulate(system, vectors)}
+
+
+@pytest.mark.parametrize("entry,mode,alpha", BAD_FORMS,
+                         ids=[f"{e}-{m}-{a}" for e, m, a in BAD_FORMS])
+def test_every_entry_checks_its_form(form_context, entry, mode, alpha):
+    """Alpha lies in (0, 1] in either mode, and the mode is 2D or M3D."""
     with pytest.raises(PpaError):
-        gate_ppa("TH22", tech, cal, "flat")
-    with pytest.raises(PpaError):
-        gate_ppa("TH22", tech, cal, "M3D", 0.0)
-    with pytest.raises(PpaError):
-        gate_ppa("TH22", tech, cal, "M3D", 1.5)
+        FORM_ENTRIES[entry](form_context, mode, alpha)
 
 
 # ----------------------------------------------------------- circuit rollup

@@ -43,9 +43,9 @@ EAGER_EXPORTS = {
     "refdata": "ReferenceTable load_reference",
     "ppa": "Calibration CalibrationError CircuitResult PpaError PpaReport Scenario SweepRow "
            "TechParams WireRC calibrate circuit_delay_assignment circuit_ppa "
-           "default_calibration default_tech evaluate_circuit gate_area gate_capacitance "
-           "gate_delay_skew gate_improvements gate_power gate_ppa load_calibration load_tech "
-           "miv_count save_calibration save_tech sweep_alpha wire_parasitics",
+           "default_calibration default_tech evaluate_circuit gate_improvements gate_ppa "
+           "load_calibration load_tech miv_count save_calibration save_tech sweep_alpha "
+           "wire_parasitics",
 }
 EXPORTS = [(m, name) for m, names in EAGER_EXPORTS.items() for name in names.split()]
 
