@@ -144,7 +144,7 @@ def _mult_vectors(width: int, exhaustive: bool, seed: int) -> tuple:
 # --------------------------------------------------------------- subcommands
 
 def cmd_gate_report(args) -> int:
-    from .ppa import METRICS, gate_improvements, gate_ppa
+    from .ppa import METRICS, gate_ppa, improvement_pct
     tech, cal = _model(args)
     alphas = _parse_alphas(args.alpha)
     # absent or "all" -> the studied six; an explicitly empty list stays empty
@@ -175,10 +175,12 @@ def cmd_gate_report(args) -> int:
     averages = []
     improvements = {}
     for name in names:
-        emit(name, gate_ppa(name, tech, cal, "2D"), None)
+        base = gate_ppa(name, tech, cal, "2D")
+        emit(name, base, None)
         for a in alphas:
-            improvements[name, a] = gate_improvements(name, tech, cal, a)
-            emit(name, gate_ppa(name, tech, cal, "M3D", a), improvements[name, a])
+            fold = gate_ppa(name, tech, cal, "M3D", a)
+            improvements[name, a] = improvement_pct(base, fold)
+            emit(name, fold, improvements[name, a])
     for a in alphas:
         if not names:
             break

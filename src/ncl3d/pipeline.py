@@ -12,8 +12,7 @@ outside the netlist proper: ``PipelineSystem.inverters`` maps each
 request net to the detector net it negates, and the simulator applies
 the negation with zero delay.
 """
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .netlist import GateInst, Netlist, NetlistError, Port
 
@@ -21,15 +20,14 @@ RESERVED_PREFIXES = ("rg", "cd", "ko")
 ACK_NET = "ack"
 
 
-@dataclass
-class PipelineSystem:
+class PipelineSystem(NamedTuple):
     netlist: Netlist
     inverters: Dict[str, str]            # out net -> in net, out = not in
     inputs: Tuple[Port, ...]
     outputs: Tuple[Port, ...]
     request_net: str                     # first bank's ko, watched by the producer
     ack_net: str                         # last request, driven by the consumer
-    net_class: Dict[str, str] = field(default_factory=dict)
+    net_class: Dict[str, str]
 
     def reset_state(self) -> Dict[str, int]:
         """All rails NULL, every request asking for DATA."""

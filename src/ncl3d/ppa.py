@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
-from importlib import resources
+from importlib import import_module, resources
 from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 try:
@@ -82,10 +81,7 @@ def _finite(value) -> bool:
 
 # --------------------------------------------------------------- technology
 
-@dataclass(frozen=True)
-class TechParams:
-    """Process constants. Defaults describe the 50 nm study node."""
-
+class _TechFields(NamedTuple):
     L_G: float = 50.0          # drawn gate length, nm
     l_src: float = 50.0        # source/drain extension, nm
     w_src: float = 90.0        # source/drain width, nm
@@ -104,14 +100,22 @@ class TechParams:
     V_DD: float = 1.1          # supply, V
     C_load: float = 1.0        # default output pin load, fF
 
-    def __post_init__(self):
+
+class TechParams(_TechFields):
+    """Process constants. Defaults describe the 50 nm study node.  Built
+    only through the validating constructor: nothing calls ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         can_be_zero = {"R_MIV", "C_MIV", "koz"}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v < 0 or (v == 0 and f.name not in can_be_zero):
-                raise PpaError(f"tech parameter {f.name} must be positive, got {v}")
+        for name, v in zip(self._fields, self):
+            if v < 0 or (v == 0 and name not in can_be_zero):
+                raise PpaError(f"tech parameter {name} must be positive, got {v}")
             if not _finite(v):
-                raise PpaError(f"tech parameter {f.name} must be finite, got {v}")
+                raise PpaError(f"tech parameter {name} must be finite, got {v}")
+        return self
 
     @property
     def cell_height(self) -> float:
@@ -119,10 +123,10 @@ class TechParams:
         return self.cell_tracks * self.pitch_M1
 
     def replaced(self, **kw) -> "TechParams":
-        return replace(self, **kw)
+        return TechParams(**{**self._asdict(), **kw})
 
     def to_dict(self) -> Dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     def digest(self) -> str:
         return _digest(self.to_dict())
@@ -142,7 +146,7 @@ def _parse_model(text: str, key: str, cls, noun: str):
         raise PpaError(f"{key} document is malformed: {exc}") from exc
     if doc.get("version") != 1:
         raise PpaError(f"unsupported {key} document version")
-    unknown = sorted(set(body) - {f.name for f in fields(cls)})
+    unknown = sorted(set(body) - set(cls._fields))
     if unknown:
         raise PpaError(f"unknown {key} {noun}: {unknown}")
     try:
@@ -232,16 +236,7 @@ def miv_count(spec: GateSpec) -> int:
 
 # -------------------------------------------------------------- calibration
 
-@dataclass(frozen=True)
-class Calibration:
-    """Fitted model coefficients.
-
-    ``route_fraction`` here is the fitted average net span actually used by
-    the gate estimators; the knob on :func:`wire_parasitics` keeps its
-    conservative default for direct use.  ``r_drive`` and ``activity_mhz``
-    are per-type maps; unknown types fall back to the map average.
-    """
-
+class _CalibrationFields(NamedTuple):
     a_unit: float                      # um^2 per transistor
     a_miv_eff: float                   # um^2 per inter-tier via
     c_dev: float                       # fF per device of series stack
@@ -250,11 +245,30 @@ class Calibration:
     net_route_factor: float            # circuit fanout segment span, cell spans
     test_rate_mhz: float               # cycle rate behind the power figures
     p_leak_per_t: float                # uW of leak per transistor
-    r_drive: Mapping[str, float] = field(default_factory=dict)       # Ohm
-    activity_mhz: Mapping[str, float] = field(default_factory=dict)  # MHz
-    residuals: Mapping[str, float] = field(default_factory=dict)
+    r_drive: Mapping[str, float]       # Ohm
+    activity_mhz: Mapping[str, float]  # MHz
+    residuals: Mapping[str, float]
 
-    def __post_init__(self):
+
+class Calibration(_CalibrationFields):
+    """Fitted model coefficients.
+
+    ``route_fraction`` here is the fitted average net span actually used by
+    the gate estimators; the knob on :func:`wire_parasitics` keeps its
+    conservative default for direct use.  ``r_drive`` and ``activity_mhz``
+    are per-type maps; unknown types fall back to the map average.  An
+    omitted map is a fresh ``{}``; nothing calls ``_replace``, which skips
+    the validating constructor.
+    """
+
+    __slots__ = ()
+    _MAPS = ("r_drive", "activity_mhz", "residuals")
+
+    def __new__(cls, *args, **kwargs):
+        for name in cls._fields[len(args):]:
+            if name in cls._MAPS:
+                kwargs.setdefault(name, {})
+        self = super().__new__(cls, *args, **kwargs)
         # a_miv_eff may be zeroed to model vias as free, mirroring the
         # zeroable R_MIV/C_MIV tech fields; everything else must be positive.
         positive = ("a_unit", "c_dev", "k_skew", "route_fraction",
@@ -268,9 +282,8 @@ class Calibration:
             if not _finite(getattr(self, name)):
                 raise PpaError(f"calibration field {name} must be finite")
         # residuals record the fit's misses, so they may take either sign
-        for label, table in (("r_drive", self.r_drive),
-                             ("activity_mhz", self.activity_mhz),
-                             ("residuals", self.residuals)):
+        for label in self._MAPS:
+            table = getattr(self, label)
             if not isinstance(table, Mapping):
                 raise PpaError(f"calibration field {label} must be a mapping")
             for kind, value in table.items():
@@ -278,6 +291,7 @@ class Calibration:
                     raise PpaError(f"{label}[{kind}] must be positive")
                 if not _finite(value):
                     raise PpaError(f"{label}[{kind}] must be finite")
+        return self
 
     def r_drive_for(self, kind: str) -> float:
         return _per_type(self.r_drive, kind, "drive resistances")
@@ -286,11 +300,8 @@ class Calibration:
         return _per_type(self.activity_mhz, kind, "activity figures")
 
     def to_dict(self) -> Dict[str, object]:
-        doc: Dict[str, object] = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            doc[f.name] = dict(v) if isinstance(v, Mapping) else v
-        return doc
+        return {name: dict(v) if isinstance(v, Mapping) else v
+                for name, v in zip(self._fields, self)}
 
     def digest(self) -> str:
         return _digest(self.to_dict())
@@ -786,9 +797,12 @@ def ppa_jobs(cl: Netlist, vectors: Sequence, tech: TechParams, cal: Calibration,
              forms: Sequence[Tuple[str, float]]) -> list:
     """One job for ``forkmap.fork_map`` per (mode, alpha) in ``forms``: the
     fields of ``evaluate_circuit(...).ppa``, which ``PpaReport(*row)`` takes.
-    Each form is checked here, before any job runs."""
+    Each form is checked, and the simulator and pipeline modules run,
+    here: before any job runs and not again in each forked worker."""
+    forms = [_form(*f) for f in forms]
+    import_module(".sim", __package__)
     return [lambda m=m, a=a: tuple(evaluate_circuit(cl, vectors, tech, cal, m, a).ppa)
-            for m, a in (_form(*f) for f in forms)]
+            for m, a in forms]
 
 
 # ------------------------------------------------------------------- sweeps
@@ -825,8 +839,9 @@ def sweep_alpha(target: Union[Sequence[str], Netlist],
     kinds = list(target)
     if not kinds:
         raise PpaError("no gate types to sweep")
+    base = {k: gate_ppa(k, tech, cal, "2D") for k in kinds}
     for a in order:
-        per = {k: gate_improvements(k, tech, cal, a) for k in kinds}
+        per = {k: improvement_pct(base[k], gate_ppa(k, tech, cal, "M3D", a)) for k in kinds}
         avg = {m: sum(p[m] for p in per.values()) / len(per) for m in METRICS}
         rows.append(SweepRow(alpha=a, improvements=avg, per_gate=per))
     return rows

@@ -52,7 +52,6 @@ import random
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import islice
@@ -93,22 +92,28 @@ def _positive_int(d) -> bool:
     return isinstance(d, int) and not isinstance(d, bool) and d > 0
 
 
-@dataclass(frozen=True)
-class DelayAssignment:
+class _DelayFields(NamedTuple):
+    default: Delay = 1
+    per_gate: Mapping[str, Delay] = None
+
+
+class DelayAssignment(_DelayFields):
     """Per-instance propagation delays in picoseconds.
 
     A plain int is used for both edges; a (rise, fall) pair splits them.
+    An omitted ``per_gate`` is a fresh ``{}``; nothing calls ``_replace``.
     """
 
-    default: Delay = 1
-    per_gate: Mapping[str, Delay] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, default: Delay = 1, per_gate: Optional[Mapping[str, Delay]] = None):
+        self = super().__new__(cls, default, {} if per_gate is None else per_gate)
         for d in (self.default, *self.per_gate.values()):
             if not (_positive_int(d) or (isinstance(d, tuple) and len(d) == 2
                                          and all(map(_positive_int, d)))):
                 raise ValueError(f"gate delays must be positive ints or (rise, fall) "
                                  f"pairs of them, got {d!r}")
+        return self
 
     @classmethod
     def uniform_random(cls, names: Iterable[str], rng: random.Random) -> "DelayAssignment":
@@ -169,12 +174,15 @@ class Records(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-@dataclass
-class Trace:
+class _TraceFields(NamedTuple):
     records: Records
     waves: List[Wave]
     completed: bool
     net_class: Dict[str, str]
+
+
+class Trace(_TraceFields):
+    """No ``__slots__``: the cached ``_counts`` lives in the instance dict."""
 
     def to_tsv(self) -> str:
         lines = ["time\tnet\tvalue"]

@@ -8,7 +8,6 @@ gate behaviour is checked against an independent weight/threshold table,
 the multiplier against integer products, and the model bands against the
 bundled reference measurements.
 """
-import dataclasses
 import itertools
 import os
 import random
@@ -25,6 +24,7 @@ from conftest import record
 from ncl3d import (
     DEFAULT_CATALOG,
     STUDY_GATES,
+    Calibration,
     build_array_multiplier,
     build_pipeline,
     calibrate,
@@ -303,7 +303,7 @@ def test_08_transistor_count(mult_cl):
 
 def test_09_degenerate_fold_identity(tech, cal):
     tech0 = tech.replaced(R_MIV=0.0, C_MIV=0.0)
-    cal0 = dataclasses.replace(cal, a_miv_eff=0.0)
+    cal0 = Calibration(**{**cal._asdict(), "a_miv_eff": 0.0})
     bad = []
     for name in DEFAULT_CATALOG:
         flat = gate_ppa(name, tech0, cal0, mode="2D")

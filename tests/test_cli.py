@@ -259,6 +259,25 @@ def test_sweep_matches_gate_report(capsys, tmp_path):
     assert sweep_avg == report_avg
 
 
+@pytest.mark.parametrize("argv", [("gate-report", "all"), ("sweep", "gates")],
+                         ids=lambda argv: argv[0])
+def test_each_gate_form_is_priced_once(capsys, monkeypatch, argv):
+    """Each 2D form once per gate and each M3D form once per (gate, alpha):
+    six gates at three fold ratios take 6 + 18 gate_ppa calls."""
+    import ncl3d.ppa
+    real = ncl3d.ppa.gate_ppa
+    calls = []
+
+    def counted(kind, tech, cal, mode="2D", alpha=1.0):
+        calls.append((kind, mode, alpha))
+        return real(kind, tech, cal, mode, alpha)
+
+    monkeypatch.setattr(ncl3d.ppa, "gate_ppa", counted)
+    code, _, _ = run(capsys, *argv, "--alpha", "0.6,0.7,0.8")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 24
+
+
 def test_sweep_multiplier(capsys):
     code, out, _ = run(capsys, "sweep", "multiplier", "--width", "2",
                        "--alpha", "0.7,0.8")

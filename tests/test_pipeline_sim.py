@@ -4,7 +4,6 @@ Latency assertions use an independent earliest-arrival oracle computed
 on the netlist DAG; multiplier words are checked against integer
 arithmetic.
 """
-import dataclasses
 import gc
 import hashlib
 import random
@@ -326,8 +325,8 @@ def test_live_lock_inside_one_timestep_hits_the_event_limit():
     """A ring of three zero-delay inverters through ack oscillates without
     time advancing; the event limit must still stop the run."""
     system = and_pipeline()
-    ring = dataclasses.replace(system, inverters={**system.inverters, "ring.q": "ack",
-                                                  "ring.r": "ring.q", "ack": "ring.r"})
+    ring = system._replace(inverters={**system.inverters, "ring.q": "ack",
+                                      "ring.r": "ring.q", "ack": "ring.r"})
 
     def hang(signum, frame):
         raise TimeoutError("simulate did not stop a live-lock within one timestep")
@@ -418,6 +417,13 @@ def test_delay_assignment_rejects_malformed_delays(delay):
 def test_delay_assignment_validation():
     d = DelayAssignment(per_gate={"g": (2, 9)})
     assert d.per_gate == {"g": (2, 9)} and d.default == 1
+
+
+def test_delay_assignments_do_not_share_a_map():
+    a, b = DelayAssignment(), DelayAssignment(default=3)
+    assert a.per_gate == b.per_gate == {} and a.per_gate is not b.per_gate
+    with pytest.raises(AttributeError):
+        a.default = 2
 
 
 def test_vectors_validate_against_port_count():

@@ -5,9 +5,10 @@ technology numbers.  Gate and circuit figures are checked against the
 bundled reference rows and their improvement columns, with the bands the
 model is required to hold.
 """
+import hashlib
 import json
 import math
-from dataclasses import fields, replace
+import re
 
 import pytest
 
@@ -85,6 +86,44 @@ def test_tech_validation():
     # ideal vias are allowed, they model the degenerate fold
     ideal = TechParams(R_MIV=0.0, C_MIV=0.0)
     assert ideal.R_MIV == 0.0
+
+
+def test_tech_replaced_validates_and_keeps_the_rest(tech):
+    thin = tech.replaced(w_M1=60.0)
+    assert type(thin) is TechParams and thin.w_M1 == 60.0
+    assert {**thin._asdict(), "w_M1": tech.w_M1} == tech.to_dict()
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(PpaError):
+            tech.replaced(w_M1=bad)
+    with pytest.raises(TypeError):
+        tech.replaced(no_such_knob=1.0)
+    with pytest.raises(AttributeError):
+        tech.w_M1 = 60.0
+    with pytest.raises(AttributeError):
+        tech.extra = 1.0
+
+
+# The reprs of the model records, as they printed when the records were
+# dataclasses; the calibration and pipeline ones by SHA-256 (the pipeline's
+# with its netlist's address dropped).
+TECH_REPR = ("TechParams(L_G=50.0, l_src=50.0, w_src=90.0, t_ILD=120.0, t_miv=50.0, "
+             "w_M1=65.0, pitch_M1=130.0, w_gate=50.0, R_int_sq=0.38, R_via=6.0, "
+             "C_int=179.93, R_MIV=5.5, C_MIV=0.04, koz=50.0, cell_tracks=14, V_DD=1.1, "
+             "C_load=1.0)")
+CAL_REPR_SHA256 = "df23ac425fa28b03e61f63c19b99403ec25335566b7d925d22969057e68b0cfe"
+PIPELINE_REPR_SHA256 = "bf14f26fcbd43e8b9f534846d41783abe6deb899575f3160a646defca21871bc"
+
+
+def test_record_reprs_are_unchanged(tech, cal):
+    def sha(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    assert repr(tech) == TECH_REPR
+    assert sha(repr(cal)) == CAL_REPR_SHA256
+    assert repr(DelayAssignment(per_gate={"g": (2, 9)})) == \
+        "DelayAssignment(default=1, per_gate={'g': (2, 9)})"
+    system = build_pipeline(build_array_multiplier(2), n_stages=2)
+    assert sha(re.sub(r" at 0x[0-9a-f]+>", ">", repr(system))) == PIPELINE_REPR_SHA256
 
 
 def test_tech_round_trip(tech, tmp_path):
@@ -194,6 +233,12 @@ def test_calibration_validation(cal):
                        route_fraction=1.0, net_route_factor=1.0,
                        test_rate_mhz=1.0, p_leak_per_t=1.0)
     assert free.a_miv_eff == 0.0
+    # each omitted map is a fresh empty one
+    again = Calibration(*free[:8])
+    assert again == free and again.r_drive == again.activity_mhz == again.residuals == {}
+    assert all(a is not b for a, b in zip(again[8:], free[8:]))
+    with pytest.raises(PpaError):
+        Calibration(*free[:8], r_drive=None)
 
 
 def test_calibration_fallbacks(cal):
@@ -225,7 +270,8 @@ def test_calibration_round_trip(cal, tmp_path):
     pytest.param(json.dumps({"version": 1, "calibration": [[]]}), id="not-an-object"),
     *(pytest.param(json.dumps({"version": 1, "calibration": dict(BUNDLED_CAL, **{field: value})}),
                    id=f"{field}={value!r}")
-      for field, value in (("c_dev", "2"), ("r_drive", None), ("activity_mhz", [1]),
+      for field, value in (("c_dev", "2"), ("r_drive", None), ("activity_mhz", None),
+                           ("residuals", None), ("activity_mhz", [1]),
                            ("r_drive", {"TH22": "x"}),
                            ("c_dev", math.inf), ("c_dev", -math.inf), ("a_miv_eff", math.nan),
                            ("r_drive", {"TH22": math.inf}), ("activity_mhz", {"TH22": math.nan}),
@@ -258,7 +304,7 @@ def test_refit_holds_plain_floats(refit):
     """No NumPy scalar leaks out of the fit: marshal, which carries results
     between forked workers, would send one as bytes."""
     maps = ("r_drive", "activity_mhz", "residuals")
-    values = [getattr(refit, f.name) for f in fields(refit) if f.name not in maps]
+    values = [v for name, v in zip(refit._fields, refit) if name not in maps]
     values += [v for m in maps for v in getattr(refit, m).values()]
     assert {type(v) for v in values} == {float}
 
@@ -318,9 +364,11 @@ def test_gate_delay_formula(tech, cal):
 
 def test_gate_power_split(tech, cal):
     spec = spec_from_name("TH24")
-    quiet = gate_ppa(spec, tech, replace(cal, activity_mhz={"TH24": 1e-12})).power
+    quiet = gate_ppa(spec, tech, Calibration(**{**cal._asdict(),
+                                                "activity_mhz": {"TH24": 1e-12}})).power
     assert quiet == pytest.approx(26 * cal.p_leak_per_t, rel=1e-6)
-    busy = gate_ppa(spec, tech, replace(cal, activity_mhz={"TH24": 100.0})).power
+    busy = gate_ppa(spec, tech, Calibration(**{**cal._asdict(),
+                                               "activity_mhz": {"TH24": 100.0}})).power
     _, c = flat_wires_and_cap(spec, tech, cal)
     assert busy - quiet == pytest.approx(100.0 * c * 1.21 * 1e-3, rel=1e-6)
 

@@ -5,16 +5,18 @@ Importing ncl3d runs none of its submodules; each public name resolves on
 first use.  These tests pin what that must not change: every name the
 package exported when it imported all its modules still resolves to the
 same object, ``check`` never runs the model, simulator or synthesis
-modules and never imports ``dataclasses``, ``inspect`` or ``json``,
-``gate-report`` never runs the simulator or pipeline, only calibration
-reads the reference table, the commands that fork workers load no process
-pool, and the harness's set-up and traced children still work.
+modules and never imports ``json``, no command imports ``dataclasses`` or
+``inspect``, ``gate-report`` and ``sweep gates`` never run the simulator
+or pipeline, only calibration reads the reference table, the commands
+that fork workers load no process pool and run each ncl3d module once,
+and the harness's set-up and traced children still work.
 """
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,9 @@ finally:
 """
 HEAVY = {"ncl3d.ppa", "ncl3d.sim", "ncl3d.synth", "ncl3d.pipeline", "ncl3d.boolnet",
          "ncl3d.refdata"}
+# Every record is a NamedTuple: dataclasses alone costs about 13 ms a
+# process, as it loads inspect.
+SLOW_STDLIB = {"dataclasses", "inspect"}
 
 
 def test_every_eager_export_resolves_to_its_module():
@@ -118,10 +123,9 @@ def test_check_runs_no_model_simulator_or_synthesis_module(tmp_path):
     assert code == 0 and out.splitlines()[-1] == "result: PASS"
     assert {"ncl3d.cli", "ncl3d.gates", "ncl3d.netlist"} <= loaded
     assert loaded & (HEAVY | {"ncl3d.forkmap"}) == set()
-    # records are NamedTuples and only --out loads json: dataclasses alone
-    # costs about 13 ms, as it loads inspect
+    # only --out loads json
     assert "argparse" in loaded
-    assert loaded & {"dataclasses", "inspect", "json"} == set()
+    assert loaded & (SLOW_STDLIB | {"json"}) == set()
 
 
 def test_simulate_runs_no_synthesis_module(tmp_path):
@@ -130,15 +134,26 @@ def test_simulate_runs_no_synthesis_module(tmp_path):
     code, out, loaded = run_probed(tmp_path, "simulate", "mult2.ncl", "v.txt", "--mode", "M3D")
     assert code == 0 and "words: 0 1 9" in out
     assert {"ncl3d.sim", "ncl3d.ppa"} <= loaded
-    assert loaded & {"ncl3d.synth", "ncl3d.boolnet", "ncl3d.refdata"} == set()
+    assert loaded & ({"ncl3d.synth", "ncl3d.boolnet", "ncl3d.refdata"} | SLOW_STDLIB) == set()
+
+
+def gate_figures_loaded(tmp_path, *argv):
+    """What a gate-figure command loads; it must run no simulator,
+    pipeline or synthesis module."""
+    code, out, loaded = run_probed(tmp_path, *argv)
+    assert code == 0 and "ncl3d.ppa" in loaded
+    assert loaded & ({"ncl3d.sim", "ncl3d.pipeline", "ncl3d.synth", "ncl3d.boolnet",
+                      "ncl3d.refdata"} | SLOW_STDLIB) == set()
+    return out
 
 
 def test_gate_report_runs_no_simulator_or_pipeline(tmp_path):
-    code, out, loaded = run_probed(tmp_path, "gate-report", "TH22", "--alpha", "0.7")
-    assert code == 0 and "TH22" in out
-    assert "ncl3d.ppa" in loaded
-    assert loaded & {"ncl3d.sim", "ncl3d.pipeline", "ncl3d.synth", "ncl3d.boolnet",
-                     "ncl3d.refdata"} == set()
+    assert "TH22" in gate_figures_loaded(tmp_path, "gate-report", "TH22", "--alpha", "0.7")
+
+
+def test_sweep_gates_runs_no_simulator_or_pipeline(tmp_path):
+    out = gate_figures_loaded(tmp_path, "sweep", "gates", "--alpha", "0.7")
+    assert "target: study gates" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -147,15 +162,21 @@ def test_gate_report_runs_no_simulator_or_pipeline(tmp_path):
 ], ids=lambda argv: argv[0])
 def test_forked_evaluations_load_no_process_pool(tmp_path, argv):
     """The DI trials and the paired evaluations fork the warm process;
-    a process pool would cost more start-up than they save.  Neither
-    command calibrates, so neither reads the reference table."""
+    a process pool would cost more start-up than they save.  Every ncl3d
+    module runs once, in the parent before the fork, not again in a
+    worker.  Neither command calibrates, so neither reads the reference
+    table."""
     run = probe(tmp_path, *argv)
     assert run.returncode == 0, run.stderr[-400:]
     imported = set(re.findall(r"^import time:.*\| +(\S+)$", run.stderr, re.M))
     assert "ncl3d.forkmap" in imported
-    assert "ncl3d.refdata" not in re.findall(r"^executed (\S+)$", run.stderr, re.M)
+    executed = Counter(re.findall(r"^executed (\S+)$", run.stderr, re.M))
+    assert {"ncl3d.pipeline", "ncl3d.sim", "ncl3d.ppa"} <= set(executed)
+    assert "ncl3d.refdata" not in executed
+    assert [m for m, n in executed.items() if n != 1] == []
     assert {m for m in imported
             if m.split(".")[0] in ("multiprocessing", "concurrent")} == set()
+    assert imported & SLOW_STDLIB == set()
 
 
 @pytest.fixture(scope="module")
