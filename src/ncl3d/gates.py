@@ -90,11 +90,8 @@ class _GateFields(NamedTuple):
     name: str
     arity: int
     products: Products
-    weights: Optional[Tuple[int, ...]] = None
-    threshold: Optional[int] = None
     pmos: Optional[int] = None
     nmos: Optional[int] = None
-    miv_override: Optional[int] = None
 
 
 class GateSpec(_GateFields):
@@ -102,9 +99,8 @@ class GateSpec(_GateFields):
 
     ``pmos``/``nmos`` are None for ad hoc gates, in which case
     :func:`transistor_counts` falls back to a documented estimate.
-    ``miv_override`` replaces the default inter-tier via count (arity + 2)
-    used by the monolithic-3D area model.  Construction validates the
-    fields; ``_replace`` and ``_make`` would skip that, so nothing calls them.
+    Construction validates the fields; ``_replace`` and ``_make`` would
+    skip that, so nothing calls them.
     No ``__slots__``: the cached ``table`` lives in the instance dict.
     """
 
@@ -114,19 +110,6 @@ class GateSpec(_GateFields):
             raise GateError(f"{self.name}: arity {self.arity} outside [1, 4]")
         if self.products != canonical_sop(self.products, self.arity):
             raise GateError(f"{self.name}: set function is not canonical")
-        if (self.weights is None) != (self.threshold is None):
-            raise GateError(f"{self.name}: weights and threshold go together")
-        if self.weights is not None:
-            if len(self.weights) != self.arity:
-                raise GateError(f"{self.name}: weight count != arity")
-            if any(w < 1 for w in self.weights):
-                raise GateError(f"{self.name}: weights must be positive")
-            expanded = threshold_products(self.weights, self.threshold)
-            if expanded != self.products:
-                raise GateError(
-                    f"{self.name}: stored set function disagrees with its "
-                    f"threshold expansion"
-                )
         for count in (self.pmos, self.nmos):
             if count is not None and count < 1:
                 raise GateError(f"{self.name}: transistor counts must be >= 1")
@@ -222,8 +205,6 @@ def _th_spec(name: str, pmos: Optional[int] = None, nmos: Optional[int] = None) 
         name=name,
         arity=arity,
         products=threshold_products(weights, threshold),
-        weights=weights,
-        threshold=threshold,
         pmos=pmos,
         nmos=nmos,
     )

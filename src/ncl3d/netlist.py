@@ -224,6 +224,10 @@ class Netlist(GateGraph):
             if not p.is_canonical:
                 raise NetlistError(f"input port {p.name} must use canonical rails")
 
+    def __repr__(self) -> str:
+        return (f"Netlist({len(self.gates)} gates, {len(self.inputs)} inputs, "
+                f"{len(self.outputs)} outputs)")
+
     def bind_outputs(self, ports: Sequence[Port]) -> None:
         """Replace the output port list (used once synthesis knows rails)."""
         self.outputs = tuple(ports)

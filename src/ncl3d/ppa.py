@@ -194,7 +194,6 @@ class Scenario(Enum):
 class WireRC(NamedTuple):
     r: float             # Ohm
     c: float             # fF
-    includes_miv: bool
 
 
 def wire_parasitics(scenario: Scenario, tech: TechParams, mode: str = "2D",
@@ -222,15 +221,12 @@ def wire_parasitics(scenario: Scenario, tech: TechParams, mode: str = "2D",
     c_wire = tech.C_int * length * 1e-6
     if mode == "M3D" and folds:
         return WireRC(r=r_wire * alpha + vias * tech.R_via + tech.R_MIV,
-                      c=c_wire * alpha + tech.C_MIV,
-                      includes_miv=True)
-    return WireRC(r=r_wire + vias * tech.R_via, c=c_wire, includes_miv=False)
+                      c=c_wire * alpha + tech.C_MIV)
+    return WireRC(r=r_wire + vias * tech.R_via, c=c_wire)
 
 
 def miv_count(spec: GateSpec) -> int:
     """Inter-tier vias a folded gate needs: one per pin plus both rails."""
-    if spec.miv_override is not None:
-        return spec.miv_override
     return spec.arity + 2
 
 

@@ -2,10 +2,9 @@
 
 Each two-input Boolean kind maps to a fixed input-complete template over
 threshold gates; inverters and buffers cost nothing because dual-rail
-negation is a rail swap. The multiplier is a carry-ripple array built from
-one shared topology plan, emitted either through the Boolean templates
-(the default, which matches the studied transistor budget) or with the
-compact carry/sum threshold-gate full adder.
+negation is a rail swap. The multiplier is a carry-ripple array of half
+and full adders, built as a Boolean netlist and expanded through the
+templates, which matches the studied transistor budget.
 """
 from __future__ import annotations
 
@@ -167,55 +166,11 @@ def build_boolean_multiplier(width: int) -> BoolNetlist:
     return bnl
 
 
-def _emit_compact_fa(nl: Netlist, n: int, a: Rails, b: Rails, ci: Rails,
-                     s: Rails, co: Rails) -> None:
-    # carry = 2-of-3 majority per rail; sum reuses the carry rails with
-    # double weight, the classic carry/sum threshold pairing
-    nl.add("TH23", [a[0], b[0], ci[0]], co[0], name=f"fa{n}_co1")
-    nl.add("TH23", [a[1], b[1], ci[1]], co[1], name=f"fa{n}_co0")
-    nl.add("TH34w2", [co[1], a[0], b[0], ci[0]], s[0], name=f"fa{n}_s1")
-    nl.add("TH34w2", [co[0], a[1], b[1], ci[1]], s[1], name=f"fa{n}_s0")
-
-
-def build_array_multiplier(
-    width: int,
-    adder_style: str = "template",
-) -> Netlist:
-    """Dual-rail array multiplier: ``a`` times ``b``, both ``width`` bits.
-
-    ``adder_style`` picks the full-adder realization: "template" expands
-    the Boolean adder through the standard two-input templates (the
-    reference transistor budget); "compact" uses the TH23/TH34w2 cell,
-    roughly 30% smaller but with early carry transitions that are only
-    jointly, not per-output, input-complete.
-    """
-    if adder_style == "template":
-        return expand_dual_rail(build_boolean_multiplier(width))
-    if adder_style != "compact":
-        raise SynthError(f"unknown adder style {adder_style!r}")
-    if not 2 <= width <= 8:
-        raise SynthError(f"width {width} outside the supported range [2, 8]")
-    pairs, cells, outs, p0_net = _array_plan(width)
-    rails: Dict[str, Rails] = {}
-
-    def r(net: str) -> Rails:
-        return rails.setdefault(net, (f"{net}.1", f"{net}.0"))
-
-    nl = Netlist([f"a{i}" for i in range(width)] + [f"b{j}" for j in range(width)], [])
-    for name in nl.inputs:
-        rails[name.name] = name.rails
-    for a, b, out in pairs:
-        _emit_and(nl, r(a), r(b), out, *r(out))
-    rails[outs[0]] = r(p0_net)
-    for n, cell in enumerate(cells):
-        if cell.kind == "HA":
-            _emit_xor(nl, r(cell.a), r(cell.b), cell.s, *r(cell.s))
-            _emit_and(nl, r(cell.a), r(cell.b), cell.co, *r(cell.co))
-        else:
-            _emit_compact_fa(nl, n, r(cell.a), r(cell.b), r(cell.ci),
-                             r(cell.s), r(cell.co))
-    nl.bind_outputs([Port(o, *r(o)) for o in outs])
-    return nl
+def build_array_multiplier(width: int) -> Netlist:
+    """Dual-rail array multiplier: ``a`` times ``b``, both ``width`` bits,
+    the Boolean adder expanded through the two-input templates (the
+    reference transistor budget)."""
+    return expand_dual_rail(build_boolean_multiplier(width))
 
 
 class TransistorCount(NamedTuple):

@@ -53,9 +53,11 @@ REF_FNS = {
 
 
 def ref_fn(spec):
+    """The oracle's set function, from the gate's name alone."""
     if spec.name in REF_FNS:
         return REF_FNS[spec.name]
-    return weighted(spec.weights, spec.threshold)
+    threshold, _, weights = parse_th_name(spec.name)
+    return weighted(weights, threshold)
 
 
 @pytest.mark.parametrize("spec", list(DEFAULT_CATALOG.values()), ids=lambda s: s.name)
@@ -156,7 +158,7 @@ def test_spec_validation_rejects_inconsistent_fields():
     with pytest.raises(GateError):
         GateSpec("BAD", 2, ((1, 0),))  # indices unsorted, so not canonical
     with pytest.raises(GateError):
-        GateSpec("BAD", 2, canonical_sop([(0,)], 2), weights=(1, 1), threshold=2)
+        GateSpec("BAD", 2, canonical_sop([(0,)], 2), pmos=0, nmos=2)
     with pytest.raises(GateError):
         GateSpec("BAD", 5, canonical_sop([(0,)], 5))
 
@@ -230,8 +232,8 @@ def test_truth_table_matches_direct_sop_evaluation(case):
 
 def test_truth_table_is_not_a_field():
     spec = spec_from_name("TH23")
-    twin = GateSpec(spec.name, spec.arity, spec.products, spec.weights,
-                    spec.threshold, spec.pmos, spec.nmos)
+    twin = GateSpec(spec.name, spec.arity, spec.products, spec.pmos, spec.nmos)
     assert spec.table == twin.table
     assert spec == twin and hash(spec) == hash(twin)
     assert "table" not in repr(spec)
+    assert GateSpec._fields == ("name", "arity", "products", "pmos", "nmos")

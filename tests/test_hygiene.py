@@ -1,8 +1,8 @@
 """Source hygiene: no module in the package, test file or demo script
 imports a name it never uses, every function, method, class and
 module-level assignment the package defines is named somewhere besides
-its own definition, every NamedTuple field the package defines is read,
-and no package module imports ``dataclasses``.
+its own definition, every NamedTuple field the package defines is read
+outside the tests, and no package module imports ``dataclasses``.
 
 Plain AST and text scans, so they need no linter.  The package's
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -135,13 +135,19 @@ def test_unread_field_scan():
 # that the file describes the whole process node.
 GEOMETRY_ONLY = {f"_TechFields.{name}"
                  for name in ("L_G", "l_src", "w_src", "t_ILD", "t_miv", "w_gate")}
+# Read only by the Python API's callers for now; a replayable DI failure
+# is to be written out from it.
+API_ONLY = {"DIReport.counterexample"}
 
 
 def test_every_named_tuple_field_is_read():
+    """By the package, the demos or the benchmark harness: a field only
+    tests read is one nothing needs."""
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    texts = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")) + SCRIPTS
-             + sorted((ROOT / "perfbench").glob("*.py"))]
-    assert [f for f in unread_fields(modules, texts) if f not in GEOMETRY_ONLY] == []
+    texts = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
+             + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))]
+    assert [f for f in unread_fields(modules, texts)
+            if f not in GEOMETRY_ONLY | API_ONLY] == []
 
 
 def imported_modules(source: str):
