@@ -310,28 +310,32 @@ def cmd_synth(args) -> int:
 def cmd_multiplier_demo(args) -> int:
     from .forkmap import fork_map
     from .pipeline import build_pipeline
-    from .ppa import PpaReport, improvement_pct, ppa_jobs
-    from .sim import di_trials, simulate
+    from .ppa import PpaReport, evaluate_circuit, improvement_pct, ppa_jobs
+    from .sim import di_trials
     from .synth import build_array_multiplier, count_transistors
     if not 2 <= args.width <= 8:
         raise CliError(f"width {args.width} outside [2, 8]")
     tech, cal = _model(args)
     alpha = _single_alpha(args.alpha)
     cl = build_array_multiplier(args.width)
+    transistors = count_transistors(cl).total
     lines = _model_header("multiplier-demo", tech, cal)
     lines.append(f"width: {args.width}   gates: {len(cl.gates)}   "
-                 f"transistors: {count_transistors(cl).total}")
+                 f"transistors: {transistors}")
 
     exhaustive = args.exhaustive or args.width <= 4
     vectors, expected, tag = _mult_vectors(args.width, exhaustive, args.seed)
-    system = build_pipeline(cl)
     di_vectors = vectors[:16]
-    trials, di_report = di_trials(system, di_vectors, args.trials, args.seed)
-    # every simulation in one round, long jobs first: the products run,
-    # the 2D and M3D evaluations, then the DI trials
-    words, flat, fold, *outcomes = fork_map(
-        [lambda: tuple(simulate(system, vectors).words()),
-         *ppa_jobs(cl, vectors, tech, cal, [("2D", 1.0), ("M3D", alpha)]), *trials])
+    trials, di_report = di_trials(build_pipeline(cl), di_vectors, args.trials, args.seed)
+
+    def flat_job():
+        r = evaluate_circuit(cl, vectors, tech, cal)
+        return tuple(r.ppa), r.metrics.words
+
+    # one simulation per delay assignment, long jobs first: the 2D evaluation
+    # (its words are the products checked below), the M3D one, the DI trials
+    (flat, words), fold, *outcomes = fork_map(
+        [flat_job, *ppa_jobs(cl, vectors, tech, cal, [("M3D", alpha)]), *trials])
     correct = sum(1 for got, want in zip(words, expected) if got == want)
     ok_products = correct == len(expected)
     lines.append(f"verification: {tag}: {correct}/{len(expected)} products correct, "
@@ -341,7 +345,8 @@ def cmd_multiplier_demo(args) -> int:
         lines.append(f"  first mismatch at vector {bad}: got {words[bad]}, "
                      f"want {expected[bad]}")
 
-    di = di_report(outcomes)
+    # a DI circuit's words do not depend on delays: the checked 2D words are the reference
+    di = di_report(words[:len(di_vectors)], outcomes)
     lines.append(f"delay insensitivity: {args.trials} random assignments over "
                  f"{len(di_vectors)} vectors: {'pass' if di.passed else 'FAIL'}")
     if not di.passed:
@@ -359,13 +364,16 @@ def cmd_multiplier_demo(args) -> int:
     doc = {"command": "multiplier-demo", "tech_digest": tech.digest(),
            "calibration_digest": cal.digest(), "width": args.width,
            "alpha": alpha, "gates": len(cl.gates),
-           "transistors": count_transistors(cl).total,
+           "transistors": transistors,
            "verification": {"mode": tag, "correct": correct,
                             "total": len(expected)},
            "delay_insensitivity": {"trials": args.trials, "passed": di.passed},
            "ppa": {"2D": flat._asdict(), "M3D": fold._asdict(),
                    "improvement_pct": impr},
            "passed": passed}
+    if not di.passed:   # what a replay of the failed trial needs
+        doc["delay_insensitivity"].update(counterexample=dict(di.counterexample.per_gate),
+                                          detail=di.detail)
     lines += _write_report(args, doc)
     print("\n".join(lines))
     return 0 if passed else 1

@@ -487,11 +487,12 @@ def check_delay_insensitivity(system: PipelineSystem, data_vectors: Sequence,
                               n_trials: int = 100, seed: int = 0) -> DIReport:
     """Re-run under random positive per-gate delays; outputs must not move.
 
-    The trials are the jobs of :func:`di_trials`, shared out among the
-    usable cores (``forkmap``).  Every trial runs, each capped by
-    :func:`simulate`'s event limit, even after one has failed; the report
-    is of the first failure in trial order, as one trial after another
-    would give.
+    Every trial must reproduce the words of a unit-delay baseline, run
+    first; a failed baseline runs no trial.  The trials are the jobs of
+    :func:`di_trials`, shared out among the usable cores (``forkmap``).
+    Every trial runs, each capped by :func:`simulate`'s event limit, even
+    after one has failed; the report is of the first failure in trial
+    order, as one trial after another would give.
 
     Random trials do not catch the input-completeness defect class; the
     static checkers in :mod:`ncl3d.netlist` do.  The bundled
@@ -504,42 +505,41 @@ def check_delay_insensitivity(system: PipelineSystem, data_vectors: Sequence,
     """
     from .forkmap import fork_map
     jobs, report = di_trials(system, data_vectors, n_trials, seed)
-    return report(fork_map(jobs))
+    try:
+        expect = tuple(simulate(system, data_vectors).words())
+    except SimulationError as err:
+        return DIReport(False, 0, (), DelayAssignment(), f"baseline run failed: {err}")
+    return report(expect, fork_map(jobs))
 
 
 def di_trials(system: PipelineSystem, data_vectors: Sequence,
               n_trials: int = 100, seed: int = 0) -> tuple:
     """The trials of :func:`check_delay_insensitivity` as jobs for
-    ``forkmap.fork_map``, and the function that makes the report from their
-    results in trial order, cut after the first failure.
+    ``forkmap.fork_map``, and the function that makes the report from the
+    reference words and the trials' results, cut after the first failure.
 
-    The assignments are drawn up front from one ``random.Random(seed)``.
-    The unit-delay baseline runs here, before any trial, as each trial holds
-    its outputs to it wherever it runs; a failed baseline leaves no trials.
+    The assignments are drawn up front from one ``random.Random(seed)``.  A
+    job returns its trial's words, or its ``SimulationError`` text.  Nothing
+    is simulated here: the reference is the unit-delay baseline's words in
+    :func:`check_delay_insensitivity` and the checked 2D words in
+    ``multiplier-demo``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     rng = random.Random(seed)
     gate_names = [g.name for g in system.netlist.gates]
-    try:
-        baseline = simulate(system, data_vectors)
-    except SimulationError as err:
-        failed = DIReport(False, 0, (), DelayAssignment(), f"baseline run failed: {err}")
-        return [], lambda results: failed
-    expect = tuple(baseline.words())
     assignments = [DelayAssignment.uniform_random(gate_names, rng) for _ in range(n_trials)]
 
-    def trial(assignment: DelayAssignment) -> Optional[str]:
-        """None if the trial passes, else what went wrong."""
+    def trial(assignment: DelayAssignment) -> Union[Tuple[int, ...], str]:
         try:
-            got = tuple(simulate(system, data_vectors, assignment).words())
+            return tuple(simulate(system, data_vectors, assignment).words())
         except SimulationError as err:
             return str(err)
-        return None if got == expect else f"outputs {got} != {expect}"
 
-    def report(results: List[Optional[str]]) -> DIReport:
-        for k, failure in enumerate(results):
-            if failure is not None:
+    def report(expect: Tuple[int, ...], results: List[Union[Tuple[int, ...], str]]) -> DIReport:
+        for k, got in enumerate(results):
+            if got != expect:
+                failure = got if isinstance(got, str) else f"outputs {got} != {expect}"
                 return DIReport(False, k + 1, expect, assignments[k], f"trial {k}: {failure}")
         return DIReport(True, n_trials, expect)
 

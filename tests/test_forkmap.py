@@ -6,15 +6,19 @@ Workers take one job at a time, so which process runs which job varies
 from run to run, and none of it may show: ``fork_map(jobs)`` returns
 what the serial loop over every job returns (``serial_loop`` below), and
 ``check_delay_insensitivity`` returns the report of the serial trial loop
-it replaced (``serial_reference``).  A job that raises stops no worker:
-every job runs.  Where a test needs one worker held on a job, the job
-waits on a pipe that another job writes, rather than on a clock.  No
-fixture fails a random trial without failing the unit-delay baseline
-first, so failures are injected by wrapping ``ncl3d.sim.simulate`` and
-picking trials by their delays, drawn from the same
-``random.Random(seed)`` stream.  Every test also checks that no child
-process is left behind.
+it replaced (``serial_reference``), whose unit-delay baseline it still
+runs first, on its own.  multiplier-demo runs one simulation per delay
+assignment: the 2D and M3D evaluations and the trials, which must match
+the 2D words on the same vectors, words the demo checks against the
+products.  A job that raises stops no worker: every job runs.  Where a
+test needs one worker held on a job, the job waits on a pipe that
+another job writes, rather than on a clock.  No fixture fails a random
+trial without failing the unit-delay baseline first, so failures are
+injected by wrapping ``ncl3d.sim.simulate`` and picking trials by their
+delays, drawn from the same ``random.Random(seed)`` stream.  Every test
+also checks that no child process is left behind.
 """
+import json
 import marshal
 import mmap
 import os
@@ -34,6 +38,7 @@ from ncl3d.forkmap import fork_map
 from ncl3d.pipeline import build_pipeline
 from ncl3d.sim import DelayAssignment, DIReport, SimulationError, check_delay_insensitivity
 from ncl3d.synth import build_array_multiplier
+from test_pipeline_sim import broken_cl
 
 VECTORS = [15, 6, 9, 0]
 
@@ -89,13 +94,31 @@ class Words:
         return list(self._words)
 
 
+def drawn_delays(system, n_trials, seed):
+    """The per-gate delays of the trials, drawn as di_trials draws them."""
+    rng = random.Random(seed)
+    names = [g.name for g in system.netlist.gates]
+    return [DelayAssignment.uniform_random(names, rng).per_gate for _ in range(n_trials)]
+
+
+def count_simulations(monkeypatch):
+    """Wrap sim.simulate; the returned list gets the delays of each call."""
+    calls = []
+    real = sim.simulate
+
+    def simulate(system, data_vectors, delays=None, max_events=None):
+        calls.append(delays)
+        return real(system, data_vectors, delays, max_events)
+
+    monkeypatch.setattr(sim, "simulate", simulate)
+    return calls
+
+
 def inject(monkeypatch, system, n_trials, seed, failures):
     """Wrap sim.simulate so that trial k in ``failures`` fails as its entry
     says: "raise" a SimulationError, or "words" off by one.  Trials are
     recognised by their delays."""
-    rng = random.Random(seed)
-    names = [g.name for g in system.netlist.gates]
-    drawn = [DelayAssignment.uniform_random(names, rng).per_gate for _ in range(n_trials)]
+    drawn = drawn_delays(system, n_trials, seed)
     real = sim.simulate
 
     def simulate(system, data_vectors, delays=None, max_events=None):
@@ -139,6 +162,24 @@ def test_di_first_failure_with_more_chunks(monkeypatch, cpus, system, n):
     inject(monkeypatch, system, 9, 2, {4: "words", 8: "raise"})
     assert (check_delay_insensitivity(system, VECTORS, n_trials=9, seed=2)
             == serial_reference(system, VECTORS, 9, 2))
+
+
+def test_no_trials_is_refused_before_any_simulation(monkeypatch, system):
+    calls = count_simulations(monkeypatch)
+    with pytest.raises(ValueError, match="n_trials must be at least 1"):
+        check_delay_insensitivity(system, VECTORS, n_trials=0)
+    assert calls == []
+
+
+def test_a_failed_baseline_runs_no_trial(monkeypatch, cpus):
+    """The unit-delay baseline runs on its own before the trials."""
+    broken = build_pipeline(broken_cl(), 1)
+    want = serial_reference(broken, [3, 1], 5, 3)
+    calls = count_simulations(monkeypatch)
+    report = check_delay_insensitivity(broken, [3, 1], n_trials=5, seed=3)
+    assert report == want
+    assert report.n_trials == 0 and report.detail.startswith("baseline run failed: ")
+    assert calls == [None]
 
 
 def test_a_failing_child_is_recomputed_in_the_parent(monkeypatch, cpus, system):
@@ -340,10 +381,11 @@ def test_more_jobs_than_a_pipe_holds_indices(cpus):
 
 
 def mixed_jobs(n_trials, fail):
-    """The demo's job kinds: words, two report rows, then DI trials.
-    ``fail`` maps a position to "raise" or, for a trial, "fail"."""
-    jobs = [lambda: (0, 1, 2, 4), lambda: (1.5, 0.25, 3.0, 10.0, "2D", 1.0),
-            lambda: (1.25, 0.2, 2.5, 5.5, "M3D", 0.7)] + [lambda: None] * n_trials
+    """The demo's job kinds: the 2D report row with its words, the M3D
+    row, then DI trials returning their words.  ``fail`` maps a position
+    to "raise" or, for a trial, "fail"."""
+    jobs = [lambda: ((1.5, 0.25, 3.0, 10.0, "2D", 1.0), (0, 1, 2, 4)),
+            lambda: (1.25, 0.2, 2.5, 5.5, "M3D", 0.7)] + [lambda: (0, 1, 2, 4)] * n_trials
     for k, how in fail.items():
         if how == "raise":
             jobs[k] = partial(lambda k: {}[f"job {k}"], k)
@@ -355,14 +397,14 @@ def mixed_jobs(n_trials, fail):
 def mixed_failures(n):
     """No failure; one raise, or one failed trial, at each position; and
     each ordered pair of the two."""
-    hows = [(k, how) for k in range(n) for how in ("raise", "fail") if how == "raise" or k >= 3]
+    hows = [(k, how) for k in range(n) for how in ("raise", "fail") if how == "raise" or k >= 2]
     return [{}] + [dict([a]) for a in hows] + [dict([a, b]) for a in hows for b in hows
                                                if a[0] < b[0]]
 
 
 def test_mixed_jobs_match_the_serial_loop_under_failures_anywhere(cpus):
     for fail in mixed_failures(7):
-        jobs = mixed_jobs(4, fail)
+        jobs = mixed_jobs(5, fail)
         assert outcome(partial(fork_map, jobs)) == outcome(partial(serial_loop, jobs)), fail
 
 
@@ -408,8 +450,8 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_the_children(cpus):
 
 @pytest.mark.parametrize("failures", [{}, {1: "raise"}, {2: "words"}], ids=str)
 def test_multiplier_demo_forks_once(monkeypatch, capsys, cpus, system, failures):
-    """Products run, 2D and M3D evaluations and DI trials share one fork
-    round (one child on two CPUs), and print what one process prints."""
+    """The 2D and M3D evaluations and the DI trials share one fork round
+    (one child on two CPUs), and print what one process prints."""
     inject(monkeypatch, system, 4, 5, failures)
     argv = ["multiplier-demo", "--width", "2", "--trials", "4", "--seed", "5"]
     cpus(1)
@@ -445,9 +487,40 @@ def test_multiplier_demo_results_survive_marshal(monkeypatch, capsys, cpus, syst
     cpus(1)
     assert main(["multiplier-demo", "--width", "2", "--trials", "4", "--seed", "5"]) == 1
     capsys.readouterr()
-    words, flat, fold, *outcomes = results
+    (flat, words), fold, *outcomes = results
     assert len(words) == 16 and len(flat) == len(fold) == 6
-    assert None in outcomes and any(isinstance(o, str) for o in outcomes)
+    assert words in outcomes and any(o != words for o in outcomes)
+    assert any(isinstance(o, str) for o in outcomes) == ("raise" in failures.values())
     for result in results:
         back = marshal.loads(marshal.dumps(result))
         assert back == result and type(back) is type(result)
+
+
+def test_multiplier_demo_simulates_each_delay_assignment_once(monkeypatch, capsys, cpus):
+    """The 2D evaluation, the M3D evaluation and the 4 trials: no run at
+    unit delays, as the checked 2D words are the trials' reference."""
+    calls = count_simulations(monkeypatch)
+    cpus(1)
+    assert main(["multiplier-demo", "--width", "2", "--trials", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 6 and None not in calls
+
+
+@pytest.mark.parametrize("failures", [{1: "raise"}, {2: "words"}], ids=str)
+def test_multiplier_demo_writes_the_di_counterexample(monkeypatch, capsys, tmp_path, cpus,
+                                                      system, failures):
+    """A failed DI check puts the failing trial's delays and the printed
+    detail in the --out report, enough to replay that trial."""
+    inject(monkeypatch, system, 4, 5, failures)
+    out = tmp_path / "demo.json"
+    argv = ["multiplier-demo", "--width", "2", "--trials", "4", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 1
+    printed = capsys.readouterr().out.splitlines()
+    di = json.loads(out.read_text(encoding="utf-8"))["delay_insensitivity"]
+    (k,) = failures
+    assert di["counterexample"] == drawn_delays(system, 4, 5)[k]
+    assert all(type(d) is int for d in di["counterexample"].values())
+    verdict = printed.index("delay insensitivity: 4 random assignments over 16 vectors: FAIL")
+    assert printed[verdict + 1] == f"  {di['detail']}"
+    assert di["detail"].startswith(f"trial {k}: ")
+    assert di["trials"] == 4 and di["passed"] is False

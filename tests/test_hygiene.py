@@ -135,9 +135,6 @@ def test_unread_field_scan():
 # that the file describes the whole process node.
 GEOMETRY_ONLY = {f"_TechFields.{name}"
                  for name in ("L_G", "l_src", "w_src", "t_ILD", "t_miv", "w_gate")}
-# Read only by the Python API's callers for now; a replayable DI failure
-# is to be written out from it.
-API_ONLY = {"DIReport.counterexample"}
 
 
 def test_every_named_tuple_field_is_read():
@@ -147,7 +144,7 @@ def test_every_named_tuple_field_is_read():
     texts = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
              + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))]
     assert [f for f in unread_fields(modules, texts)
-            if f not in GEOMETRY_ONLY | API_ONLY] == []
+            if f not in GEOMETRY_ONLY] == []
 
 
 def imported_modules(source: str):

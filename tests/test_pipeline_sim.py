@@ -190,17 +190,27 @@ def causal_mismatches(system, trace, delays=None):
     the records in order, a gate whose state flips at t (by its sum of
     products, not its truth table) predicts its new output value at t plus
     that edge's delay, and a completion inverter predicts the negation of
-    its source at t.  A net's caused transitions are its predictions sorted
-    by (time, order made), less those that repeat the running value.  Nets
-    the environment drives are not checked.
+    its source at t.  A gate's inputs are a bitmask, pin i at bit i, kept
+    up to date as each net changes; a product holds when the mask covers
+    the product's own mask.  A net's caused transitions are its predictions
+    sorted by (time, order made), less those that repeat the running value.
+    Nets the environment drives are not checked.
     """
     delays = delays or DelayAssignment()
     value = system.reset_state()
-    readers, state, predicted = {}, {}, {}
-    for g in system.netlist.gates:
-        for net in dict.fromkeys(g.ins):
-            readers.setdefault(net, []).append((g, spec_from_name(g.kind).products))
-        state[g.name] = value[g.out]
+    readers, predicted = {}, {}
+    gates = system.netlist.gates
+    state = [value[g.out] for g in gates]
+    mask = [sum(value[net] << i for i, net in enumerate(g.ins)) for g in gates]
+    for k, g in enumerate(gates):
+        pins = {}
+        for i, net in enumerate(g.ins):
+            pins[net] = pins.get(net, 0) | 1 << i
+        products = [sum(1 << i for i in prod) for prod in spec_from_name(g.kind).products]
+        d = delays.per_gate.get(g.name, delays.default)
+        rise, fall = d if isinstance(d, tuple) else (d, d)
+        for net, bits in pins.items():     # the delay to a new value v is edge[v]
+            readers.setdefault(net, []).append((k, bits, products, (fall, rise), g.out))
         predicted[g.out] = []
     inverters = {}
     for out, src in system.inverters.items():
@@ -214,17 +224,15 @@ def causal_mismatches(system, trace, delays=None):
             recorded[net].append((t, v))
         for out in inverters.get(net, ()):
             predicted[out].append((t, seq, 1 - v))
-        for g, products in readers.get(net, ()):
-            ins = [value[n] for n in g.ins]
-            if any(all(ins[i] for i in prod) for prod in products):
+        for k, bits, products, edge, out in readers.get(net, ()):
+            m = mask[k] = mask[k] | bits if v else mask[k] & ~bits
+            if any(m & p == p for p in products):
                 nxt = 1
             else:
-                nxt = state[g.name] if any(ins) else 0
-            if nxt != state[g.name]:
-                state[g.name] = nxt
-                d = delays.per_gate.get(g.name, delays.default)
-                rise, fall = d if isinstance(d, tuple) else (d, d)
-                predicted[g.out].append((t + (rise if nxt else fall), seq, nxt))
+                nxt = state[k] if m else 0
+            if nxt != state[k]:
+                state[k] = nxt
+                predicted[out].append((t + edge[nxt], seq, nxt))
     bad = []
     for net, preds in predicted.items():
         running, caused = start[net], []
