@@ -97,7 +97,6 @@ def parse_boolean_netlist(text: str) -> BoolNetlist:
     declared_in: Optional[list] = None
     declared_out: Optional[list] = None
     bnl = BoolNetlist()
-    gate_count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,10 +122,9 @@ def parse_boolean_netlist(text: str) -> BoolNetlist:
             _check_ident(name, lineno)
         else:
             raise FormatError(lineno, f"{head} takes {arity} inputs")
-        gate_count += 1
         try:
             bnl.add(head, [_check_ident(t, lineno) for t in body],
-                    _check_ident(out, lineno), name=name or f"u{gate_count}")
+                    _check_ident(out, lineno), name=name)
         except NetlistError as exc:
             raise FormatError(lineno, str(exc)) from exc
     driver, _, readers, nets = bnl._structure()

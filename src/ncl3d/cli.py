@@ -310,7 +310,7 @@ def cmd_synth(args) -> int:
 def cmd_multiplier_demo(args) -> int:
     from .forkmap import fork_map
     from .pipeline import build_pipeline
-    from .ppa import PpaReport, evaluate_circuit, improvement_pct, ppa_jobs
+    from .ppa import PpaReport, improvement_pct, ppa_jobs
     from .sim import di_trials
     from .synth import build_array_multiplier, count_transistors
     if not 2 <= args.width <= 8:
@@ -328,14 +328,10 @@ def cmd_multiplier_demo(args) -> int:
     di_vectors = vectors[:16]
     trials, di_report = di_trials(build_pipeline(cl), di_vectors, args.trials, args.seed)
 
-    def flat_job():
-        r = evaluate_circuit(cl, vectors, tech, cal)
-        return tuple(r.ppa), r.metrics.words
-
     # one simulation per delay assignment, long jobs first: the 2D evaluation
     # (its words are the products checked below), the M3D one, the DI trials
-    (flat, words), fold, *outcomes = fork_map(
-        [flat_job, *ppa_jobs(cl, vectors, tech, cal, [("M3D", alpha)]), *trials])
+    (flat, words), (fold, _), *outcomes = fork_map(
+        [*ppa_jobs(cl, vectors, tech, cal, [("2D", 1.0), ("M3D", alpha)]), *trials])
     correct = sum(1 for got, want in zip(words, expected) if got == want)
     ok_products = correct == len(expected)
     lines.append(f"verification: {tag}: {correct}/{len(expected)} products correct, "

@@ -438,7 +438,8 @@ def _chunks(cases: Sequence, width: int, *states: Mapping[str, int]):
     """Cut ``cases`` into runs of at most LANE_BUDGET lanes (at least one
     case each), one block of ``width`` lanes per case. Yields each run with
     every one of ``states`` copied into each of its blocks; the copies are
-    made once, for a full run, and cut down for a shorter last run."""
+    made once, for a full run, and cut down for a shorter last run. The NULL
+    state needs no copy: NULL→DATA settles from no state, which reads 0."""
     step = max(1, LANE_BUDGET // max(width, 1))
     count = min(step, len(cases))
     # values fit in ``width`` lanes, so multiplying by ones copies them exactly
@@ -470,6 +471,10 @@ def check_input_completeness(
     the V vectors, so one settle per direction covers every subset of a
     LANE_BUDGET chunk. Sampled blocks keep only the lanes their draws used.
 
+    NULL→DATA starts from no state, as no control input is driven, every
+    gate product has a literal and a gate holds a 1 only once set: with
+    all rails 0, the settled NULL state is 0 on every net.
+
     Random-delay trials (``sim.check_delay_insensitivity``) do not see
     this defect class: the four-phase environment changes the inputs only
     after every output has completed or reset, so an output that fires on
@@ -500,15 +505,14 @@ def check_input_completeness(
     width = len(vectors)
     rails = _lane_rails(ports, vectors)
     out_rails = [p.rails for p in netlist.outputs]
-    null_state = settle(netlist, {})
-    data_state = settle(netlist, rails, null_state)
+    data_state = settle(netlist, rails)
     hits = []
-    for chunk, (wide_rails, null, data) in _chunks(list(subsets.items()), width,
-                                                   rails, null_state, data_state):
-        # NULL -> DATA drives only each subset's rails (in_sub), from the
-        # NULL state; DATA -> NULL drops them, from the full-DATA state.
+    for chunk, (wide_rails, data) in _chunks(list(subsets.items()), width,
+                                             rails, data_state):
+        # NULL -> DATA drives only each subset's rails (in_sub), from no
+        # state (all NULL); DATA -> NULL drops them, from the full-DATA state.
         for direction, in_sub, start, done in (
-                ("null-to-data", True, null, lambda r1, r0: r1 ^ r0),
+                ("null-to-data", True, None, lambda r1, r0: r1 ^ r0),
                 ("data-to-null", False, data, lambda r1, r0: ~(r1 | r0))):
             drive = {}
             for i, p in enumerate(ports):
@@ -561,14 +565,13 @@ def check_observability(
     width = len(vectors)
     every = (1 << width) - 1
     rails = _lane_rails(netlist.inputs, vectors)
-    null_state = settle(netlist, {})
     out_rails = netlist.output_rails()
-    base = settle(netlist, rails, null_state)
+    base = settle(netlist, rails)
     violations = []
-    for chunk, (wide_rails, null, wide_base) in _chunks(
-            netlist.gates, width, rails, null_state, {r: base[r] for r in out_rails}):
+    for chunk, (wide_rails, wide_base) in _chunks(
+            netlist.gates, width, rails, {r: base[r] for r in out_rails}):
         stuck = {inst.out: ~(every << j * width) for j, inst in enumerate(chunk)}
-        vals = settle(netlist, wide_rails, null, frozen=stuck)
+        vals = settle(netlist, wide_rails, frozen=stuck)
         diff = 0
         for r in out_rails:
             diff |= vals[r] ^ wide_base[r]

@@ -12,9 +12,9 @@ outside the netlist proper: ``PipelineSystem.inverters`` maps each
 request net to the detector net it negates, and the simulator applies
 the negation with zero delay.
 """
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .netlist import GateInst, Netlist, NetlistError, Port
+from .netlist import Netlist, NetlistError, Port
 
 RESERVED_PREFIXES = ("rg", "cd", "ko")
 ACK_NET = "ack"
@@ -36,14 +36,6 @@ class PipelineSystem(NamedTuple):
             state[out] = 1
         state[self.ack_net] = 1
         return state
-
-
-def _rewire(gates, mapping: Mapping[str, str]) -> List[GateInst]:
-    out = []
-    for g in gates:
-        ins = tuple(mapping.get(n, n) for n in g.ins)
-        out.append(GateInst(g.kind, g.name, ins, g.out))
-    return out
 
 
 def _completion_tree(nl: Netlist, stage: int, bits, net_class) -> None:
@@ -114,7 +106,6 @@ def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
 
     # rails entering the bank about to be built
     incoming: List[Tuple[str, Tuple[str, str]]] = [(p.name, p.rails) for p in cl.inputs]
-    cl_out_ports: Optional[Tuple[Port, ...]] = None
 
     for s in range(1, n_stages + 1):
         registered: List[Tuple[str, str]] = []
@@ -128,26 +119,16 @@ def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
         if s == 1:
             mapping = {r: q for (_, (r1, r0)), (q1, q0) in zip(incoming, registered)
                        for r, q in ((r1, q1), (r0, q0))}
-            for g in _rewire(cl.gates, mapping):
-                nl.add(g.kind, g.ins, g.out, name=g.name)
-                if g.out not in net_class:
-                    net_class[g.out] = "logic"
-            cl_out_ports = tuple(
-                Port(p.name, mapping.get(p.rail1, p.rail1), mapping.get(p.rail0, p.rail0))
-                for p in cl.outputs
-            )
-            incoming = [(p.name, p.rails) for p in cl_out_ports]
+            for g in cl.gates:
+                nl.add(g.kind, [mapping.get(n, n) for n in g.ins], g.out, name=g.name)
+                net_class.setdefault(g.out, "logic")
+            incoming = [(p.name, tuple(mapping.get(r, r) for r in p.rails))
+                        for p in cl.outputs]
         else:
             incoming = [(bit, q) for (bit, _), q in zip(incoming, registered)]
 
-    if n_stages == 1:
-        out_ports = cl_out_ports
-    else:
-        out_ports = tuple(Port(bit, q1, q0) for bit, (q1, q0) in incoming)
+    out_ports = tuple(Port(bit, q1, q0) for bit, (q1, q0) in incoming)
     nl.bind_outputs(out_ports)
-    for p in out_ports:
-        net_class.setdefault(p.rail1, "logic")
-        net_class.setdefault(p.rail0, "logic")
 
     inverters = {f"ko{s}": f"cd{s}" for s in range(1, n_stages + 1)}
     system = PipelineSystem(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import import_module, resources
 from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -781,24 +781,20 @@ def evaluate_circuit(cl: Netlist, vectors: Sequence,
     )
 
 
-def evaluate_circuits(cl: Netlist, vectors: Sequence, tech: TechParams,
-                      cal: Calibration, forms: Sequence[Tuple[str, float]]) -> List[PpaReport]:
-    """``evaluate_circuit(...).ppa`` for each (mode, alpha) in ``forms``,
-    run side by side on the usable cores; the figures are the same."""
-    from .forkmap import fork_map
-    return [PpaReport(*row) for row in fork_map(ppa_jobs(cl, vectors, tech, cal, forms))]
-
-
 def ppa_jobs(cl: Netlist, vectors: Sequence, tech: TechParams, cal: Calibration,
              forms: Sequence[Tuple[str, float]]) -> list:
-    """One job for ``forkmap.fork_map`` per (mode, alpha) in ``forms``: the
-    fields of ``evaluate_circuit(...).ppa``, which ``PpaReport(*row)`` takes.
+    """One job for ``forkmap.fork_map`` per (mode, alpha) in ``forms``,
+    returning ``(figures, words)`` of ``evaluate_circuit(...)``: the fields
+    of its ``ppa``, which ``PpaReport(*figures)`` takes, and ``metrics.words``.
     Each form is checked, and the simulator and pipeline modules run,
     here: before any job runs and not again in each forked worker."""
     forms = [_form(*f) for f in forms]
     import_module(".sim", __package__)
-    return [lambda m=m, a=a: tuple(evaluate_circuit(cl, vectors, tech, cal, m, a).ppa)
-            for m, a in forms]
+
+    def job(mode: str, alpha: float):
+        r = evaluate_circuit(cl, vectors, tech, cal, mode, alpha)
+        return tuple(r.ppa), r.metrics.words
+    return [partial(job, m, a) for m, a in forms]
 
 
 # ------------------------------------------------------------------- sweeps
@@ -828,8 +824,9 @@ def sweep_alpha(target: Union[Sequence[str], Netlist],
     if isinstance(target, Netlist):
         if vectors is None:
             raise PpaError("a circuit sweep needs input vectors")
-        base, *folds = evaluate_circuits(target, vectors, tech, cal,
-                                         [("2D", 1.0)] + [("M3D", a) for a in order])
+        from .forkmap import fork_map
+        base, *folds = [PpaReport(*figures) for figures, _ in fork_map(ppa_jobs(
+            target, vectors, tech, cal, [("2D", 1.0)] + [("M3D", a) for a in order]))]
         return [SweepRow(alpha=a, improvements=improvement_pct(base, fold), per_gate={})
                 for a, fold in zip(order, folds)]
     kinds = list(target)

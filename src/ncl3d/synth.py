@@ -8,7 +8,8 @@ templates, which matches the studied transistor budget.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+import itertools
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .boolnet import BoolNetlist
 from .gates import spec_from_name
@@ -81,35 +82,42 @@ def expand_dual_rail(bnl: BoolNetlist) -> Netlist:
 
 # -- array multiplier ---------------------------------------------------------
 
-class _AdderCell(NamedTuple):
-    """One reduction cell of the array: a half or full adder."""
+def build_boolean_multiplier(width: int) -> BoolNetlist:
+    """Unsigned carry-ripple array multiplier as a Boolean netlist.
 
-    kind: str  # "HA" or "FA"
-    a: str
-    b: str
-    ci: Optional[str]
-    s: str
-    co: str
-
-
-def _array_plan(width: int):
-    """Topology of the carry-ripple array multiplier over named nets.
-
-    Returns (pp pairs, adder cells, output nets). Row 1 is half adders;
-    rows 2..width-1 full adders; a final ripple row combines the leftover
-    carries. Cell counts: width half adders, width*(width-2) full adders.
+    Row 1 is half adders; rows 2..width-1 full adders; a final ripple row
+    combines the leftover carries. Cell counts: width half adders,
+    width*(width-2) full adders. Each cell's gates are emitted as the
+    array is walked, cell n named ``ha{n}_*`` or ``fa{n}_*``.
     """
+    if not 2 <= width <= 8:
+        raise SynthError(f"width {width} outside the supported range [2, 8]")
     w = width
     pp = [[f"pp{i}_{j}" for j in range(w)] for i in range(w)]
-    pairs = [(f"a{i}", f"b{j}", pp[i][j]) for j in range(w) for i in range(w)]
-    cells: List[_AdderCell] = []
     outs = [f"p{k}" for k in range(2 * w)]
+    bnl = BoolNetlist(
+        inputs=[f"a{i}" for i in range(w)] + [f"b{j}" for j in range(w)],
+        outputs=outs,
+    )
+    for j in range(w):
+        for i in range(w):
+            bnl.add("AND2", [f"a{i}", f"b{j}"], pp[i][j], name=f"g_{pp[i][j]}")
+    bnl.add("BUF", [pp[0][0]], outs[0], name="g_p0")
+    cells = itertools.count()
 
     def ha(a, b, s, co):
-        cells.append(_AdderCell("HA", a, b, None, s, co))
+        n = next(cells)
+        bnl.add("XOR2", [a, b], s, name=f"ha{n}_s")
+        bnl.add("AND2", [a, b], co, name=f"ha{n}_c")
 
     def fa(a, b, ci, s, co):
-        cells.append(_AdderCell("FA", a, b, ci, s, co))
+        n = next(cells)
+        t = f"fa{n}_t"
+        bnl.add("XOR2", [a, b], t, name=f"fa{n}_x1")
+        bnl.add("XOR2", [t, ci], s, name=f"fa{n}_x2")
+        bnl.add("AND2", [a, b], f"fa{n}_c1", name=f"fa{n}_a1")
+        bnl.add("AND2", [t, ci], f"fa{n}_c2", name=f"fa{n}_a2")
+        bnl.add("OR2", [f"fa{n}_c1", f"fa{n}_c2"], co, name=f"fa{n}_o")
 
     # row 1: pp[i+1][0] + pp[i][1]
     s_prev = []
@@ -137,32 +145,6 @@ def _array_plan(width: int):
         top = s_prev[i + 1] if i < w - 2 else pp[w - 1][w - 1]
         co = outs[2 * w - 1] if i == w - 2 else f"cc_{i}"
         fa(c_prev[i], top, f"cc_{i - 1}", outs[w + i], co)
-    return pairs, cells, outs, pp[0][0]
-
-
-def build_boolean_multiplier(width: int) -> BoolNetlist:
-    """Unsigned carry-ripple array multiplier as a Boolean netlist."""
-    if not 2 <= width <= 8:
-        raise SynthError(f"width {width} outside the supported range [2, 8]")
-    pairs, cells, outs, p0_net = _array_plan(width)
-    bnl = BoolNetlist(
-        inputs=[f"a{i}" for i in range(width)] + [f"b{j}" for j in range(width)],
-        outputs=outs,
-    )
-    for a, b, out in pairs:
-        bnl.add("AND2", [a, b], out, name=f"g_{out}")
-    bnl.add("BUF", [p0_net], outs[0], name="g_p0")
-    for n, cell in enumerate(cells):
-        if cell.kind == "HA":
-            bnl.add("XOR2", [cell.a, cell.b], cell.s, name=f"ha{n}_s")
-            bnl.add("AND2", [cell.a, cell.b], cell.co, name=f"ha{n}_c")
-        else:
-            t = f"fa{n}_t"
-            bnl.add("XOR2", [cell.a, cell.b], t, name=f"fa{n}_x1")
-            bnl.add("XOR2", [t, cell.ci], cell.s, name=f"fa{n}_x2")
-            bnl.add("AND2", [cell.a, cell.b], f"fa{n}_c1", name=f"fa{n}_a1")
-            bnl.add("AND2", [t, cell.ci], f"fa{n}_c2", name=f"fa{n}_a2")
-            bnl.add("OR2", [f"fa{n}_c1", f"fa{n}_c2"], cell.co, name=f"fa{n}_o")
     return bnl
 
 

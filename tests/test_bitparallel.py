@@ -11,12 +11,14 @@ packing's results across budgets, its settle count and its memory.
 import itertools
 import random
 import tracemalloc
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncl3d.netlist
+from ncl3d.boolnet import parse_boolean_netlist
 from ncl3d.netlist import (
     DR,
     ICViolation,
@@ -27,6 +29,7 @@ from ncl3d.netlist import (
     check_observability,
     encode_word,
     output_word,
+    parse_netlist,
     settle,
 )
 from ncl3d.synth import build_array_multiplier, expand_dual_rail
@@ -208,6 +211,34 @@ def test_checkers_match_the_oracle_on_relaxed_random_circuits(case, seed, count)
     assert_checkers_match_oracle(nl, ((12, seed), (40, seed + 1)))
 
 
+def assert_no_state_settles_to_null(nl):
+    """What the checkers' NULL->DATA sweep starts from: a netlist they accept,
+    settled from no state with no rail driven, is 0 on every net."""
+    ncl3d.netlist._check_preconditions(nl)   # raises unless the checkers accept nl
+    assert settle(nl, {}) == dict.fromkeys(nl.nets, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=boolean_circuit(), seed=st.integers(0, 2**16), count=st.integers(0, 4))
+def test_no_state_settles_to_null_on_random_circuits(case, seed, count):
+    bnl, _ = case
+    nl = expand_dual_rail(bnl)
+    assert_no_state_settles_to_null(nl)
+    assert_no_state_settles_to_null(relaxed(nl, random.Random(seed), count))
+
+
+def test_no_state_settles_to_null_on_fixtures_and_multipliers():
+    fixtures = sorted(resources.files("ncl3d").joinpath("data/fixtures").iterdir(),
+                      key=lambda f: f.name)
+    nets = [parse_netlist(f.read_text(encoding="utf-8"))
+            for f in fixtures if f.name.endswith(".ncl")]
+    nets += [expand_dual_rail(parse_boolean_netlist(f.read_text(encoding="utf-8")))
+             for f in fixtures if f.name.endswith(".bnl")]
+    assert len(nets) == 5
+    for nl in nets + [build_array_multiplier(w) for w in (2, 3, 4)]:
+        assert_no_state_settles_to_null(nl)
+
+
 def test_relaxed_and_violations_in_case_order():
     nl = relaxed_and_template()
     expected = reference_input_completeness(nl)
@@ -275,17 +306,17 @@ def counted_settles(monkeypatch):
 def test_each_sweep_settles_once_per_direction_and_chunk(monkeypatch):
     calls = counted_settles(monkeypatch)
     nl = build_array_multiplier(3)      # 6 ports, 64 vectors, 62 subsets, 60 gates
-    assert check_input_completeness(nl) == [] and len(calls) == 4     # 126 at two per subset
+    assert check_input_completeness(nl) == [] and len(calls) == 3     # 125 at two per subset
     calls.clear()
-    assert check_observability(nl) == [] and len(calls) == 3          # 62 at one per gate
+    assert check_observability(nl) == [] and len(calls) == 2          # 61 at one per gate
     assert len(calls[-1]) == 60         # the last settle holds every gate stuck
     monkeypatch.setattr(ncl3d.netlist, "LANE_BUDGET", 50)
     calls.clear()
     check_input_completeness(relaxed_multiplier(2, 5))
-    assert len(calls) == 2 + 2 * 5      # 14 subsets in chunks of 3
+    assert len(calls) == 1 + 2 * 5      # 14 subsets in chunks of 3
     calls.clear()
     check_observability(relaxed_multiplier(2, 5))
-    assert len(calls) == 2 + 6          # 16 gates in chunks of 3
+    assert len(calls) == 1 + 6          # 16 gates in chunks of 3
 
 
 def test_input_completeness_sweep_memory_is_bounded():

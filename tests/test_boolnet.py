@@ -89,6 +89,13 @@ def test_duplicate_driver_error_names_the_net():
     assert "z" in str(err.value)
 
 
+def test_unnamed_gates_are_named_by_position():
+    bnl = parse_boolean_netlist("AND2 a b -> x\nOR2 g7 x c -> y\nXOR2 y a -> z\n")
+    assert [g.name for g in bnl.gates] == ["u1", "g7", "u3"]
+    with pytest.raises(FormatError, match="line 2: duplicate instance name u2"):
+        parse_boolean_netlist("AND2 u2 a b -> x\nOR2 x c -> y\n")
+
+
 @pytest.mark.parametrize("text", [
     "FROB2 a b -> z\n",                       # unknown kind
     "AND2 a -> z\n",                          # arity

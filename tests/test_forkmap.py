@@ -487,8 +487,8 @@ def test_multiplier_demo_results_survive_marshal(monkeypatch, capsys, cpus, syst
     cpus(1)
     assert main(["multiplier-demo", "--width", "2", "--trials", "4", "--seed", "5"]) == 1
     capsys.readouterr()
-    (flat, words), fold, *outcomes = results
-    assert len(words) == 16 and len(flat) == len(fold) == 6
+    (flat, words), (fold, fold_words), *outcomes = results
+    assert len(words) == len(fold_words) == 16 and len(flat) == len(fold) == 6
     assert words in outcomes and any(o != words for o in outcomes)
     assert any(isinstance(o, str) for o in outcomes) == ("raise" in failures.values())
     for result in results:

@@ -25,7 +25,6 @@ from ncl3d.ppa import (
     dump_calibration,
     dump_tech,
     evaluate_circuit,
-    evaluate_circuits,
     gate_improvements,
     gate_ppa,
     load_calibration,
@@ -443,8 +442,6 @@ FORM_ENTRIES = {
     "circuit_ppa": lambda c, m, a: circuit_ppa(c["cl"], c["trace"], c["tech"], c["cal"], m, a),
     "evaluate_circuit": lambda c, m, a: evaluate_circuit(
         c["cl"], c["vectors"], c["tech"], c["cal"], m, a),
-    "evaluate_circuits": lambda c, m, a: evaluate_circuits(
-        c["cl"], c["vectors"], c["tech"], c["cal"], [(m, a)]),
     "ppa_jobs": lambda c, m, a: ppa_jobs(c["cl"], c["vectors"], c["tech"], c["cal"], [(m, a)]),
     "sweep_alpha": lambda c, m, a: sweep_alpha(["TH22"], [a], c["tech"], c["cal"]),
 }
@@ -579,12 +576,15 @@ def test_evaluate_circuit_measures_its_trace_once(monkeypatch, tech, cal):
     assert result.ppa == circuit_ppa(cl, result.trace, tech, cal, "M3D", 0.7)
 
 
-def test_evaluate_circuits_matches_one_at_a_time(tech, cal):
+def test_ppa_jobs_match_one_at_a_time(tech, cal):
     cl = build_array_multiplier(2)
     vectors = [operand_bits(2, x, y) for x in range(4) for y in range(4)]
     forms = [("2D", 1.0), ("M3D", 0.7), ("M3D", 0.5)]
-    assert evaluate_circuits(cl, vectors, tech, cal, forms) == [
-        evaluate_circuit(cl, vectors, tech, cal, m, a).ppa for m, a in forms]
+    want = []
+    for m, a in forms:
+        r = evaluate_circuit(cl, vectors, tech, cal, m, a)
+        want.append((tuple(r.ppa), r.metrics.words))
+    assert [job() for job in ppa_jobs(cl, vectors, tech, cal, forms)] == want
 
 
 def test_evaluate_circuit_needs_waves(tech, cal):

@@ -3,11 +3,12 @@
 Fidelity is checked against the Boolean interpreter and against plain
 integer arithmetic, both computed independently of the code under test.
 """
+import hashlib
 import itertools
 
 import pytest
 
-from ncl3d.boolnet import parse_boolean_netlist
+from ncl3d.boolnet import parse_boolean_netlist, serialize_boolean_netlist
 from ncl3d.netlist import (
     DR,
     check_input_completeness,
@@ -162,6 +163,34 @@ def test_construction_is_deterministic():
     a = serialize_netlist(build_array_multiplier(3))
     b = serialize_netlist(build_array_multiplier(3))
     assert a == b
+
+
+# SHA-256 of the serialized Boolean and dual-rail multipliers: gate order,
+# instance names and nets, for every supported width.
+MULTIPLIER_SHA256 = {
+    2: ("2376f2d667abe6b19e9eaa0ea680cc6121628ca8039e336c4eacb4950f19c742",
+        "34e3a6a865a18f5d1d76a4b896160ec8a0a968682abec095ab9488e7c177ccde"),
+    3: ("a7c39eadece51521cd3ce1e5e8fa0097096759790146dc48ab14c2115c9c5c40",
+        "dbe26f48ef857b2c69652e4b16aaaa361fafcd06b7a6c68c8ddaa8d33aa9b23d"),
+    4: ("4f8049b18207e08311d02480b673e13181e91edd28901536114b8689a641a625",
+        "cb9ec17b3c73b335ffa6d3c0a7f8908383264240debd91e221843fb3ab1eb6f5"),
+    5: ("6788016a0ddf45d9219f50726b977d4870b4a5605542fb34e0f09788faa27f49",
+        "394baa14ff3f0ddd5a166055dffa257d0f4a555e51392ae5c81e1d6dc91a2965"),
+    6: ("11e2b6f216db5a0ffd894edd13d5e3c503589db014d27335576a9ebd80a76c2d",
+        "06d09dc2254eb77bf31b7179a11ed04d803067d4b355b8e5024b0c8701656ca5"),
+    7: ("2161c4018030c390d304363aab7d9b6b53f1cd00cf72d7c2d5641ed0f6af149f",
+        "0ecb8b37b5a32e177cf7e4533fd4fa0dbc4571bd1a2c8163fd15bb51a8fa283f"),
+    8: ("38e303c7504a5209c128da1e87b1f1059acceaed06972a222797233eee788b1c",
+        "3703ccdcf28f5f041c3849fc978072a11404424d1825ba962a21beeace1b6876"),
+}
+
+
+@pytest.mark.parametrize("width", sorted(MULTIPLIER_SHA256))
+def test_multiplier_structure_is_pinned(width):
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
+        serialize_boolean_netlist(build_boolean_multiplier(width)),
+        serialize_netlist(build_array_multiplier(width))))
+    assert digests == MULTIPLIER_SHA256[width]
 
 
 def test_operand_bits_round_trip():
