@@ -241,25 +241,20 @@ def cmd_simulate(args) -> int:
     nl = load_netlist(args.netlist)
     vectors = load_vectors(args.vectors)
     system = build_pipeline(nl)
-    lines = [f"# ncl3d simulate",
-             f"netlist: {args.netlist} (gates={len(nl.gates)})",
-             f"vectors: {len(vectors)} from {args.vectors}"]
     doc: Dict = {"command": "simulate", "netlist": str(args.netlist),
-                 "vector_count": len(vectors)}
+                 "vector_count": len(vectors), "mode": args.mode or "unit"}
+    delays = None
+    lines = ["# ncl3d simulate"]
     if args.mode:
         from .ppa import circuit_delay_assignment
         tech, cal = _model(args)
         alpha = 1.0 if args.mode == "2D" else _single_alpha(args.alpha)
         delays = circuit_delay_assignment(system, nl, tech, cal, args.mode, alpha)
-        lines.insert(1, f"# tech {tech.digest()}")
-        lines.insert(2, f"# calibration {cal.digest()}")
-        lines.append(f"delay model: {args.mode} alpha={alpha:.2f}")
-        doc.update(mode=args.mode, alpha=alpha, tech_digest=tech.digest(),
-                   calibration_digest=cal.digest())
-    else:
-        delays = None
-        lines.append("delay model: unit")
-        doc.update(mode="unit")
+        lines = _model_header("simulate", tech, cal)
+        doc.update(alpha=alpha, tech_digest=tech.digest(), calibration_digest=cal.digest())
+    lines += [f"netlist: {args.netlist} (gates={len(nl.gates)})",
+              f"vectors: {len(vectors)} from {args.vectors}",
+              f"delay model: {args.mode} alpha={alpha:.2f}" if args.mode else "delay model: unit"]
     trace = simulate(system, vectors, delays)
     rep = measure(trace)
     lines.append("words: " + " ".join(str(w) for w in rep.words))

@@ -210,16 +210,6 @@ def _th_spec(name: str, pmos: Optional[int] = None, nmos: Optional[int] = None) 
     )
 
 
-def _irregular(name: str, arity: int, products, pmos: int, nmos: int) -> GateSpec:
-    return GateSpec(
-        name=name,
-        arity=arity,
-        products=canonical_sop(products, arity),
-        pmos=pmos,
-        nmos=nmos,
-    )
-
-
 # Device counts for the six-gate study set follow the bundled reference
 # data; the remaining entries carry static-template estimates.
 DEFAULT_CATALOG = {spec.name: spec for spec in (
@@ -233,8 +223,8 @@ DEFAULT_CATALOG = {spec.name: spec for spec in (
     _th_spec("TH34", 13, 11),
     _th_spec("TH34w2", 13, 13),
     _th_spec("TH54w322", 11, 10),
-    _irregular("TH24comp", 4, [(0, 2), (0, 3), (1, 2), (1, 3)], 9, 9),
-    _irregular("THand0", 4, [(0, 1), (1, 2), (0, 3)], 10, 10),
+    GateSpec("TH24comp", 4, canonical_sop([(0, 2), (0, 3), (1, 2), (1, 3)], 4), 9, 9),
+    GateSpec("THand0", 4, canonical_sop([(0, 1), (1, 2), (0, 3)], 4), 10, 10),
 )}
 
 # The subset characterized by the bundled 2D/M3D reference measurements.

@@ -367,12 +367,8 @@ def encode_word(ports: Sequence[Port], bits: Mapping[str, Optional[int]]) -> Dic
     return rails
 
 
-def port_value(values: Mapping[str, int], p: Port) -> DR:
-    return DR.from_rails(values[p.rail1], values[p.rail0])
-
-
 def output_word(netlist: Netlist, values: Mapping[str, int]) -> Dict[str, DR]:
-    return {p.name: port_value(values, p) for p in netlist.outputs}
+    return {p.name: DR.from_rails(values[p.rail1], values[p.rail0]) for p in netlist.outputs}
 
 
 class ICViolation(NamedTuple):

@@ -6,6 +6,8 @@ by the bank's request line; completion of a bank is detected by a
 rail-OR per bit (TH12) feeding a balanced tree of C-elements (TH22,
 TH33, TH44).  The detector output is inverted at the request boundary,
 so a bank that holds a full DATA word requests NULL and vice versa.
+The first bank's request, ``REQUEST_NET``, is the one presented to the
+producer; the last bank's, ``ACK_NET``, is driven by the consumer.
 
 The inversion is not representable as a threshold gate, so it lives
 outside the netlist proper: ``PipelineSystem.inverters`` maps each
@@ -17,16 +19,13 @@ from typing import Dict, List, NamedTuple, Tuple
 from .netlist import Netlist, NetlistError, Port
 
 RESERVED_PREFIXES = ("rg", "cd", "ko")
-ACK_NET = "ack"
+REQUEST_NET = "ko1"                      # first bank's ko, watched by the producer
+ACK_NET = "ack"                          # last request, driven by the consumer
 
 
 class PipelineSystem(NamedTuple):
     netlist: Netlist
     inverters: Dict[str, str]            # out net -> in net, out = not in
-    inputs: Tuple[Port, ...]
-    outputs: Tuple[Port, ...]
-    request_net: str                     # first bank's ko, watched by the producer
-    ack_net: str                         # last request, driven by the consumer
     net_class: Dict[str, str]
 
     def reset_state(self) -> Dict[str, int]:
@@ -34,7 +33,7 @@ class PipelineSystem(NamedTuple):
         state = {n: 0 for n in self.netlist.nets}
         for out in self.inverters:
             state[out] = 1
-        state[self.ack_net] = 1
+        state[ACK_NET] = 1
         return state
 
 
@@ -74,7 +73,10 @@ def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
     register the previous outputs unchanged.  Each bank's request comes
     from the next bank's inverted detector; the last request is driven
     by the consumer, and the first bank's detector (inverted) is the
-    request presented to the producer.
+    request presented to the producer.  The checks on ``cl`` are the
+    only ones: the plumbing adds TH12, TH22, TH33 and TH44 gates on
+    reserved nets fed by input rails and requests, so the result
+    validates whenever ``cl`` does.
     """
     if n_stages < 1:
         raise NetlistError("need at least one register bank")
@@ -127,20 +129,6 @@ def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
         else:
             incoming = [(bit, q) for (bit, _), q in zip(incoming, registered)]
 
-    out_ports = tuple(Port(bit, q1, q0) for bit, (q1, q0) in incoming)
-    nl.bind_outputs(out_ports)
-
+    nl.bind_outputs(tuple(Port(bit, q1, q0) for bit, (q1, q0) in incoming))
     inverters = {f"ko{s}": f"cd{s}" for s in range(1, n_stages + 1)}
-    system = PipelineSystem(
-        netlist=nl,
-        inverters=inverters,
-        inputs=nl.inputs,
-        outputs=out_ports,
-        request_net="ko1",
-        ack_net=ACK_NET,
-        net_class=net_class,
-    )
-    defects = nl.validate()
-    if defects:
-        raise NetlistError(f"pipeline construction produced defects: {defects[0]}")
-    return system
+    return PipelineSystem(netlist=nl, inverters=inverters, net_class=net_class)

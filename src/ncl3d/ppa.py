@@ -381,10 +381,6 @@ def _area(spec: GateSpec, cal: Calibration, mode: str) -> float:
     return max(p, n) * cal.a_unit + miv_count(spec) * cal.a_miv_eff
 
 
-def _as_spec(kind: Union[str, GateSpec]) -> GateSpec:
-    return kind if isinstance(kind, GateSpec) else spec_from_name(kind)
-
-
 class PpaReport(NamedTuple):
     t_d: float      # ps
     t_s: float      # ps
@@ -399,7 +395,7 @@ def gate_ppa(kind: Union[str, GateSpec], tech: TechParams, cal: Calibration,
     """Delay and skew in ps, average power in uW (activity-weighted dynamic
     term plus leak) and footprint in um^2 of one gate type in one form."""
     mode, alpha = _form(mode, alpha)
-    spec = _as_spec(kind)
+    spec = kind if isinstance(kind, GateSpec) else spec_from_name(kind)
     t_d, c = _delay(spec, tech, cal, mode, alpha)
     n_t = sum(transistor_counts(spec))
     return PpaReport(
@@ -459,7 +455,7 @@ def _study_improvements(tech: TechParams, table: ReferenceTable, alpha: float,
                         route_fraction: float, c_dev: float) -> List[float]:
     out = []
     for name in table.gate_names():
-        spec = _as_spec(name)
+        spec = spec_from_name(name)
         r = _fit_r_drive(spec, table.gates_2d[name].t_d, tech,
                          route_fraction, c_dev)
         out.append(_delay_improvement(spec, r, tech, alpha,
@@ -509,16 +505,6 @@ def _avg_instance_improvement(rows: Sequence[Tuple[GateInst, GateSpec, int]],
     return total / len(rows)
 
 
-def _calibration_workload(width: int = 4):
-    """The pipelined multiplier and input sweep behind the circuit anchors."""
-    from .synth import build_array_multiplier, operand_bits
-
-    cl = build_array_multiplier(width)
-    vectors = [operand_bits(width, x, y)
-               for x in range(1 << width) for y in range(1 << width)]
-    return cl, vectors
-
-
 def calibrate(tech: Optional[TechParams] = None,
               table: Optional[ReferenceTable] = None) -> Calibration:
     """Fit every model coefficient against the bundled reference rows.
@@ -536,13 +522,14 @@ def calibrate(tech: Optional[TechParams] = None,
     from .pipeline import build_pipeline
     from .refdata import load_reference
     from .sim import simulate
+    from .synth import build_array_multiplier, operand_bits
 
     tech = tech or default_tech()
     table = table or load_reference()
     names = table.gate_names()
     if not names:
         raise CalibrationError("reference table lists no gates")
-    specs = {n: _as_spec(n) for n in names}
+    specs = {n: spec_from_name(n) for n in names}
     alpha_ref = table.alpha
     residuals: Dict[str, float] = {}
 
@@ -635,7 +622,7 @@ def calibrate(tech: Optional[TechParams] = None,
 
     # circuit routing span: bisect the fanout segment length until the
     # average per-instance delay improvement meets its anchor
-    cl, vectors = _calibration_workload()
+    cl = build_array_multiplier(4)
     rows = _instance_rows(cl)
 
     def lam_gap(lam: float) -> float:
@@ -660,7 +647,8 @@ def calibrate(tech: Optional[TechParams] = None,
     # power pair (cycle rate, leak per transistor) from the two circuit
     # anchors; transition counts are delay independent, so one unit-delay
     # run of the multiplier fixes the per-net activity
-    trace = simulate(build_pipeline(cl, n_stages=1), vectors)
+    vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
+    trace = simulate(build_pipeline(cl), vectors)
     v2 = tech.V_DD ** 2
     d2, d3 = (_switched_cap(rows, trace, tech, mode, alpha, route_fraction, c_dev,
                             net_route_factor) * v2 * 1e-3       # uW per MHz

@@ -60,7 +60,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tup
 
 from .gates import spec_from_name
 from .netlist import FormatError, Netlist
-from .pipeline import PipelineSystem
+from .pipeline import ACK_NET, REQUEST_NET, PipelineSystem
 
 
 class SimulationError(RuntimeError):
@@ -123,7 +123,6 @@ class DelayAssignment(_DelayFields):
 class Wave(NamedTuple):
     """One DATA/NULL round trip observed at the primary outputs."""
 
-    index: int
     t_applied: int
     t_data_complete: int
     t_null_complete: int
@@ -242,7 +241,7 @@ def measure(trace: Trace) -> Report:
 
 def _as_bit_vectors(system: PipelineSystem, vectors) -> List[Dict[str, int]]:
     out = []
-    names = [p.name for p in system.inputs]
+    names = [p.name for p in system.netlist.inputs]
     for k, vec in enumerate(vectors):
         if isinstance(vec, int):
             if vec < 0 or vec >= (1 << len(names)):
@@ -313,12 +312,13 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                 masks[gi] |= bits
     state = [values[out] for _, out in gates]
 
-    req = idx[system.request_net]
-    ack = idx[system.ack_net]
-    in_names = [p.name for p in system.inputs]
-    in_rails = [(idx[p.rail1], idx[p.rail0]) for p in system.inputs]
-    out_names = [p.name for p in system.outputs]
-    out_rails = [(idx[p.rail1], idx[p.rail0]) for p in system.outputs]
+    inputs, outputs = system.netlist.inputs, system.netlist.outputs
+    req = idx[REQUEST_NET]
+    ack = idx[ACK_NET]
+    in_names = [p.name for p in inputs]
+    in_rails = [(idx[p.rail1], idx[p.rail0]) for p in inputs]
+    out_names = [p.name for p in outputs]
+    out_rails = [(idx[p.rail1], idx[p.rail0]) for p in outputs]
     n_out = len(out_rails)
 
     # Environment bookkeeping.  rail_outs[net] lists the outputs (in port
@@ -348,7 +348,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     cons_phase = "data"           # what the consumer is waiting for
     t_applied: List[int] = []
     arrivals: Dict[str, int] = {}
-    pending: Optional[Tuple[int, int, int, int, Dict[str, int]]] = None
+    pending: Optional[Tuple[int, int, int, Dict[str, int]]] = None
 
     def run_env(t: int, push) -> None:
         """Act on the request and output rails at t, pushing events due at t."""
@@ -377,13 +377,13 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                     arrivals[out_names[o]] = t
             if class_count[1] == n_out:
                 value = sum(values[r1] << i for i, (r1, _) in enumerate(out_rails))
-                pending = (len(waves), t_applied[len(waves)], t, value, dict(arrivals))
+                pending = (t_applied[len(waves)], t, value, dict(arrivals))
                 arrivals.clear()
                 push(ev[ack][0])
                 cons_phase = "null"
         elif cons_phase == "null" and class_count[0] == n_out:
-            k, t0, t_data, value, arr = pending
-            waves.append(Wave(k, t0, t_data, t, value, arr))
+            t0, t_data, value, arr = pending
+            waves.append(Wave(t0, t_data, t, value, arr))
             pending = None
             push(ev[ack][1])
             cons_phase = "data"
@@ -458,10 +458,10 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
             and cons_phase == "data" and len(waves) == len(vectors))
     if not done:
         if prod_phase == "null":
-            raise DeadlockError(system.request_net,
+            raise DeadlockError(REQUEST_NET,
                                 f"producer holding vector {prod_next}, request stuck at {values[req]}")
         if prod_next < len(vectors):
-            raise DeadlockError(system.request_net,
+            raise DeadlockError(REQUEST_NET,
                                 f"producer has {len(vectors) - prod_next} vectors left, "
                                 f"request stuck at {values[req]}")
         for n, (r1, r0) in zip(out_names, out_rails):
@@ -469,7 +469,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
             if (cons_phase == "data" and a == b) or (cons_phase == "null" and (a or b)):
                 raise DeadlockError(n, f"consumer waiting for {cons_phase.upper()} word, "
                                        f"output rails at ({a},{b})")
-        raise DeadlockError(system.ack_net, "handshake never returned to idle")
+        raise DeadlockError(ACK_NET, "handshake never returned to idle")
 
     return Trace(records=Records(names, rec_events, rec_times), waves=waves,
                  completed=True, net_class=dict(system.net_class))

@@ -108,7 +108,8 @@ def test_every_definition_is_used():
 def unread_fields(modules, texts):
     """``Class.field`` for each field of a NamedTuple class in ``modules``
     (name -> source) that no text in ``texts`` reads as ``.field`` or names
-    in quotes."""
+    in quotes.  A call ``.field(`` is not a read: on a NamedTuple it may be
+    a tuple method of the same name, such as ``index`` or ``count``."""
     found = []
     for source in modules.values():
         for node in ast.walk(ast.parse(source)):
@@ -118,16 +119,16 @@ def unread_fields(modules, texts):
                 found += [(node.name, stmt.target.id) for stmt in node.body
                           if isinstance(stmt, ast.AnnAssign)]
     text = "\n".join(texts)
-    read = set(re.findall(r"\.(\w+)", text)) | set(re.findall(r"[\"'](\w+)[\"']", text))
+    read = set(re.findall(r"\.(\w+)\b(?!\()", text)) | set(re.findall(r"[\"'](\w+)[\"']", text))
     return sorted(f"{cls}.{name}" for cls, name in found if name not in read)
 
 
 def test_unread_field_scan():
     modules = {"m.py": ("class Row(typing.NamedTuple):\n    kept: int\n    quoted: int\n"
-                        "    stale: int\n    def f(self): return self.kept\n"
+                        "    stale: int\n    index: int\n    def f(self): return self.kept\n"
                         "class Plain:\n    other: int\n")}
-    texts = list(modules.values()) + ["getattr(r, 'quoted')"]
-    assert unread_fields(modules, texts) == ["Row.stale"]
+    texts = list(modules.values()) + ["getattr(r, 'quoted')", "rest.index('->')"]
+    assert unread_fields(modules, texts) == ["Row.index", "Row.stale"]
 
 
 # Technology fields the RC model does not use: they reach only the model

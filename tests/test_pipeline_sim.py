@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncl3d import pipeline
 from ncl3d.boolnet import parse_boolean_netlist
 from ncl3d.gates import spec_from_name
 from ncl3d.netlist import Netlist, NetlistError, Port
@@ -65,11 +66,12 @@ def test_two_stage_identity_structure():
     assert sys2.netlist.ctl_outputs == ("cd1", "cd2")
     assert sys2.inverters == {"ko1": "cd1", "ko2": "cd2"}
     # each bank's registers take the next bank's request; the last, the ack
-    for bank, ki in ((1, "ko2"), (2, sys2.ack_net)):
+    for bank, ki in ((1, "ko2"), (2, pipeline.ACK_NET)):
         regs = [g for g in sys2.netlist.gates if g.name.startswith(f"rg{bank}_")]
         assert len(regs) == 4 and {g.ins[1] for g in regs} == {ki}
-    assert sys2.ack_net == "ack"
-    assert sys2.request_net == "ko1"
+    assert pipeline.ACK_NET == "ack"
+    assert pipeline.REQUEST_NET == "ko1"
+    assert sys2.netlist.ctl_inputs == ("ko2", pipeline.ACK_NET)
 
 
 def test_single_bit_single_stage_degenerates_to_one_th12():
@@ -107,6 +109,31 @@ def test_build_rejects_bad_input():
         build_pipeline(bad, 1)
 
 
+# build_pipeline checks only its argument: the plumbing it adds validates
+# whenever the combinational netlist does.
+@settings(max_examples=60, deadline=None)
+@given(boolean_circuit(), st.integers(1, 3))
+def test_pipelines_of_valid_circuits_validate(case, n_stages):
+    bnl, _ = case
+    assert build_pipeline(expand_dual_rail(bnl), n_stages).netlist.validate() == []
+
+
+@pytest.mark.parametrize("width", range(2, 9))
+def test_multiplier_pipelines_validate(width):
+    assert build_pipeline(build_array_multiplier(width)).netlist.validate() == []
+
+
+@pytest.mark.parametrize("name,n_stages", [("rg1_a_1", 1), ("cdet1_b0", 1), ("rg2_z_0", 2)])
+def test_gate_named_like_plumbing_is_refused(name, n_stages):
+    cl = Netlist(["a", "b"], [])
+    cl.add("TH22", ["a.1", "b.1"], "z.1", name=name)
+    cl.add("TH12", ["a.0", "b.0"], "z.0", name="z0")
+    cl.bind_outputs([Port("z", "z.1", "z.0")])
+    assert cl.validate() == []
+    with pytest.raises(NetlistError, match=f"^duplicate instance name {name}$"):
+        build_pipeline(cl, n_stages)
+
+
 # ---------------------------------------------------------------- behavior
 
 def test_identity_single_wave():
@@ -114,7 +141,7 @@ def test_identity_single_wave():
     trace = simulate(system, [1])
     assert trace.words() == [1]
     assert len(trace.waves) == 1
-    y = [(t, v) for t, n, v in trace.records if n == system.outputs[0].rail1]
+    y = [(t, v) for t, n, v in trace.records if n == system.netlist.outputs[0].rail1]
     assert [v for _, v in y] == [1, 0]
 
 
@@ -144,7 +171,7 @@ def rise_oracle(system, vector_bits):
     """Earliest-arrival times of a monotone DATA wavefront, unit delays."""
     inf = float("inf")
     t = {net: -inf for net in system.netlist.ctl_inputs}
-    for p in system.inputs:
+    for p in system.netlist.inputs:
         b = vector_bits[p.name]
         t[p.rail1] = 0 if b else inf
         t[p.rail0] = inf if b else 0
@@ -156,7 +183,7 @@ def rise_oracle(system, vector_bits):
             best = min(best, arr)
         t[g.out] = best + 1 if best < inf else inf
     arrivals = []
-    for p in system.outputs:
+    for p in system.netlist.outputs:
         times = [t.get(p.rail1, inf), t.get(p.rail0, inf)]
         arrivals.append(min(times))
     return max(arrivals)
@@ -353,7 +380,7 @@ def test_live_lock_inside_one_timestep_hits_the_event_limit():
 def test_changing_the_netlist_after_a_run_changes_the_next_run():
     """simulate's per-netlist cache follows a gate added after a run."""
     def spied(system):
-        system.netlist.add("TH12", list(system.outputs[0].rails), "spy", name="spy")
+        system.netlist.add("TH12", list(system.netlist.outputs[0].rails), "spy", name="spy")
         return system
 
     system = and_pipeline()
@@ -442,10 +469,10 @@ def test_vectors_validate_against_port_count():
 
 
 def wave_digest(trace):
-    """SHA-256 over every wave: index, the three times, the packed value and
+    """SHA-256 over every wave: its position, the three times, the packed value and
     the arrival times in the order the trace recorded them."""
-    lines = [f"{w.index}\t{w.t_applied}\t{w.t_data_complete}\t{w.t_null_complete}"
-             f"\t{w.value}\t{list(w.arrivals.items())}" for w in trace.waves]
+    lines = [f"{k}\t{w.t_applied}\t{w.t_data_complete}\t{w.t_null_complete}"
+             f"\t{w.value}\t{list(w.arrivals.items())}" for k, w in enumerate(trace.waves)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -547,8 +574,8 @@ def test_golden_shared_output_rails_digest():
     bnl = parse_boolean_netlist("input a b\noutput x y w n\n"
                                 "AND2 a b -> x\nBUF x -> y\nINV x -> w\nINV a -> n\n")
     system = build_pipeline(expand_dual_rail(bnl), 1)
-    assert system.outputs[0].rails == system.outputs[1].rails
-    assert system.outputs[2].rails == system.outputs[0].rails[::-1]
+    assert system.netlist.outputs[0].rails == system.netlist.outputs[1].rails
+    assert system.netlist.outputs[2].rails == system.netlist.outputs[0].rails[::-1]
     names = [g.name for g in system.netlist.gates]
     delays = DelayAssignment.uniform_random(names, random.Random(2))
     vectors = [0, 1, 2, 3, 3, 0, 2, 1]
