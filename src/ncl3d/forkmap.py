@@ -10,9 +10,11 @@ every job runs.  A child sends its results, keyed by index, over its own
 pipe and leaves by ``os._exit``, so no stdio buffer or exit hook runs
 twice.  A job that no child sent (it raised, or its child did not start or
 died) runs again in the parent, so the first exception in job order
-surfaces there as it would serially.  Everything runs in-process without
-``fork``, with one usable CPU, with another thread alive or with fewer than
-2 jobs.  Every child is reaped before ``fork_map`` returns or raises.
+surfaces there as it would serially.  Everything runs in-process when
+:func:`processes` says 1 (no ``fork``, one usable CPU, another thread
+alive, or a call from inside a job of another round, in the parent or in a
+child, so rounds never nest) or with fewer than 2 jobs.  Every child is
+reaped before ``fork_map`` returns or raises.
 """
 import marshal
 import os
@@ -29,10 +31,29 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# True while this process runs a round's jobs.  It describes the process,
+# so it is module state: a forked child inherits it with the jobs.
+_in_round = False
+
+
+def processes() -> int:
+    """How many processes a ``fork_map`` round would use right now."""
+    if _in_round or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return usable_cpus()
+
+
 def fork_map(jobs: list) -> list:
-    n = min(len(jobs), usable_cpus())
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _serial(jobs, {}, {})
+    global _in_round
+    n = min(len(jobs), processes())
+    outer, _in_round = _in_round, True
+    try:
+        return _serial(jobs, {}, {}) if n < 2 else _fork_round(jobs, n)
+    finally:
+        _in_round = outer
+
+
+def _fork_round(jobs: list, n: int) -> list:
     per = -(-len(jobs) // SLOTS)              # past SLOTS jobs, an entry is a run of them
     queue, w = os.pipe()
     os.write(w, b"".join(k.to_bytes(SLOT, "little") for k in range(0, len(jobs), per)))

@@ -47,6 +47,17 @@ about 20 bytes per transition against about 90 for a fresh
 most of a long simulation's memory.  ``Trace.records`` decodes
 ``(t, name, value)`` only when it is read; ``len`` and
 ``transition_counts`` work on the columns.  Times must fit in 64 bits.
+
+A run of at least ``SPLIT_MIN`` vectors x gates is cut at wave boundaries
+into one segment per process a ``forkmap.fork_map`` round would use, and
+the segments run at once (``timesplit``).  A boundary where the consumer
+acknowledges a NULL word is a seam: each segment past the first starts
+from reset one wave early, and the stitched trace is kept only if the
+state on both sides of every seam is the same (relative to the seam's
+time); otherwise, or if a segment raised, the whole run goes again
+serially.  Either way the returned trace, or the exception raised, is the
+serial run's.  The kernel, ``_run``, marks seams only in the consumer's
+branch of the environment, once a wave.
 """
 import random
 from array import array
@@ -183,11 +194,6 @@ class _TraceFields(NamedTuple):
 class Trace(_TraceFields):
     """No ``__slots__``: the cached ``_counts`` lives in the instance dict."""
 
-    def to_tsv(self) -> str:
-        lines = ["time\tnet\tvalue"]
-        lines += [f"{t}\t{n}\t{v}" for t, n, v in self.records]
-        return "\n".join(lines) + "\n"
-
     @cached_property
     def _counts(self) -> Dict[str, int]:
         names = self.records.names
@@ -239,19 +245,20 @@ def measure(trace: Trace) -> Report:
     )
 
 
-def _as_bit_vectors(system: PipelineSystem, vectors) -> List[Dict[str, int]]:
+def _as_bit_vectors(system: PipelineSystem, vectors) -> List[Tuple[int, ...]]:
+    """Each vector as its bits in input port order."""
     out = []
     names = [p.name for p in system.netlist.inputs]
     for k, vec in enumerate(vectors):
         if isinstance(vec, int):
             if vec < 0 or vec >= (1 << len(names)):
                 raise VectorError(f"vector {k} ({vec}) out of range for {len(names)} inputs")
-            out.append({n: (vec >> i) & 1 for i, n in enumerate(names)})
+            out.append(tuple((vec >> i) & 1 for i in range(len(names))))
         else:
             missing = [n for n in names if n not in vec]
             if missing:
                 raise VectorError(f"vector {k} missing bits for {missing}")
-            out.append({n: 1 if vec[n] else 0 for n in names})
+            out.append(tuple(1 if vec[n] else 0 for n in names))
     return out
 
 
@@ -274,6 +281,27 @@ def _gate_rows(nl: Netlist) -> tuple:
     return names, idx, ev, gates, tuple(map(tuple, fanout))
 
 
+def _nets(system: PipelineSystem) -> tuple:
+    """The netlist's ``_gate_rows``, with the inverter outputs it lacks
+    appended to the nets."""
+    names, idx, ev, gates, fanout = system.netlist.derive(_gate_rows)
+    extra = tuple(out for out in system.inverters if out not in idx)
+    if extra:
+        names += extra
+        idx = {n: i for i, n in enumerate(names)}
+        ev += tuple(((n, 0), (n, 1)) for n in range(len(ev), len(names)))
+        fanout += ((),) * len(extra)
+    return names, idx, ev, gates, fanout
+
+
+T_MAX = (1 << 63) - 1                    # the largest time a trace's time column holds
+# A run of at least this many vectors x gates is split into segments that
+# run at once (``timesplit``).  On 2 cores a split pays from about 10,000
+# (CHANGES.md); the margin covers compiling forkmap and timesplit for the
+# first split of a process, and the dearer fork of a larger process.
+SPLIT_MIN = 40_000
+
+
 def simulate(system: PipelineSystem, data_vectors: Sequence,
              delays: Optional[DelayAssignment] = None,
              max_events: Optional[int] = None) -> Trace:
@@ -285,13 +313,32 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     """
     delays = delays or DelayAssignment()
     vectors = _as_bit_vectors(system, data_vectors)
-    names, idx, ev, gates, gate_fanout = system.netlist.derive(_gate_rows)
-    extra = tuple(out for out in system.inverters if out not in idx)
-    if extra:
-        names += extra
-        idx = {n: i for i, n in enumerate(names)}
-        ev += tuple(((n, 0), (n, 1)) for n in range(len(ev), len(names)))
+    nets = _nets(system)
+    limit = (max_events if max_events is not None
+             else 50 * (len(vectors) + 2) * max(len(nets[0]), 1))
+    if len(vectors) * len(system.netlist.gates) >= SPLIT_MIN:
+        from .timesplit import split_run
+        trace = split_run(system, nets, vectors, delays, limit)
+        if trace is not None:
+            return trace
+    events, times, waves, _ = _run(system, nets, vectors, delays, limit)
+    return Trace(Records(nets[0], events, times), waves, True, dict(system.net_class))
 
+
+class _Stop(Exception):
+    """A run reached its ``stop`` seam; the args are what ``_run`` returns."""
+
+
+def _run(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]],
+         delays: DelayAssignment, limit: int, seams: Tuple[int, ...] = (),
+         stop: Optional[int] = None) -> tuple:
+    """The kernel: run ``vectors`` from reset and return the trace columns,
+    the waves and the seam marks.  When the consumer acknowledges the NULL
+    word that ends wave count s in ``seams``, it marks the seam with (time,
+    records so far, events popped so far, state relative to the seam), and
+    at wave count ``stop`` the run ends there by raising ``_Stop``.  A run
+    that finishes marks (last time popped, records, events popped, None)."""
+    names, idx, ev, gates, fanout = nets
     values = [0] * len(names)
     for n, v in system.reset_state().items():
         values[idx[n]] = v
@@ -304,7 +351,6 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
         d = get(name, default)
         rise, fall = d if isinstance(d, tuple) else (d, d)
         sched.append(((fall, ev[out][0]), (rise, ev[out][1])))
-    fanout = gate_fanout + ((),) * len(extra)
     masks = [0] * len(gates)
     for net, v in enumerate(values):
         if v:
@@ -315,7 +361,6 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     inputs, outputs = system.netlist.inputs, system.netlist.outputs
     req = idx[REQUEST_NET]
     ack = idx[ACK_NET]
-    in_names = [p.name for p in inputs]
     in_rails = [(idx[p.rail1], idx[p.rail0]) for p in inputs]
     out_names = [p.name for p in outputs]
     out_rails = [(idx[p.rail1], idx[p.rail0]) for p in outputs]
@@ -343,6 +388,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     rec_events: List[Event] = []
     rec_times = array("q")
     waves: List[Wave] = []
+    marks: list = []
     prod_next = 0                 # next vector to present
     prod_phase = "data"           # what the producer will present next
     cons_phase = "data"           # what the consumer is waiting for
@@ -350,13 +396,21 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     arrivals: Dict[str, int] = {}
     pending: Optional[Tuple[int, int, int, Dict[str, int]]] = None
 
-    def run_env(t: int, push) -> None:
-        """Act on the request and output rails at t, pushing events due at t."""
+    # Pending events by time: buckets[t] lists events in push order and times
+    # is a heap of the bucket keys.
+    buckets: Dict[int, List[Event]] = {0: []}
+
+    # state and buckets, which only a seam reads here, are bound as defaults
+    # so that the event loop keeps them as plain locals.
+    def run_env(t: int, bucket: List[Event], drained: int, popped: int,
+                state=state, buckets=buckets) -> None:
+        """Act on the request and output rails at t, appending events due at
+        t to ``bucket``, whose first ``drained`` events have run; ``popped``
+        events ran before t."""
         nonlocal prod_next, prod_phase, cons_phase, pending
+        push = bucket.append
         if prod_phase == "data" and prod_next < len(vectors) and values[req] == 1:
-            bits = vectors[prod_next]
-            for name, (r1, r0) in zip(in_names, in_rails):
-                b = bits[name]
+            for b, (r1, r0) in zip(vectors[prod_next], in_rails):
                 if values[r1] != b:
                     push(ev[r1][b])
                 if values[r0] != 1 - b:
@@ -387,21 +441,26 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
             pending = None
             push(ev[ack][1])
             cons_phase = "data"
+            if len(waves) in seams:
+                # Everything the rest of the run depends on; the output
+                # classes and gate masks follow from the net values.
+                later = sorted((u - t, b[:]) for u, b in buckets.items())
+                marks.append((t, len(rec_events), popped + drained,
+                              (bytes(values), bytes(state), bucket[drained:], later,
+                               prod_next - len(waves), prod_phase,
+                               [u - t for u in t_applied[len(waves):]])))
+                if len(waves) == stop:
+                    raise _Stop(rec_events, rec_times, waves, marks)
         touched.clear()
 
-    limit = max_events if max_events is not None else 50 * (len(vectors) + 2) * max(len(names), 1)
     popped = 0                    # events popped before the current timestep
-    # Pending events by time: buckets[t] lists events in push order and times
-    # is a heap of the bucket keys.
-    buckets: Dict[int, List[Event]] = {0: []}
     times = [0]
     rec_event = rec_events.append
     rec_time = rec_times.append
-    t_max = (1 << 63) - 1                 # the largest time rec_times holds
-    run_env(0, buckets[0].append)
+    run_env(0, buckets[0], 0, 0)
     while times:
         t = heappop(times)
-        if t > t_max:
+        if t > T_MAX:
             raise SimulationError(f"event time {t} ps does not fit the trace's 64-bit time column")
         bucket = buckets.pop(t)
         events = iter(bucket)
@@ -448,7 +507,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
             if not env_changed:
                 break
             drained = len(bucket)
-            run_env(t, bucket.append)
+            run_env(t, bucket, drained, popped)
             if len(bucket) == drained:
                 break
             events = islice(bucket, drained, None)
@@ -470,9 +529,8 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
                 raise DeadlockError(n, f"consumer waiting for {cons_phase.upper()} word, "
                                        f"output rails at ({a},{b})")
         raise DeadlockError(ACK_NET, "handshake never returned to idle")
-
-    return Trace(records=Records(names, rec_events, rec_times), waves=waves,
-                 completed=True, net_class=dict(system.net_class))
+    marks.append((t, len(rec_events), popped, None))
+    return rec_events, rec_times, waves, marks
 
 
 class DIReport(NamedTuple):

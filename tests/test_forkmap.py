@@ -43,11 +43,7 @@ from test_pipeline_sim import broken_cl
 VECTORS = [15, 6, 9, 0]
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 @pytest.fixture
@@ -297,6 +293,19 @@ def test_one_cpu_or_a_live_thread_runs_serially(monkeypatch, cpus, system):
     assert not worker.is_alive()
 
 
+def test_a_job_that_calls_fork_map_gets_the_serial_result(cpus, forks):
+    """Rounds never nest: inside a job, in the parent or in a child,
+    processes() is 1 and fork_map runs its jobs in that process.  Only the
+    outer round forks."""
+    def nested(k):
+        return forkmap.processes(), fork_map([os.getpid, partial(pow, k, 2)])
+
+    got = fork_map([partial(nested, k) for k in range(4)])
+    assert [(n, inner[1]) for n, inner in got] == [(1, k * k) for k in range(4)]
+    assert forks() == 1
+    assert forkmap.processes() == 2
+
+
 def test_fewer_than_two_jobs_or_no_fork_runs_serially(monkeypatch, cpus):
     assert fork_map([]) == []
     assert fork_map([os.getpid]) == [os.getpid()]
@@ -449,7 +458,7 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_the_children(cpus):
 
 
 @pytest.mark.parametrize("failures", [{}, {1: "raise"}, {2: "words"}], ids=str)
-def test_multiplier_demo_forks_once(monkeypatch, capsys, cpus, system, failures):
+def test_multiplier_demo_forks_once(monkeypatch, capsys, cpus, forks, system, failures):
     """The 2D and M3D evaluations and the DI trials share one fork round
     (one child on two CPUs), and print what one process prints."""
     inject(monkeypatch, system, 4, 5, failures)
@@ -457,18 +466,11 @@ def test_multiplier_demo_forks_once(monkeypatch, capsys, cpus, system, failures)
     cpus(1)
     assert main(argv) == (1 if failures else 0)
     serial = capsys.readouterr().out
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+    assert forks() == 0
     cpus(2)
     assert main(argv) == (1 if failures else 0)
     assert capsys.readouterr().out == serial
-    assert len(forks) == 1
+    assert forks() == 1
 
 
 @pytest.mark.parametrize("failures", [{2: "words"}, {1: "raise"}], ids=str)

@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 import ncl3d
-from ncl3d import build_array_multiplier, serialize_netlist
+from ncl3d import build_array_multiplier, build_pipeline, serialize_netlist, sim
+from ncl3d.forkmap import usable_cpus
 
 ROOT = Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
@@ -54,10 +55,14 @@ EXPORTS = [(m, name) for m, names in EAGER_EXPORTS.items() for name in names.spl
 # Runs `python -m ncl3d ARG...` as -m does, and writes to stderr the name of
 # every ncl3d module whose body executes, however it was loaded, and of every
 # other module the command added to sys.modules (so not those that site hooks
-# load).  ncl3d's own submodules sit there as lazy stubs, hence the hook.
+# load), and a line per os.fork in any of its processes.  ncl3d's own
+# submodules sit there as lazy stubs, hence the hook.
 PROBE = """
 import os, runpy, sys
 def hook(event, args):
+    if event == "os.fork":
+        sys.stderr.write("fork\\n")
+        sys.stderr.flush()
     code = args[0] if event == "exec" else None
     if getattr(code, "co_name", None) == "<module>":
         folder, name = os.path.split(code.co_filename)
@@ -107,22 +112,27 @@ def probe(tmp_path, *argv):
                           capture_output=True, text=True, cwd=str(tmp_path), env=child_env())
 
 
+def forks(run) -> int:
+    return run.stderr.splitlines().count("fork")
+
+
 def run_probed(tmp_path, *argv):
     """Exit code, stdout and the modules a fresh `ncl3d ARG...` ran: the
     ncl3d ones seen by -X importtime or the probe's audit hook, and every
-    other module it imported."""
+    other module it imported; then how many times it forked."""
     run = probe(tmp_path, *argv)
     imported = re.findall(r"^import time:.*\| +(ncl3d\S*)$", run.stderr, re.M)
     executed = re.findall(r"^(?:executed|imported) (\S+)$", run.stderr, re.M)
-    return run.returncode, run.stdout, set(imported) | set(executed)
+    return run.returncode, run.stdout, set(imported) | set(executed), forks(run)
 
 
 def test_check_runs_no_model_simulator_or_synthesis_module(tmp_path):
     (tmp_path / "mult3.ncl").write_text(serialize_netlist(build_array_multiplier(3)))
-    code, out, loaded = run_probed(tmp_path, "check", "mult3.ncl")
+    code, out, loaded, n_forks = run_probed(tmp_path, "check", "mult3.ncl")
     assert code == 0 and out.splitlines()[-1] == "result: PASS"
     assert {"ncl3d.cli", "ncl3d.gates", "ncl3d.netlist"} <= loaded
-    assert loaded & (HEAVY | {"ncl3d.forkmap"}) == set()
+    assert loaded & (HEAVY | {"ncl3d.forkmap", "ncl3d.timesplit"}) == set()
+    assert n_forks == 0
     # only --out loads json
     assert "argparse" in loaded
     assert loaded & (SLOW_STDLIB | {"json"}) == set()
@@ -131,17 +141,34 @@ def test_check_runs_no_model_simulator_or_synthesis_module(tmp_path):
 def test_simulate_runs_no_synthesis_module(tmp_path):
     (tmp_path / "mult2.ncl").write_text(serialize_netlist(build_array_multiplier(2)))
     (tmp_path / "v.txt").write_text("0\n5\n15\n")
-    code, out, loaded = run_probed(tmp_path, "simulate", "mult2.ncl", "v.txt", "--mode", "M3D")
+    code, out, loaded, n_forks = run_probed(tmp_path, "simulate", "mult2.ncl", "v.txt",
+                                            "--mode", "M3D")
     assert code == 0 and "words: 0 1 9" in out
     assert {"ncl3d.sim", "ncl3d.ppa"} <= loaded
     assert loaded & ({"ncl3d.synth", "ncl3d.boolnet", "ncl3d.refdata"} | SLOW_STDLIB) == set()
+    # far below sim.SPLIT_MIN: one process, and nothing of the split is loaded
+    assert loaded & {"ncl3d.forkmap", "ncl3d.timesplit"} == set() and n_forks == 0
+
+
+def test_a_long_simulate_forks_one_round(tmp_path):
+    """Above sim.SPLIT_MIN the run splits into one segment per usable CPU:
+    one fork per CPU but one, and none on a one-CPU host."""
+    nl = build_array_multiplier(8)
+    n = -(-sim.SPLIT_MIN // len(build_pipeline(nl).netlist.gates))
+    pairs = [(k * 37 % 256, k * 101 % 256) for k in range(n)]
+    (tmp_path / "mult8.ncl").write_text(serialize_netlist(nl))
+    (tmp_path / "v.txt").write_text("".join(f"{a | b << 8}\n" for a, b in pairs))
+    code, out, loaded, n_forks = run_probed(tmp_path, "simulate", "mult8.ncl", "v.txt")
+    assert code == 0 and f"words: {' '.join(str(a * b) for a, b in pairs)}" in out
+    assert {"ncl3d.forkmap", "ncl3d.timesplit"} <= loaded
+    assert n_forks == min(n, usable_cpus()) - 1
 
 
 def gate_figures_loaded(tmp_path, *argv):
     """What a gate-figure command loads; it must run no simulator,
     pipeline or synthesis module."""
-    code, out, loaded = run_probed(tmp_path, *argv)
-    assert code == 0 and "ncl3d.ppa" in loaded
+    code, out, loaded, n_forks = run_probed(tmp_path, *argv)
+    assert code == 0 and "ncl3d.ppa" in loaded and n_forks == 0
     assert loaded & ({"ncl3d.sim", "ncl3d.pipeline", "ncl3d.synth", "ncl3d.boolnet",
                       "ncl3d.refdata"} | SLOW_STDLIB) == set()
     return out
@@ -156,18 +183,20 @@ def test_sweep_gates_runs_no_simulator_or_pipeline(tmp_path):
     assert "target: study gates" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ("multiplier-demo", "--width", "2", "--trials", "4"),
-    ("sweep", "multiplier", "--width", "2", "--alpha", "0.5:0.9:0.2"),
-], ids=lambda argv: argv[0])
-def test_forked_evaluations_load_no_process_pool(tmp_path, argv):
+@pytest.mark.parametrize("argv,jobs", [
+    pytest.param(("multiplier-demo", "--width", "2", "--trials", "4"), 6, id="multiplier-demo"),
+    pytest.param(("sweep", "multiplier", "--width", "2", "--alpha", "0.5:0.9:0.2"), 4,
+                 id="sweep"),
+])
+def test_forked_evaluations_load_no_process_pool(tmp_path, argv, jobs):
     """The DI trials and the paired evaluations fork the warm process;
-    a process pool would cost more start-up than they save.  Every ncl3d
-    module runs once, in the parent before the fork, not again in a
-    worker.  Neither command calibrates, so neither reads the reference
-    table."""
+    a process pool would cost more start-up than they save.  They run as
+    one round of jobs, and no job forks again.  Every ncl3d module runs
+    once, in the parent before the fork, not again in a worker.  Neither
+    command calibrates, so neither reads the reference table."""
     run = probe(tmp_path, *argv)
     assert run.returncode == 0, run.stderr[-400:]
+    assert forks(run) == min(jobs, usable_cpus()) - 1
     imported = set(re.findall(r"^import time:.*\| +(\S+)$", run.stderr, re.M))
     assert "ncl3d.forkmap" in imported
     executed = Counter(re.findall(r"^executed (\S+)$", run.stderr, re.M))
