@@ -7,14 +7,17 @@ or else the first exception in job order.  Results are plain values (what
 take one job at a time from a queue of job indices, a pipe filled before
 the first fork, until it is empty: a job that raises stops no worker, so
 every job runs.  A child sends its results, keyed by index, over its own
-pipe and leaves by ``os._exit``, so no stdio buffer or exit hook runs
-twice.  A job that no child sent (it raised, or its child did not start or
-died) runs again in the parent, so the first exception in job order
-surfaces there as it would serially.  Everything runs in-process when
-:func:`processes` says 1 (no ``fork``, one usable CPU, another thread
-alive, or a call from inside a job of another round, in the parent or in a
-child, so rounds never nest) or with fewer than 2 jobs.  Every child is
-reaped before ``fork_map`` returns or raises.
+pipe as one ``marshal`` payload after its length, and leaves by
+``os._exit``, so no stdio buffer or exit hook runs twice.  The parent
+reads each payload into one buffer of that length: ``pipe.read()`` grows
+a buffer, and ``marshal.load(pipe)`` reads once per object.  A job that
+no child sent (it raised, or its child did not start, or died before its
+payload was whole) runs again in the parent, so the first exception in
+job order surfaces there as it would serially.  Everything runs
+in-process when :func:`processes` says 1 (no ``fork``, one usable CPU,
+another thread alive, or a call from inside a job of another round, in
+the parent or in a child, so rounds never nest) or with fewer than 2
+jobs.  Every child is reaped before ``fork_map`` returns or raises.
 """
 import marshal
 import os
@@ -23,6 +26,7 @@ import threading
 
 SLOT = 4          # bytes per queue entry
 SLOTS = 1024      # entries in a 4 KiB page, the smallest pipe buffer there is
+SIZE = 8          # bytes of the length that heads a child's results
 
 
 def usable_cpus() -> int:
@@ -68,8 +72,10 @@ def _fork_round(jobs: list, n: int) -> list:
                 pid = None
             if pid == 0:
                 try:
+                    data = marshal.dumps(_work(jobs, queue, per)[0])
                     with open(w, "wb") as out:
-                        out.write(marshal.dumps(_work(jobs, queue, per)[0]))
+                        out.write(len(data).to_bytes(SIZE, "little"))
+                        out.write(data)
                     os._exit(0)
                 finally:
                     os._exit(1)               # reached only if the work or its write raised
@@ -77,10 +83,12 @@ def _fork_round(jobs: list, n: int) -> list:
             children.append((pid, open(r, "rb")))
         done, failed = _work(jobs, queue, per)
         for _, pipe in children:
-            try:
-                done.update(marshal.loads(pipe.read()))
-            except (EOFError, ValueError, TypeError):    # nothing, or a truncated dict
-                pass
+            head = pipe.read(SIZE)
+            if len(head) == SIZE:
+                data = bytearray(int.from_bytes(head, "little"))
+                if pipe.readinto(data) == len(data):      # else the child died mid-write
+                    done.update(marshal.loads(data))
+                del data
         return _serial(jobs, done, failed)
     finally:
         os.close(queue)

@@ -706,11 +706,15 @@ def circuit_delay_assignment(system: PipelineSystem, cl: Netlist,
     mode, alpha = _form(mode, alpha)
     seg = _segment_cap(tech, mode, alpha, cal.net_route_factor)
     fanout = {g.name: n for g, _, n in _instance_rows(cl)}
+    by_key: Dict[Tuple[str, Optional[int]], int] = {}   # delay per (kind, fanout)
     per: Dict[str, int] = {}
     for g in system.netlist.gates:
-        load = fanout[g.name] * seg if g.name in fanout else None
-        t_d, _ = _delay(spec_from_name(g.kind), tech, cal, mode, alpha, load)
-        per[g.name] = max(1, round(t_d))
+        key = (g.kind, fanout.get(g.name))
+        if key not in by_key:
+            load = key[1] * seg if key[1] is not None else None
+            t_d, _ = _delay(spec_from_name(g.kind), tech, cal, mode, alpha, load)
+            by_key[key] = max(1, round(t_d))
+        per[g.name] = by_key[key]
     return DelayAssignment(per_gate=per)
 
 

@@ -47,6 +47,8 @@ about 20 bytes per transition against about 90 for a fresh
 most of a long simulation's memory.  ``Trace.records`` decodes
 ``(t, name, value)`` only when it is read; ``len`` and
 ``transition_counts`` work on the columns.  Times must fit in 64 bits.
+A stitched run's time column stays in its segments' parts until
+``Records.times`` is first read, which the CLI never does.
 
 A run of at least ``SPLIT_MIN`` vectors x gates is cut at wave boundaries
 into one segment per process a ``forkmap.fork_map`` round would use, and
@@ -57,7 +59,9 @@ state on both sides of every seam is the same (relative to the seam's
 time); otherwise, or if a segment raised, the whole run goes again
 serially.  Either way the returned trace, or the exception raised, is the
 serial run's.  The kernel, ``_run``, marks seams only in the consumer's
-branch of the environment, once a wave.
+branch of the environment, once a wave.  Each segment counts its kept
+transitions per net, so a stitched trace comes with its counts merged
+and ``measure`` and the power model do not count again.
 """
 import random
 from array import array
@@ -155,21 +159,37 @@ class Records(Sequence):
     ``times[k]`` its time; ``names`` maps net indices to names.  Indexing
     and iteration decode, ``len`` does not.  A slice is a list, and the
     view compares equal to the list of its decoded records.
+
+    The times come as parts, each a column of ints and the offset to add
+    to them, in record order.  A serial run's one part is its
+    ``array('q')`` at offset 0, which ``times`` returns as is; a stitched
+    run's parts are joined into one such column on the first read of
+    ``times``, so ``len`` and the counts never build it.
     """
 
-    __slots__ = ("names", "events", "times")
+    __slots__ = ("names", "events", "_parts")
 
-    def __init__(self, names: Tuple[str, ...], events: List[Event], times: array):
+    def __init__(self, names: Tuple[str, ...], events: List[Event],
+                 parts: List[Tuple[Sequence, int]]):
         self.names = names
         self.events = events
-        self.times = times
+        self._parts = parts
+
+    @property
+    def times(self) -> array:
+        if len(self._parts) > 1:
+            times = array("q")
+            for column, offset in self._parts:
+                times.extend(map(offset.__add__, column))
+            self._parts = [(times, 0)]
+        return self._parts[0][0]
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return list(Records(self.names, self.events[k], self.times[k]))
+            return list(Records(self.names, self.events[k], [(self.times[k], 0)]))
         net, v = self.events[k]
         return self.times[k], self.names[net], v
 
@@ -322,7 +342,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
         if trace is not None:
             return trace
     events, times, waves, _ = _run(system, nets, vectors, delays, limit)
-    return Trace(Records(nets[0], events, times), waves, True, dict(system.net_class))
+    return Trace(Records(nets[0], events, [(times, 0)]), waves, True, dict(system.net_class))
 
 
 class _Stop(Exception):

@@ -23,12 +23,17 @@ and the first request), so their warm-ups reach the serial state; a gate
 whose transitions outlive its wave (an unobserved one, say) makes the
 seams differ, and the run falls back.
 
+The parent's tail after the round is short: each segment has counted its
+kept transitions per net and sends its times as 32-bit ints where they
+fit, and the stitched trace keeps the segments' time columns, with
+their offsets, until something reads ``times``.
+
 A run inside a ``fork_map`` job never splits: ``processes()`` is 1 there.
 """
 from array import array
+from collections import Counter
 from functools import partial
-from itertools import accumulate
-from operator import sub
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .forkmap import fork_map, processes
@@ -61,27 +66,29 @@ def split_run(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]
     if popped > limit or t_end > T_MAX:
         return None
 
-    # Segment 0's columns, extended in place; each segment's parts are
-    # dropped as soon as they are read.
-    events, times = results[0][6]
-    if not isinstance(times, array):          # sent through a pipe as bytes
-        times = array("q", times)
+    # Segment 0's events list, extended in place, and one count, both
+    # merged in segment order; each segment's time column is a part of the
+    # records.  Each segment's results are dropped as soon as they are read.
+    events = results[0][6]
+    counts = Counter()
+    parts = []
     waves: List[Wave] = []
     for i, off in enumerate(offsets):
-        *_, records, kept = results[i]
+        *_, seg_events, seg_counts, (code, column), kept = results[i]
         results[i] = None
         if i:
-            seg_events, t_first, gap, gaps = records
-            del records
             events += seg_events
-            del seg_events
-            times.extend(accumulate(memoryview(gaps).cast("B").cast(gap), initial=t_first + off))
-            del gaps
+        del seg_events
+        counts.update(seg_counts)
+        parts.append((memoryview(column).cast("B").cast(code), off))
         for t_applied, t_data, t_null, value, arrivals in kept:
             for o in arrivals:
                 arrivals[o] += off
             waves.append(Wave(t_applied + off, t_data + off, t_null + off, value, arrivals))
-    return Trace(Records(nets[0], events, times), waves, True, dict(system.net_class))
+    names = nets[0]
+    trace = Trace(Records(names, events, parts), waves, True, dict(system.net_class))
+    trace._counts = {names[net]: n for net, n in counts.items()}
+    return trace
 
 
 def _segment(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]],
@@ -91,14 +98,12 @@ def _segment(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]]
     Past wave 0 the segment runs ``vectors[lo - 1:]`` from reset and keeps
     what follows its first seam.  Unless hi is the last wave it stops at
     the seam that ends wave hi - 1.  Returns the (time, events popped,
-    state) of both seams (wave 0 starts at reset), the kept records and the
-    kept waves as plain tuples; None if the run raised.  Segment 0's
-    records are its trace columns, which the stitched trace extends (the
-    parent takes job 0 first, so they are not copied).  The others' are
-    the events, the first time and the gaps between times, 16-bit where
-    they fit: about 7 bytes a record through the pipe (a back-reference per
-    event and a gap) against 13 with whole times, and 2 bytes a record
-    held in the parent while it extends its columns, against 8.
+    state) of both seams (wave 0 starts at reset), the kept events, their
+    count per net index in order of first transition, their times in the
+    segment's own time base as (type code, column), and the kept waves,
+    all plain values.  The column is 32-bit where every time fits (4 bytes
+    a record through the pipe and held in the parent, against 8), else
+    64-bit.
     """
     first = max(lo - 1, 0)
     stop = hi - first if hi < len(vectors) else None
@@ -112,23 +117,13 @@ def _segment(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]]
         return None
     start = marks[0] if lo else (0, 0, 0, None)
     end = marks[-1]
-    if lo:
-        n0 = start[1]
-        del events[:n0]
-        records = (events, times[n0], *_gaps(times, n0))
-    else:
-        records = (events, times)
-    return (start[0], start[2], start[3], end[0], end[2], end[3], records,
-            [tuple(w) for w in waves[lo - first:]])
-
-
-def _gaps(times: array, n0: int) -> Tuple[str, array]:
-    """The gaps between ``times[n0:]`` as (type code, array): 16-bit ints
-    where every gap fits, else 64-bit."""
-    def gaps():
-        return map(sub, times[n0 + 1:], times[n0:-1])
+    n0 = start[1]
+    del events[:n0]
     try:
-        packed = array("H", gaps())
+        column = array("I", memoryview(times)[n0:])
     except OverflowError:
-        packed = array("q", gaps())
-    return packed.typecode, packed
+        column = times[n0:]
+    del times
+    return (start[0], start[2], start[3], end[0], end[2], end[3], events,
+            dict(Counter(map(itemgetter(0), events))), (column.typecode, column),
+            [tuple(w) for w in waves[lo - first:]])

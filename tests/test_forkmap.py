@@ -306,6 +306,60 @@ def test_a_job_that_calls_fork_map_gets_the_serial_result(cpus, forks):
     assert forkmap.processes() == 2
 
 
+def both_started(here, k):
+    """Mark job k started and wait until jobs 0 and 1 both have, so that
+    each of two workers holds one of them."""
+    here[k] = 1
+    deadline = time.monotonic() + 10
+    while here[:2] != b"\x01\x01" and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+class CutShort:
+    """A child's result pipe that takes the length and half the payload,
+    then ends the child."""
+
+    def __init__(self, fd, cut):
+        self.fd, self.cut = fd, cut
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.fd)
+
+    def write(self, data):
+        if len(data) == forkmap.SIZE:
+            os.write(self.fd, data)
+        else:
+            os.write(self.fd, data[:len(data) // 2])
+            self.cut[2] = 1
+            os._exit(0)
+
+
+@pytest.mark.parametrize("when", ["before", "during"])
+def test_a_child_that_dies_has_its_jobs_run_again_in_the_parent(cpus, forks, when):
+    """The child dies in its job, before it writes anything, or halfway
+    through its payload, after the length: the parent runs the child's job
+    again and returns the serial result."""
+    parent = os.getpid()
+
+    def job(here, k):
+        both_started(here, k)
+        if os.getpid() != parent:
+            if when == "before":
+                here[2] = 1
+                os._exit(0)
+            forkmap.open = lambda fd, mode: CutShort(fd, here)   # this child's only
+        return [k] * 1000
+
+    with mmap.mmap(-1, 3) as here:            # shared with the child
+        jobs = [partial(job, here, k) for k in range(2)]
+        assert fork_map(jobs) == [[0] * 1000, [1] * 1000]
+        assert here[2] == 1 and forks() == 1
+    assert not hasattr(forkmap, "open")
+
+
 def test_fewer_than_two_jobs_or_no_fork_runs_serially(monkeypatch, cpus):
     assert fork_map([]) == []
     assert fork_map([os.getpid]) == [os.getpid()]

@@ -617,12 +617,9 @@ def test_causal_replay_rejects_a_trace_under_other_delays():
     assert causal_mismatches(system, trace, late) == [gate.out]
 
 
-def test_trace_memory_per_transition(mult4):
-    """The width-4 multiplier over its 256 vectors with unit delays (about
-    47.6k transitions): the returned Trace holds at most 32 bytes per
-    transition.  A fresh (t, name, value) tuple per record took about 90."""
-    _, system = mult4
-    vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
+def traced_run(system, vectors):
+    """simulate's trace, and the bytes the trace holds and the most bytes
+    traced during the run, above what was traced before it."""
     simulate(system, vectors[:1])                 # fill the gate-table caches
     gc.collect()
     tracemalloc.start()
@@ -630,8 +627,36 @@ def test_trace_memory_per_transition(mult4):
         before = tracemalloc.get_traced_memory()[0]
         trace = simulate(system, vectors)
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return trace, held - before, peak - before
+
+
+def test_trace_memory_per_transition(mult4):
+    """The width-4 multiplier over its 256 vectors with unit delays (about
+    47.6k transitions): the returned Trace holds at most 32 bytes per
+    transition.  A fresh (t, name, value) tuple per record took about 90."""
+    _, system = mult4
+    vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
+    trace, held, _ = traced_run(system, vectors)
     assert len(trace.records) > 40_000
     assert held <= 32 * len(trace.records), held / len(trace.records)
+
+
+@pytest.mark.usefixtures("no_child_left")
+def test_split_trace_memory_per_transition(monkeypatch, mult4):
+    """The same run split in two (timesplit): the stitched trace holds at
+    most the serial bound of 32 bytes per transition, and the parent's
+    traced peak during the run stays under it too (about 23 a transition:
+    its own half's columns, then the other half's payload and the
+    unmarshalled events with 32-bit times)."""
+    from ncl3d import forkmap, sim
+    _, system = mult4
+    vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sim, "SPLIT_MIN", 0)
+    trace, held, peak = traced_run(system, vectors)
+    assert len(trace.records._parts) == 2               # stitched, times not joined
+    assert held <= 32 * len(trace.records), held / len(trace.records)
+    assert peak <= 32 * len(trace.records), peak / len(trace.records)

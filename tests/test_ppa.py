@@ -525,6 +525,24 @@ def test_delay_assignment_shape(tech, cal):
     assert logic > plumbing
 
 
+@pytest.mark.parametrize("mode,alpha", [("2D", 1.0), ("M3D", 0.7)])
+def test_delay_assignment_matches_pricing_each_gate(tech, cal, mode, alpha):
+    """Delays computed once per (kind, fanout) are the per-gate RC steps,
+    gate for gate and in gate order."""
+    from ncl3d.ppa import _delay, _instance_rows, _segment_cap
+    seg = _segment_cap(tech, mode, alpha, cal.net_route_factor)
+    for width in range(2, 9):
+        cl = build_array_multiplier(width)
+        system = build_pipeline(cl)
+        fanout = {g.name: n for g, _, n in _instance_rows(cl)}
+        want = [(g.name, max(1, round(_delay(spec_from_name(g.kind), tech, cal, mode, alpha,
+                                             fanout[g.name] * seg if g.name in fanout
+                                             else None)[0])))
+                for g in system.netlist.gates]
+        got = circuit_delay_assignment(system, cl, tech, cal, mode, alpha).per_gate
+        assert list(got.items()) == want, width
+
+
 def test_transition_counts_are_delay_independent():
     """The activity behind the power model does not depend on timing."""
     cl = build_array_multiplier(2)

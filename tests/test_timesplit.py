@@ -11,13 +11,17 @@ a stitched trace came back (True) or simulate fell back to the serial run
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncl3d import forkmap, sim, timesplit
 from ncl3d.netlist import parse_netlist, serialize_netlist
 from ncl3d.pipeline import build_pipeline
 from ncl3d.ppa import circuit_delay_assignment, default_calibration, default_tech
-from ncl3d.sim import DeadlockError, DelayAssignment, EventLimitError, SimulationError, simulate
-from ncl3d.synth import build_array_multiplier
+from ncl3d.sim import (DeadlockError, DelayAssignment, EventLimitError, SimulationError, measure,
+                       simulate)
+from ncl3d.synth import build_array_multiplier, expand_dual_rail
+from test_netlist import boolean_circuit
 
 pytestmark = pytest.mark.usefixtures("no_child_left")
 
@@ -38,7 +42,9 @@ def stitched(monkeypatch):
 
 def outcome(monkeypatch, k, system, vectors, delays=None, max_events=None):
     """The trace simulate returns split into k segments (k = 1: not split),
-    or the type and text of what it raises."""
+    with its per-net counts in order, its length, its time column and its
+    measure, or the type and text of what it raises.  The counts, length
+    and measure are read before anything reads the time column."""
     with monkeypatch.context() as m:
         m.setattr(forkmap, "usable_cpus", lambda: k)
         m.setattr(sim, "SPLIT_MIN", 0 if k > 1 else 1 << 62)
@@ -46,7 +52,9 @@ def outcome(monkeypatch, k, system, vectors, delays=None, max_events=None):
             trace = simulate(system, vectors, delays, max_events)
         except SimulationError as err:
             return type(err), str(err)
-    return list(trace.records), trace.waves, trace.completed, trace.net_class
+    return (list(trace.transition_counts().items()), len(trace.records), measure(trace),
+            trace.records.times, list(trace.records), trace.waves, trace.completed,
+            trace.net_class)
 
 
 def delay_models(cl, system):
@@ -66,7 +74,7 @@ def test_split_equals_serial(monkeypatch, stitched, width):
     vectors = [rng.randrange(1 << 2 * width) for _ in range(12)]
     for model, delays in delay_models(cl, system).items():
         serial = outcome(monkeypatch, 1, system, vectors, delays)
-        assert serial[1] and len(serial[1]) == len(vectors)
+        assert serial[5] and len(serial[5]) == len(vectors)
         for k in (2, 3, 4):
             stitched.clear()
             assert outcome(monkeypatch, k, system, vectors, delays) == serial, (model, k)
@@ -144,3 +152,62 @@ def test_runs_inside_a_fork_map_job_never_split(monkeypatch, stitched, forks):
     jobs = [lambda: simulate(system, [5, 10, 15]).words()] * 2
     assert forkmap.fork_map(jobs) == [[1, 4, 9]] * 2
     assert forks() == 1 and True not in stitched
+
+
+def test_the_stitched_time_column_is_built_on_first_read(monkeypatch):
+    """Counting, measuring and taking the length of a stitched trace leave
+    its segments' time columns apart; the first read of ``times`` joins
+    them into the serial run's column."""
+    system = build_pipeline(build_array_multiplier(3))
+    vectors = list(range(0, 64, 5))
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sim, "SPLIT_MIN", 0)
+    trace = simulate(system, vectors)
+    assert (measure(trace).total_transitions == len(trace.records)
+            == sum(trace.transition_counts().values()))
+    assert len(trace.records._parts) == 2
+    monkeypatch.setattr(sim, "SPLIT_MIN", 1 << 62)
+    assert trace.records.times == simulate(system, vectors).records.times
+    assert len(trace.records._parts) == 1
+
+
+def test_times_past_32_bits_ship_as_64_bit_columns(monkeypatch, stitched):
+    """A delay of 2**30 ps per gate takes every segment's own times past
+    2**32 - 1 ps, far below T_MAX: each segment ships its 64-bit column,
+    and the stitched trace is the serial one, times included."""
+    system = build_pipeline(build_array_multiplier(2))
+    vectors = list(range(8))
+    delays = DelayAssignment(default=1 << 30)
+    nets, bits = sim._nets(system), sim._as_bit_vectors(system, vectors)
+    for lo, hi in ((0, 4), (4, 8)):
+        code, column = timesplit._segment(system, nets, bits, delays, 1 << 62, lo, hi)[8]
+        assert code == "q" and column[-1] > (1 << 32)
+    serial = outcome(monkeypatch, 1, system, vectors, delays)
+    assert serial[3][-1] < sim.T_MAX
+    for k in (2, 3):
+        assert outcome(monkeypatch, k, system, vectors, delays) == serial, k
+    assert stitched == [True, True]
+
+
+def test_random_circuits_split_as_the_serial_run(monkeypatch, stitched):
+    """Random dual-rail circuits under random delays, split k = 2-4 ways:
+    the same trace as the serial run, or the same exception.  Most gates
+    take 1-20 ps and about one in seven 200-2000 ps, so an unobserved gate
+    can still be switching at a seam and some runs fall back; the pinned
+    examples include such a fallback as well as stitched runs."""
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(boolean_circuit(), st.integers(2, 4), st.integers(0, 1 << 32), st.data())
+    def check(case, k, seed, data):
+        bnl, _ = case
+        system = build_pipeline(expand_dual_rail(bnl))
+        words = st.integers(0, (1 << len(bnl.inputs)) - 1)
+        vectors = data.draw(st.lists(words, min_size=k, max_size=10))
+        rng = random.Random(seed)
+        delays = DelayAssignment(per_gate={
+            g.name: rng.randint(1, 20) if rng.random() < 0.85 else rng.randint(200, 2000)
+            for g in system.netlist.gates})
+        serial = outcome(monkeypatch, 1, system, vectors, delays)
+        assert outcome(monkeypatch, k, system, vectors, delays) == serial
+
+    check()
+    assert True in stitched and False in stitched, stitched
