@@ -45,7 +45,7 @@ print(f"total transitions     : {rep.total_transitions}")
 
 print()
 print("same words under one scrambled delay assignment")
-scrambled = DelayAssignment.uniform_random(system.netlist.nets,
+scrambled = DelayAssignment.uniform_random([g.name for g in system.netlist.gates],
                                            random.Random(42))
 redo = simulate(system, vectors, scrambled)
 print("words:", " ".join(str(v) for v in redo.words()),

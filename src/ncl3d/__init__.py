@@ -19,14 +19,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "gates": ("DEFAULT_CATALOG", "STUDY_GATES", "GateError", "GateSpec", "eval_set",
               "next_output", "spec_from_name", "transistor_counts"),
-    "netlist": ("DR", "FormatError", "Netlist", "NetlistError", "Port",
-                "check_input_completeness", "check_observability", "encode_word",
-                "load_netlist", "output_word", "parse_netlist", "serialize_netlist",
-                "settle"),
-    "boolnet": ("BoolNetlist", "parse_boolean_netlist", "serialize_boolean_netlist"),
+    "netlist": ("FormatError", "Netlist", "NetlistError", "Port",
+                "check_input_completeness", "check_observability", "load_netlist",
+                "parse_netlist", "serialize_netlist", "settle"),
+    "boolnet": ("BoolNetlist", "parse_boolean_netlist"),
     "synth": ("SynthError", "TransistorCount", "build_array_multiplier",
               "build_boolean_multiplier", "count_transistors", "expand_dual_rail",
-              "operand_bits", "product_value"),
+              "operand_bits"),
     "pipeline": ("PipelineSystem", "build_pipeline"),
     "sim": ("DeadlockError", "DelayAssignment", "DIReport", "EventLimitError", "Report",
             "SimulationError", "Trace", "VectorError", "Wave", "check_delay_insensitivity",

@@ -2,13 +2,13 @@
 
 The gate vocabulary is fixed to the two-input basics plus INV/BUF; that is
 what the expansion templates cover. Netlists are single-driver DAGs over
-named nets, evaluated by a topological interpreter that doubles as the
-truth oracle for the synthesized dual-rail circuits.
+named nets. The package never evaluates them: dual-rail expansion reads
+their ports and gates.
 """
 from __future__ import annotations
 
 import re
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .netlist import CycleError, Defect, FormatError, GateGraph, NetlistError
 
@@ -16,17 +16,6 @@ BOOL_KINDS: Dict[str, int] = {
     "AND2": 2, "OR2": 2, "XOR2": 2,
     "NAND2": 2, "NOR2": 2, "XNOR2": 2,
     "INV": 1, "BUF": 1,
-}
-
-_BOOL_EVAL = {
-    "AND2": lambda a, b: a & b,
-    "OR2": lambda a, b: a | b,
-    "XOR2": lambda a, b: a ^ b,
-    "NAND2": lambda a, b: 1 - (a & b),
-    "NOR2": lambda a, b: 1 - (a | b),
-    "XNOR2": lambda a, b: 1 - (a ^ b),
-    "INV": lambda a: 1 - a,
-    "BUF": lambda a: a,
 }
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -66,17 +55,6 @@ class BoolNetlist(GateGraph):
             defects.append(Defect("cycle", "netlist", str(exc)))
         return defects
 
-    def evaluate(self, values: Mapping[str, int]) -> Dict[str, int]:
-        """Plain Boolean interpretation; the oracle for dual-rail fidelity."""
-        vals: Dict[str, int] = {n: int(values[n]) for n in self.inputs}
-        for inst in self.topo_order():
-            vals[inst.out] = _BOOL_EVAL[inst.kind](*(vals[p] for p in inst.ins))
-        return vals
-
-    def evaluate_outputs(self, values: Mapping[str, int]) -> Tuple[int, ...]:
-        vals = self.evaluate(values)
-        return tuple(vals[o] for o in self.outputs)
-
 
 def _check_ident(tok: str, lineno: int) -> str:
     if not _IDENT.match(tok):
@@ -94,8 +72,7 @@ def parse_boolean_netlist(text: str) -> BoolNetlist:
     Declared IO is enforced; without declarations, inputs are the undriven
     nets and outputs the unread ones, in order of first appearance.
     """
-    declared_in: Optional[list] = None
-    declared_out: Optional[list] = None
+    declared: Dict[str, list] = {}    # "input" and "output" lines' names
     bnl = BoolNetlist()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -103,11 +80,12 @@ def parse_boolean_netlist(text: str) -> BoolNetlist:
             continue
         toks = line.split()
         head, rest = toks[0], toks[1:]
-        if head == "input":
-            declared_in = (declared_in or []) + [_check_ident(t, lineno) for t in rest]
-            continue
-        if head == "output":
-            declared_out = (declared_out or []) + [_check_ident(t, lineno) for t in rest]
+        if head in ("input", "output"):
+            names = declared.setdefault(head, [])
+            for t in rest:
+                if t in names:
+                    raise FormatError(lineno, f"duplicate {head} {t!r}")
+                names.append(_check_ident(t, lineno))
             continue
         if head not in BOOL_KINDS:
             raise FormatError(lineno, f"unsupported gate kind {head!r}")
@@ -130,6 +108,7 @@ def parse_boolean_netlist(text: str) -> BoolNetlist:
     driver, _, readers, nets = bnl._structure()
     inferred_in = [n for n in nets if n not in driver]
     inferred_out = [inst.out for inst in bnl.gates if inst.out not in readers]
+    declared_in, declared_out = declared.get("input"), declared.get("output")
     if declared_in is None:
         declared_in = inferred_in
     else:
@@ -153,13 +132,6 @@ def parse_boolean_netlist(text: str) -> BoolNetlist:
     if defects:
         raise FormatError(1, "; ".join(str(d) for d in defects))
     return bnl
-
-
-def serialize_boolean_netlist(bnl: BoolNetlist) -> str:
-    lines = ["input " + " ".join(bnl.inputs), "output " + " ".join(bnl.outputs)]
-    for g in bnl.gates:
-        lines.append(f"{g.kind} {g.name} {' '.join(g.ins)} -> {g.out}")
-    return "\n".join(lines) + "\n"
 
 
 def load_boolean_netlist(path) -> BoolNetlist:

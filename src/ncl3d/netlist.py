@@ -1,4 +1,4 @@
-"""Dual-rail signals, combinational NCL netlists, and DI checkers.
+"""Combinational NCL netlists, their settle fixpoint, and DI checkers.
 
 A Netlist is an acyclic graph of threshold-gate instances over named
 single-rail nets; feedback exists only inside gate hysteresis. Primary
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from enum import Enum
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gates import GateError, eval_sop, spec_from_name
@@ -40,37 +39,6 @@ class FormatError(NetlistError):
         self.lineno = lineno
 
 
-class DR(Enum):
-    """One dual-rail bit: (rail1, rail0) pairs."""
-
-    NULL = (0, 0)
-    DATA0 = (0, 1)
-    DATA1 = (1, 0)
-    INVALID = (1, 1)
-
-    @classmethod
-    def from_rails(cls, rail1: int, rail0: int) -> "DR":
-        return cls((rail1, rail0))
-
-    @classmethod
-    def from_bit(cls, bit: int) -> "DR":
-        return cls.DATA1 if bit else cls.DATA0
-
-    @property
-    def rails(self) -> Tuple[int, int]:
-        return self.value
-
-    @property
-    def is_data(self) -> bool:
-        return self in (DR.DATA0, DR.DATA1)
-
-    @property
-    def bit(self) -> int:
-        if not self.is_data:
-            raise ValueError(f"{self.name} carries no data bit")
-        return 1 if self is DR.DATA1 else 0
-
-
 class Port(NamedTuple):
     """A dual-rail port: a name bound to its two rail nets.
 
@@ -94,6 +62,18 @@ class Port(NamedTuple):
 
 def port(name: str) -> Port:
     return Port(name, f"{name}.1", f"{name}.0")
+
+
+def _ports(kind: str, ports: Sequence) -> Tuple[Port, ...]:
+    """``ports`` as Ports, a bare name on its canonical rails; NetlistError
+    if two share a name."""
+    ports = tuple(p if isinstance(p, Port) else port(p) for p in ports)
+    seen = set()
+    for p in ports:
+        if p.name in seen:
+            raise NetlistError(f"duplicate {kind} port {p.name}")
+        seen.add(p.name)
+    return ports
 
 
 class GateInst(NamedTuple):
@@ -212,12 +192,8 @@ class Netlist(GateGraph):
         ctl_outputs: Sequence[str] = (),
     ):
         super().__init__()
-        self.inputs: Tuple[Port, ...] = tuple(
-            p if isinstance(p, Port) else port(p) for p in inputs
-        )
-        self.outputs: Tuple[Port, ...] = tuple(
-            p if isinstance(p, Port) else port(p) for p in outputs
-        )
+        self.inputs = _ports("input", inputs)
+        self.outputs = _ports("output", outputs)
         self.ctl_inputs = tuple(ctl_inputs)
         self.ctl_outputs = tuple(ctl_outputs)
         for p in self.inputs:
@@ -230,7 +206,7 @@ class Netlist(GateGraph):
 
     def bind_outputs(self, ports: Sequence[Port]) -> None:
         """Replace the output port list (used once synthesis knows rails)."""
-        self.outputs = tuple(ports)
+        self.outputs = _ports("output", ports)
         self._dirty = True
 
     # -- derived structure -------------------------------------------------
@@ -354,21 +330,6 @@ def settle(
                     raise NonConvergenceError(f"net {nets[out]} (gate {name}) did not settle")
                 values[out] = nxt
     return dict(zip(nets, values))
-
-
-def encode_word(ports: Sequence[Port], bits: Mapping[str, Optional[int]]) -> Dict[str, int]:
-    """Rail values for the given port bits; None or missing means NULL."""
-    rails: Dict[str, int] = {}
-    for p in ports:
-        bit = bits.get(p.name)
-        r1, r0 = (0, 0) if bit is None else DR.from_bit(bit).rails
-        rails[f"{p.name}.1"] = r1
-        rails[f"{p.name}.0"] = r0
-    return rails
-
-
-def output_word(netlist: Netlist, values: Mapping[str, int]) -> Dict[str, DR]:
-    return {p.name: DR.from_rails(values[p.rail1], values[p.rail0]) for p in netlist.outputs}
 
 
 class ICViolation(NamedTuple):

@@ -132,6 +132,7 @@ class DelayAssignment(_DelayFields):
 
     @classmethod
     def uniform_random(cls, names: Iterable[str], rng: random.Random) -> "DelayAssignment":
+        """1-20 ps for each gate instance named in ``names``."""
         return cls(per_gate={n: rng.randint(1, 20) for n in names})
 
 
@@ -330,8 +331,13 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
     The producer presents vector k when the first bank requests DATA and
     NULL when it requests otherwise; the consumer acknowledges each full
     output word.  The run ends when the last NULL wavefront has drained.
+    ``delays`` may name only gates of the pipeline (ValueError otherwise).
     """
     delays = delays or DelayAssignment()
+    unknown = sorted(delays.per_gate.keys() - system.netlist._names)
+    if unknown:
+        raise ValueError(f"delays name {len(unknown)} instances that are not gates of the "
+                         f"pipeline: {', '.join(unknown[:4])}{', ...' if unknown[4:] else ''}")
     vectors = _as_bit_vectors(system, data_vectors)
     nets = _nets(system)
     limit = (max_events if max_events is not None

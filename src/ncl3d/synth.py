@@ -9,11 +9,11 @@ templates, which matches the studied transistor budget.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from .boolnet import BoolNetlist
 from .gates import spec_from_name
-from .netlist import DR, Netlist, NetlistError, Port
+from .netlist import Netlist, NetlistError, Port
 
 Rails = Tuple[str, str]
 
@@ -183,13 +183,3 @@ def operand_bits(width: int, x: int, y: int) -> Dict[str, int]:
     bits = {f"a{i}": (x >> i) & 1 for i in range(width)}
     bits.update({f"b{j}": (y >> j) & 1 for j in range(width)})
     return bits
-
-
-def product_value(word: Mapping[str, DR]) -> Optional[int]:
-    """Integer from a DATA-complete product word; None while not complete."""
-    total = 0
-    for name, dv in word.items():
-        if not dv.is_data:
-            return None
-        total |= dv.bit << int(name[1:])
-    return total

@@ -20,19 +20,17 @@ from hypothesis import strategies as st
 import ncl3d.netlist
 from ncl3d.boolnet import parse_boolean_netlist
 from ncl3d.netlist import (
-    DR,
     ICViolation,
     Netlist,
     NonConvergenceError,
     ObsViolation,
     check_input_completeness,
     check_observability,
-    encode_word,
-    output_word,
     parse_netlist,
     settle,
 )
 from ncl3d.synth import build_array_multiplier, expand_dual_rail
+from oracles import DATA, NULL, encode_word, output_word
 from test_netlist import and_template, boolean_circuit, relaxed_and_template
 
 
@@ -61,12 +59,12 @@ def reference_input_completeness(netlist, trials=None, seed=0):
     for vec, sub in dict.fromkeys(cases):
         partial = {names[i]: vec[i] for i in sub}
         vals = settle(netlist, encode_word(ports, partial), null_state)
-        if all(dv.is_data for dv in output_word(netlist, vals).values()):
+        if all(pair in DATA for pair in output_word(netlist, vals).values()):
             violations.append(ICViolation("null-to-data", vec, tuple(names[i] for i in sub)))
         full = settle(netlist, encode_word(ports, dict(zip(names, vec))), null_state)
         kept = {names[i]: vec[i] for i in range(n) if i not in sub}
         vals = settle(netlist, encode_word(ports, kept), full)
-        if all(dv is DR.NULL for dv in output_word(netlist, vals).values()):
+        if all(pair == NULL for pair in output_word(netlist, vals).values()):
             violations.append(ICViolation("data-to-null", vec, tuple(names[i] for i in sub)))
     return violations
 

@@ -1,15 +1,11 @@
-"""Boolean netlist parsing and the interpreter oracle."""
+"""Boolean netlist parsing, and the test-side interpreter and writer."""
 import itertools
 
 import pytest
 
-from ncl3d.boolnet import (
-    BOOL_KINDS,
-    BoolNetlist,
-    parse_boolean_netlist,
-    serialize_boolean_netlist,
-)
+from ncl3d.boolnet import BOOL_KINDS, BoolNetlist, parse_boolean_netlist
 from ncl3d.netlist import CycleError, FormatError
+from oracles import evaluate, evaluate_outputs, serialize_boolean_netlist
 
 # Independent semantics, typed out rather than imported.
 EXPECTED = {
@@ -38,7 +34,7 @@ def test_every_kind_evaluates_correctly(kind):
     ins = ["a", "b"][:arity]
     bnl = parse_boolean_netlist(f"{kind} {' '.join(ins)} -> z\n")
     for vec in itertools.product((0, 1), repeat=arity):
-        got = bnl.evaluate_outputs(dict(zip(ins, vec)))
+        got = evaluate_outputs(bnl, dict(zip(ins, vec)))
         assert got == (int(EXPECTED[kind](*vec)),)
 
 
@@ -64,7 +60,7 @@ def test_ripple_adder_matches_integer_addition():
         values = {f"a{i}": (x >> i) & 1 for i in range(width)}
         values.update({f"b{i}": (y >> i) & 1 for i in range(width)})
         values["c0"] = cin
-        out = bnl.evaluate(values)
+        out = evaluate(bnl, values)
         total = sum(out[f"s{i}"] << i for i in range(width)) + (out[f"c{width}"] << width)
         assert total == x + y + cin
 
@@ -104,6 +100,8 @@ def test_unnamed_gates_are_named_by_position():
     "input a b\noutput q\nAND2 a b -> z\n",   # declared output undriven
     "input a b z\nAND2 a b -> z\n",           # declared input driven
     "AND2 a b -> 1z\n",                       # bad identifier
+    "input a a\nAND2 a a -> z\n",             # input declared twice
+    "output z\noutput z\nAND2 a b -> z\n",    # output declared twice
 ])
 def test_parse_rejects_malformed_documents(text):
     with pytest.raises(FormatError):

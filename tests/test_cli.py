@@ -451,6 +451,9 @@ BROKEN_FILES = {
                    "XOR2 g3 x b -> z\n"
                    "AND2 g4 q a -> p\n"
                    "OR2 g5 p b -> q\n"),
+    "dup_input.ncl": "input A A\noutput Z\nTH11 g1 A.1 -> Z.1\nTH11 g0 A.0 -> Z.0\n",
+    "dup_input.bnl": "input a a\noutput z\nAND2 a a -> z\n",
+    "dup_output.bnl": "input a b\noutput z z\nAND2 a b -> z\n",
 }
 
 # Relaxed multipliers as (width, seed) of relaxed_multiplier: width 4 has
@@ -517,12 +520,21 @@ OUTPUT_PINS = {
         "5c0c5f6e0fbe7ff27cde64c02cf72299eeeb8029bebe62878dd5ccceb5ec27a7",
         "a845af009229e11878f926b2f0586381537915697d7c8984878c9cd984fed5fd"),
     "synth-broken": (["synth", "broken.bnl"], 2, EMPTY_SHA, None),
+    "check-dup-input": (["check", "dup_input.ncl"], 2, EMPTY_SHA, None),
+    "simulate-dup-input": (["simulate", "dup_input.ncl", "v.txt"], 2, EMPTY_SHA, None),
+    "synth-dup-input": (["synth", "dup_input.bnl"], 2, EMPTY_SHA, None),
+    "synth-dup-output": (["synth", "dup_output.bnl"], 2, EMPTY_SHA, None),
 }
 
 # SHA-256 of stderr; every other run leaves it empty.
 STDERR_PINS = {
     "check-unknown-kind": "570a7d6825b21923b4b1d3bcb3df2f6a348311eccc7852ee5760e15003ebeabc",
     "synth-broken": "6cc0aabf24c5d002bff43d15dc7809b59e4a5d55b87f2ce216bac8171109172d",
+    # a port declared twice: one line, and the .bnl parser names the line
+    "check-dup-input": "0d0057fca74b630545ae71b4fb3374ec42ec5700d667752a15074f3b16e64b3c",
+    "simulate-dup-input": "0d0057fca74b630545ae71b4fb3374ec42ec5700d667752a15074f3b16e64b3c",
+    "synth-dup-input": "3cae217e44295e252d01bd83e0bd6bfdf82b3fd46c50b7e2f3235521eac721f2",
+    "synth-dup-output": "32880b2fd0246f72001998545a62d0aa41159f77dd3bd59ef841b7aa9ae97461",
 }
 
 

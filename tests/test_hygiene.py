@@ -1,8 +1,9 @@
 """Source hygiene: no module in the package, test file or demo script
 imports a name it never uses, every function, method, class and
-module-level assignment the package defines is named somewhere besides
-its own definition, every NamedTuple field the package defines is read
-outside the tests, and no package module imports ``dataclasses``.
+module-level assignment the package defines is named outside the tests
+somewhere besides its own definition, every NamedTuple field the package
+defines is read outside the tests, and no package module imports
+``dataclasses``.
 
 Plain AST and text scans, so they need no linter.  The package's
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -20,9 +21,15 @@ PACKAGE = Path(ncl3d.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted(p for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
-# Where a package definition may be used: the package, its tests, the demos,
-# the benchmark harness and the README.
-USERS = MODULES + SCRIPTS + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]
+
+
+def users(root, modules):
+    """Where a package definition may be used: the package, the demos, the
+    benchmark harness and the README.  Not the tests: a definition that
+    only they reach is one nothing needs, and an oracle the tests keep in
+    the package shares code with what it judges."""
+    return (modules + sorted((root / "demos").glob("*.py"))
+            + sorted((root / "perfbench").glob("*.py")) + [root / "README.md"])
 
 
 def unused_imports(source: str):
@@ -88,20 +95,28 @@ def dead_definitions(modules, texts):
                   if named[name] <= count for where in owners[name])
 
 
-def test_dead_definition_scan_sees_uses_anywhere():
-    modules = {"m.py": ("class K:\n    def __init__(self): pass\n"
-                        "    def used(self): pass\n    def unused(self): pass\n"
-                        "def twice(): pass\ndef twice(): pass\n"
-                        "def called(): return K().used() + LIMIT\n"
-                        "LIMIT = 3\nSTALE: int = 4\n__all__ = []\n")}
-    texts = list(modules.values()) + ["see `called` in the README"]
-    assert dead_definitions(modules, texts) == [
-        "m.py:4 unused", "m.py:5 twice", "m.py:6 twice", "m.py:9 STALE"]
+def test_dead_definition_scan_sees_uses_anywhere(tmp_path):
+    """Uses count in the package, a demo, the harness and the README; a
+    definition only a test names is flagged."""
+    module = tmp_path / "m.py"
+    module.write_text("class K:\n    def __init__(self): pass\n"
+                      "    def used(self): pass\n    def unused(self): pass\n"
+                      "def twice(): pass\ndef twice(): pass\n"
+                      "def called(): return K().used() + LIMIT\n"
+                      "LIMIT = 3\nSTALE: int = 4\n__all__ = []\n"
+                      "def demoed(): pass\ndef benched(): pass\ndef tested(): pass\n")
+    for path, text in (("README.md", "see `called`"), ("demos/d.py", "demoed()"),
+                       ("perfbench/b.py", "benched()"), ("tests/test_m.py", "tested()")):
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_text(text)
+    texts = [p.read_text() for p in users(tmp_path, [module])]
+    assert dead_definitions({"m.py": module.read_text()}, texts) == [
+        "m.py:13 tested", "m.py:4 unused", "m.py:5 twice", "m.py:6 twice", "m.py:9 STALE"]
 
 
 def test_every_definition_is_used():
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    texts = [p.read_text(encoding="utf-8") for p in USERS]
+    texts = [p.read_text(encoding="utf-8") for p in users(ROOT, MODULES)]
     assert dead_definitions(modules, texts) == []
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncl3d import pipeline
+from ncl3d import pipeline, sim
 from ncl3d.boolnet import parse_boolean_netlist
 from ncl3d.gates import spec_from_name
 from ncl3d.netlist import Netlist, NetlistError, Port
@@ -33,6 +33,7 @@ from ncl3d.sim import (
     simulate,
 )
 from ncl3d.synth import build_array_multiplier, expand_dual_rail, operand_bits
+from oracles import evaluate_outputs
 from test_netlist import boolean_circuit
 
 
@@ -291,7 +292,7 @@ def test_random_delays_reproduce_boolean_evaluation(case, words, stages, seed, s
         delays = DelayAssignment.uniform_random(names, rng)
     expected = []
     for v in vectors:
-        outs = bnl.evaluate_outputs({x: v >> i & 1 for i, x in enumerate(bnl.inputs)})
+        outs = evaluate_outputs(bnl, {x: v >> i & 1 for i, x in enumerate(bnl.inputs)})
         expected.append(sum(b << i for i, b in enumerate(outs)))
     trace = simulate(system, vectors, delays)
     assert trace.words() == expected
@@ -449,6 +450,19 @@ def test_delay_assignment_rejects_malformed_delays(delay):
         DelayAssignment(per_gate={"g": delay})
 
 
+@pytest.mark.parametrize("split_min", [0, 1 << 62], ids=["split", "serial"])
+def test_delays_for_instances_the_pipeline_lacks_are_refused(monkeypatch, split_min):
+    """Delays keyed by net names reach no gate, so every gate would run at
+    the default delay: the call refuses them, split or not."""
+    system = build_pipeline(build_array_multiplier(4))
+    monkeypatch.setattr(sim, "SPLIT_MIN", split_min)
+    delays = DelayAssignment.uniform_random(system.netlist.nets, random.Random(42))
+    with pytest.raises(ValueError) as err:
+        simulate(system, [0, 5], delays)
+    assert str(err.value) == ("delays name 172 instances that are not gates of the "
+                              "pipeline: a0.0, a0.1, a1.0, a1.1, ...")
+
+
 def test_delay_assignment_validation():
     d = DelayAssignment(per_gate={"g": (2, 9)})
     assert d.per_gate == {"g": (2, 9)} and d.default == 1
@@ -590,7 +604,7 @@ def test_golden_shared_output_rails_digest():
     trace = simulate(system, vectors, delays)
     expected = []
     for v in vectors:
-        outs = bnl.evaluate_outputs({"a": v & 1, "b": v >> 1 & 1})
+        outs = evaluate_outputs(bnl, {"a": v & 1, "b": v >> 1 & 1})
         expected.append(sum(b << i for i, b in enumerate(outs)))
     assert trace.words() == expected
     assert tsv_digest(trace) == "67c783086bd007982a1bb1a0d2412d266a5bdf302af6928176415dc8b467f4de"
@@ -651,7 +665,7 @@ def test_split_trace_memory_per_transition(monkeypatch, mult4):
     traced peak during the run stays under it too (about 23 a transition:
     its own half's columns, then the other half's payload and the
     unmarshalled events with 32-bit times)."""
-    from ncl3d import forkmap, sim
+    from ncl3d import forkmap
     _, system = mult4
     vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
     monkeypatch.setattr(forkmap, "usable_cpus", lambda: 2)

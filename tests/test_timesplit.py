@@ -190,16 +190,18 @@ def test_times_past_32_bits_ship_as_64_bit_columns(monkeypatch, stitched):
 
 
 def test_random_circuits_split_as_the_serial_run(monkeypatch, stitched):
-    """Random dual-rail circuits under random delays, split k = 2-4 ways:
-    the same trace as the serial run, or the same exception.  Most gates
-    take 1-20 ps and about one in seven 200-2000 ps, so an unobserved gate
-    can still be switching at a seam and some runs fall back; the pinned
-    examples include such a fallback as well as stitched runs."""
+    """Random dual-rail circuits in 1-3 pipeline stages under random delays,
+    split k = 2-4 ways: the same trace as the serial run, or the same
+    exception.  Most gates take 1-20 ps and about one in seven 200-2000 ps,
+    so an unobserved gate can still be switching at a seam and some runs
+    fall back; the pinned examples include such a fallback as well as
+    stitched runs."""
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(boolean_circuit(), st.integers(2, 4), st.integers(0, 1 << 32), st.data())
-    def check(case, k, seed, data):
+    @given(boolean_circuit(), st.integers(1, 3), st.integers(2, 4), st.integers(0, 1 << 32),
+           st.data())
+    def check(case, n_stages, k, seed, data):
         bnl, _ = case
-        system = build_pipeline(expand_dual_rail(bnl))
+        system = build_pipeline(expand_dual_rail(bnl), n_stages)
         words = st.integers(0, (1 << len(bnl.inputs)) - 1)
         vectors = data.draw(st.lists(words, min_size=k, max_size=10))
         rng = random.Random(seed)
