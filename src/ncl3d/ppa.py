@@ -196,8 +196,8 @@ class WireRC(NamedTuple):
     c: float             # fF
 
 
-def wire_parasitics(scenario: Scenario, tech: TechParams, mode: str = "2D",
-                    alpha: float = 1.0, route_fraction: float = 0.5) -> WireRC:
+def wire_parasitics(scenario: Scenario, tech: TechParams, mode: str, alpha: float,
+                    route_fraction: float) -> WireRC:
     """RC of one wire class.
 
     Supply and ground drops span half the cell and keep their geometry in
@@ -249,12 +249,9 @@ class _CalibrationFields(NamedTuple):
 class Calibration(_CalibrationFields):
     """Fitted model coefficients.
 
-    ``route_fraction`` here is the fitted average net span actually used by
-    the gate estimators; the knob on :func:`wire_parasitics` keeps its
-    conservative default for direct use.  ``r_drive`` and ``activity_mhz``
-    are per-type maps; unknown types fall back to the map average.  An
-    omitted map is a fresh ``{}``; nothing calls ``_replace``, which skips
-    the validating constructor.
+    ``r_drive`` and ``activity_mhz`` are per-type maps; unknown types fall
+    back to the map average.  An omitted map is a fresh ``{}``; nothing
+    calls ``_replace``, which skips the validating constructor.
     """
 
     __slots__ = ()
@@ -463,15 +460,6 @@ def _study_improvements(tech: TechParams, table: ReferenceTable, alpha: float,
     return out
 
 
-def _segment_cap(tech: TechParams, mode: str, alpha: float,
-                 net_route_factor: float) -> float:
-    """Capacitance of one fanout segment of the circuit routing model."""
-    c = tech.C_int * tech.cell_height * net_route_factor * 1e-6
-    if mode == "M3D":
-        return c * alpha + tech.C_MIV
-    return c
-
-
 def _instance_rows(cl: Netlist) -> List[Tuple[GateInst, GateSpec, int]]:
     """(instance, spec, fanout of at least 1) for each gate of ``cl``."""
     return [(g, spec_from_name(g.kind), max(1, cl.fanout(g.out))) for g in cl.gates]
@@ -483,7 +471,7 @@ def _switched_cap(rows: Sequence[Tuple[GateInst, GateSpec, int]], trace: Trace,
     """Capacitance the gates of ``rows`` switch per wave, in fF: each gate's
     load times its output transitions per DATA/NULL round trip."""
     counts = trace.transition_counts()
-    seg = _segment_cap(tech, mode, alpha, net_route_factor)
+    seg = wire_parasitics(Scenario.NODE_TO_NODE, tech, mode, alpha, net_route_factor).c
     total = 0.0
     for g, spec, fanout in rows:
         _, c = _rc(spec, tech, mode, alpha, route_fraction, c_dev, fanout * seg)
@@ -495,8 +483,8 @@ def _avg_instance_improvement(rows: Sequence[Tuple[GateInst, GateSpec, int]],
                               r_drive: Mapping[str, float], tech: TechParams,
                               alpha: float, route_fraction: float,
                               c_dev: float, lam: float) -> float:
-    seg2 = _segment_cap(tech, "2D", 1.0, lam)
-    seg3 = _segment_cap(tech, "M3D", alpha, lam)
+    seg2 = wire_parasitics(Scenario.NODE_TO_NODE, tech, "2D", 1.0, lam).c
+    seg3 = wire_parasitics(Scenario.NODE_TO_NODE, tech, "M3D", alpha, lam).c
     total = 0.0
     for _, spec, fanout in rows:
         total += _delay_improvement(spec, r_drive[spec.name], tech, alpha,
@@ -704,7 +692,7 @@ def circuit_delay_assignment(system: PipelineSystem, cl: Netlist,
     """
     from .sim import DelayAssignment
     mode, alpha = _form(mode, alpha)
-    seg = _segment_cap(tech, mode, alpha, cal.net_route_factor)
+    seg = wire_parasitics(Scenario.NODE_TO_NODE, tech, mode, alpha, cal.net_route_factor).c
     fanout = {g.name: n for g, _, n in _instance_rows(cl)}
     by_key: Dict[Tuple[str, Optional[int]], int] = {}   # delay per (kind, fanout)
     per: Dict[str, int] = {}
@@ -719,27 +707,24 @@ def circuit_delay_assignment(system: PipelineSystem, cl: Netlist,
 
 
 def circuit_ppa(cl: Netlist, trace: Trace, tech: TechParams, cal: Calibration,
-                mode: str = "2D", alpha: float = 1.0, *,
-                report: Optional[Report] = None) -> PpaReport:
+                mode: str = "2D", alpha: float = 1.0, *, report: Report) -> PpaReport:
     """Roll a simulated trace and the gate model up to circuit figures.
 
     Area and power cover the gates of ``cl`` (the measured block); the
     handshake plumbing around it is excluded, matching how the reference
-    circuit is accounted.  Delay and skew come from the trace, through
-    ``report`` if the caller has measured it already.
+    circuit is accounted.  Power reads the trace's transition counts;
+    delay and skew come from ``report``, the caller's ``sim.measure`` of it.
     """
-    from .sim import measure
     mode, alpha = _form(mode, alpha)
-    rep = measure(trace) if report is None else report
-    if rep.worst_forward_latency is None:
+    if report.worst_forward_latency is None:
         raise PpaError("trace carries no completed waves to time")
     rows = _instance_rows(cl)
     p_dyn = _switched_cap(rows, trace, tech, mode, alpha, cal.route_fraction, cal.c_dev,
                           cal.net_route_factor)
     p_dyn *= cal.test_rate_mhz * tech.V_DD ** 2 * 1e-3
     return PpaReport(
-        t_d=float(rep.worst_forward_latency),
-        t_s=float(rep.worst_output_skew),
+        t_d=float(report.worst_forward_latency),
+        t_s=float(report.worst_output_skew),
         power=p_dyn + sum(sum(transistor_counts(s)) for _, s, _ in rows) * cal.p_leak_per_t,
         area=sum(_area(s, cal, mode) for _, s, _ in rows),
         mode=mode,

@@ -15,7 +15,8 @@ parent keeps the stitched trace only if
   phase and the pending application times;
 - the events popped add up to no more than the run's event limit;
 - the last time, shifted, fits in 64 bits.
-Otherwise, or if a segment raised, ``split_run`` returns None and
+Otherwise, or if a segment raised or kept a time past 2**32 - 1 ps in its
+own time base, ``split_run`` returns None and
 ``simulate`` runs the whole thing serially from reset, so a stitched trace
 is the serial one record for record.  The multiplier pipelines' wave
 boundaries are quiescent (every net NULL but the next vector's input rails
@@ -24,9 +25,9 @@ whose transitions outlive its wave (an unobserved one, say) makes the
 seams differ, and the run falls back.
 
 The parent's tail after the round is short: each segment has counted its
-kept transitions per net and sends its times as 32-bit ints where they
-fit, and the stitched trace keeps the segments' time columns, with
-their offsets, until something reads ``times``.
+kept transitions per net and sends its times as 32-bit ints, and the
+stitched trace keeps the segments' time columns, with their offsets,
+until something reads ``times``.
 
 A run inside a ``fork_map`` job never splits: ``processes()`` is 1 there.
 """
@@ -74,13 +75,13 @@ def split_run(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]
     parts = []
     waves: List[Wave] = []
     for i, off in enumerate(offsets):
-        *_, seg_events, seg_counts, (code, column), kept = results[i]
+        *_, seg_events, seg_counts, column, kept = results[i]
         results[i] = None
         if i:
             events += seg_events
         del seg_events
         counts.update(seg_counts)
-        parts.append((memoryview(column).cast("B").cast(code), off))
+        parts.append((memoryview(column).cast("B").cast("I"), off))
         for t_applied, t_data, t_null, value, arrivals in kept:
             for o in arrivals:
                 arrivals[o] += off
@@ -100,10 +101,9 @@ def _segment(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]]
     the seam that ends wave hi - 1.  Returns the (time, events popped,
     state) of both seams (wave 0 starts at reset), the kept events, their
     count per net index in order of first transition, their times in the
-    segment's own time base as (type code, column), and the kept waves,
-    all plain values.  The column is 32-bit where every time fits (4 bytes
-    a record through the pipe and held in the parent, against 8), else
-    64-bit.
+    segment's own time base as a 32-bit column (4 bytes a record through
+    the pipe and held in the parent, against 8), and the kept waves, all
+    plain values; None if the run raised or a kept time needs more bits.
     """
     first = max(lo - 1, 0)
     stop = hi - first if hi < len(vectors) else None
@@ -122,8 +122,8 @@ def _segment(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]]
     try:
         column = array("I", memoryview(times)[n0:])
     except OverflowError:
-        column = times[n0:]
+        return None
     del times
     return (start[0], start[2], start[3], end[0], end[2], end[3], events,
-            dict(Counter(map(itemgetter(0), events))), (column.typecode, column),
+            dict(Counter(map(itemgetter(0), events))), column,
             [tuple(w) for w in waves[lo - first:]])

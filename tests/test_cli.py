@@ -10,14 +10,13 @@ import json
 import math
 import os
 import tempfile
-from argparse import Namespace
 from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ncl3d.cli import _parse_alphas, CliError, cmd_gate_report, main
+from ncl3d.cli import _parse_alphas, CliError, main
 from ncl3d.netlist import load_netlist, serialize_netlist
 from test_bitparallel import relaxed_multiplier
 
@@ -45,8 +44,10 @@ def test_alpha_specs():
     assert _parse_alphas("1.0") == [1.0]
 
 
+# Syntax only: the range (0, 1] is ppa's rule, pinned at the command level
+# in OUTPUT_PINS.  A range may name at most cli.MAX_ALPHAS values.
 @pytest.mark.parametrize("spec", [
-    "", "x", "0.9:0.5:0.1", "0.5:0.9:-0.1", "0.5:0.9", "0", "1.5", "0.7,2.0",
+    "", "x", "0.9:0.5:0.1", "0.5:0.9:-0.1", "0.5:0.9", "0.5:1:1e-320", "0.5:1:1e-6",
 ])
 def test_alpha_spec_errors(spec):
     with pytest.raises(CliError):
@@ -74,13 +75,6 @@ def test_gate_report_average_row(capsys, tmp_path):
     avg = doc["averages"][0]["improvement_pct"]
     assert abs(avg["t_d"] - 10.5) <= 4.0
     assert abs(avg["area"] - 43.9) <= 3.0
-
-
-def test_gate_report_empty_list(capsys):
-    ns = Namespace(gates=[], alpha="0.7", tech=None, cal=None, out=None)
-    assert cmd_gate_report(ns) == 0
-    out = capsys.readouterr().out
-    assert "(no gates requested)" in out
 
 
 def test_gate_report_unknown_gate(capsys):
@@ -524,7 +518,32 @@ OUTPUT_PINS = {
     "simulate-dup-input": (["simulate", "dup_input.ncl", "v.txt"], 2, EMPTY_SHA, None),
     "synth-dup-input": (["synth", "dup_input.bnl"], 2, EMPTY_SHA, None),
     "synth-dup-output": (["synth", "dup_output.bnl"], 2, EMPTY_SHA, None),
+    # rules the command leaves to their owners: ppa's fold ratio range, synth's
+    # multiplier widths; and fold ratio ranges too fine or too long to count
+    "gate-report-alpha-1.5": (["gate-report", "--alpha", "1.5"], 2, EMPTY_SHA, None),
+    "gate-report-alpha-0.7,2.0": (["gate-report", "--alpha", "0.7,2.0"], 2, EMPTY_SHA, None),
+    "sweep-gates-alpha-1.2": (["sweep", "gates", "--alpha", "0.6:1.2:0.2"], 2, EMPTY_SHA, None),
+    "simulate-alpha-0": (["simulate", "and2.ncl", "v.txt", "--mode", "M3D", "--alpha", "0"],
+                         2, EMPTY_SHA, None),
+    "multiplier-demo-alpha-1.5": (["multiplier-demo", "--width", "2", "--alpha", "1.5"],
+                                  2, EMPTY_SHA, None),
+    "multiplier-demo-width-9": (["multiplier-demo", "--width", "9"], 2, EMPTY_SHA, None),
+    "sweep-multiplier-width-1": (["sweep", "multiplier", "--width", "1"], 2, EMPTY_SHA, None),
+    "gate-report-tiny-step": (["gate-report", "TH22", "--alpha", "0.5:1:1e-320"], 2,
+                              EMPTY_SHA, None),
+    "sweep-gates-tiny-step": (["sweep", "gates", "--alpha", "0.5:1:1e-320"], 2, EMPTY_SHA, None),
+    "gate-report-long-range": (["gate-report", "TH22", "--alpha", "0.5:1:1e-6"], 2,
+                               EMPTY_SHA, None),
 }
+
+
+def error_sha(text: str) -> str:
+    """SHA-256 of stderr that holds one error line and nothing else."""
+    return hashlib.sha256(f"error: {text}\n".encode()).hexdigest()
+
+
+BAD_SPEC = ("bad fold ratio spec {!r}; use values like '0.7', '0.6,0.8', "
+            "or a range '0.6:0.8:0.1'")
 
 # SHA-256 of stderr; every other run leaves it empty.
 STDERR_PINS = {
@@ -535,6 +554,16 @@ STDERR_PINS = {
     "simulate-dup-input": "0d0057fca74b630545ae71b4fb3374ec42ec5700d667752a15074f3b16e64b3c",
     "synth-dup-input": "3cae217e44295e252d01bd83e0bd6bfdf82b3fd46c50b7e2f3235521eac721f2",
     "synth-dup-output": "32880b2fd0246f72001998545a62d0aa41159f77dd3bd59ef841b7aa9ae97461",
+    "gate-report-alpha-1.5": error_sha("fold ratio alpha=1.5 outside (0, 1]"),
+    "gate-report-alpha-0.7,2.0": error_sha("fold ratio alpha=2.0 outside (0, 1]"),
+    "sweep-gates-alpha-1.2": error_sha("fold ratio alpha=1.2 outside (0, 1]"),
+    "simulate-alpha-0": error_sha("fold ratio alpha=0.0 outside (0, 1]"),
+    "multiplier-demo-alpha-1.5": error_sha("fold ratio alpha=1.5 outside (0, 1]"),
+    "multiplier-demo-width-9": error_sha("width 9 outside the supported range [2, 8]"),
+    "sweep-multiplier-width-1": error_sha("width 1 outside the supported range [2, 8]"),
+    "gate-report-tiny-step": error_sha(BAD_SPEC.format("0.5:1:1e-320")),
+    "sweep-gates-tiny-step": error_sha(BAD_SPEC.format("0.5:1:1e-320")),
+    "gate-report-long-range": error_sha(BAD_SPEC.format("0.5:1:1e-6")),
 }
 
 

@@ -31,6 +31,8 @@ from contextlib import contextmanager
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncl3d import forkmap, sim
 from ncl3d.cli import main
@@ -465,10 +467,46 @@ def mixed_failures(n):
                                                if a[0] < b[0]]
 
 
+# A drawn job: it returns a plain value, raises an error of a drawn type,
+# or maps a sub-list of the first two kinds.
+LEAF_JOBS = st.one_of(
+    st.tuples(st.just("value"), st.one_of(st.none(), st.integers(), st.text(max_size=3))),
+    st.tuples(st.just("raise"), st.sampled_from([KeyError, ValueError, OSError])))
+JOBS = st.one_of(LEAF_JOBS, st.tuples(st.just("map"), st.lists(LEAF_JOBS, max_size=4)))
+
+
+def drawn_job(mapper, name, kind, arg):
+    """The job a (kind, arg) of JOBS describes; its error names its place,
+    and a "map" job runs ``mapper`` over its sub-list."""
+    if kind == "map":
+        return partial(mapper, [drawn_job(mapper, f"{name}.{j}", *leaf)
+                                for j, leaf in enumerate(arg)])
+
+    def job():
+        time.sleep(0.0002)    # long enough that the workers' jobs interleave
+        if kind == "raise":
+            raise arg(f"job {name}")
+        return arg
+    return job
+
+
 def test_mixed_jobs_match_the_serial_loop_under_failures_anywhere(cpus):
+    """The demo's job kinds with failures at every place and pair of places;
+    then drawn jobs on 1-4 CPUs, against a reference that maps each "map"
+    job's sub-list with the serial loop too."""
     for fail in mixed_failures(7):
         jobs = mixed_jobs(5, fail)
         assert outcome(partial(fork_map, jobs)) == outcome(partial(serial_loop, jobs)), fail
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.lists(JOBS, min_size=1, max_size=12), st.integers(1, 4))
+    def check(plan, n_cpus):
+        cpus(n_cpus)
+        jobs = [drawn_job(fork_map, k, *d) for k, d in enumerate(plan)]
+        serial = [drawn_job(serial_loop, k, *d) for k, d in enumerate(plan)]
+        assert outcome(partial(fork_map, jobs)) == outcome(partial(serial_loop, serial))
+
+    check()
 
 
 def test_the_first_exception_in_job_order_is_raised(cpus):

@@ -38,7 +38,7 @@ from ncl3d.ppa import (
 )
 from ncl3d.pipeline import build_pipeline
 from ncl3d.refdata import load_reference
-from ncl3d.sim import DelayAssignment, simulate
+from ncl3d.sim import DelayAssignment, measure, simulate
 from ncl3d.synth import build_array_multiplier, operand_bits
 
 # Hand-computed from the default technology: half a 14-track cell at
@@ -155,20 +155,20 @@ def test_tech_parse_errors(text):
 
 def test_supply_wires(tech):
     for s in (Scenario.VDD_TO_NODE, Scenario.NODE_TO_GND):
-        w = wire_parasitics(s, tech)
+        w = wire_parasitics(s, tech, "2D", 1.0, 0.5)
         assert w.r == pytest.approx(HALF_CELL_R + 6.0, rel=1e-12)
         assert w.c == pytest.approx(HALF_CELL_C, rel=1e-12)
 
 
 def test_signal_wires_2d(tech):
-    ntn = wire_parasitics(Scenario.NODE_TO_NODE, tech, route_fraction=0.5)
-    itn = wire_parasitics(Scenario.INPUT_TO_NODE, tech, route_fraction=0.5)
-    # both span half a cell at the default fraction; the landed output
-    # net pays one extra via
+    ntn = wire_parasitics(Scenario.NODE_TO_NODE, tech, "2D", 1.0, 0.5)
+    itn = wire_parasitics(Scenario.INPUT_TO_NODE, tech, "2D", 1.0, 0.5)
+    # both span half a cell at a fraction of 0.5; the landed output net
+    # pays one extra via
     assert ntn.r == pytest.approx(HALF_CELL_R + 12.0, rel=1e-12)
     assert itn.r == pytest.approx(HALF_CELL_R + 6.0, rel=1e-12)
     assert ntn.c == itn.c == pytest.approx(HALF_CELL_C, rel=1e-12)
-    triple = wire_parasitics(Scenario.NODE_TO_NODE, tech, route_fraction=3.0)
+    triple = wire_parasitics(Scenario.NODE_TO_NODE, tech, "2D", 1.0, 3.0)
     assert triple.r == pytest.approx(6 * HALF_CELL_R + 12.0, rel=1e-12)
     assert triple.c == pytest.approx(6 * HALF_CELL_C, rel=1e-12)
 
@@ -178,8 +178,8 @@ def test_signal_wires_fold(tech):
     assert w.r == pytest.approx(HALF_CELL_R * 0.7 + 12.0 + 5.5, rel=1e-12)
     assert w.c == pytest.approx(HALF_CELL_C * 0.7 + 0.04, rel=1e-12)
     # supply geometry never folds
-    v2 = wire_parasitics(Scenario.VDD_TO_NODE, tech, "2D")
-    v3 = wire_parasitics(Scenario.VDD_TO_NODE, tech, "M3D", 0.7)
+    v2 = wire_parasitics(Scenario.VDD_TO_NODE, tech, "2D", 1.0, 0.5)
+    v3 = wire_parasitics(Scenario.VDD_TO_NODE, tech, "M3D", 0.7, 0.5)
     assert v2 == v3
 
 
@@ -194,13 +194,13 @@ def test_degenerate_fold_wire_identity(tech):
 
 def test_wire_validation(tech):
     with pytest.raises(PpaError):
-        wire_parasitics(Scenario.NODE_TO_NODE, tech, "4D")
+        wire_parasitics(Scenario.NODE_TO_NODE, tech, "4D", 1.0, 0.5)
     with pytest.raises(PpaError):
-        wire_parasitics(Scenario.NODE_TO_NODE, tech, "M3D", 0.0)
+        wire_parasitics(Scenario.NODE_TO_NODE, tech, "M3D", 0.0, 0.5)
     with pytest.raises(PpaError):
-        wire_parasitics(Scenario.NODE_TO_NODE, tech, "M3D", 1.2)
+        wire_parasitics(Scenario.NODE_TO_NODE, tech, "M3D", 1.2, 0.5)
     with pytest.raises(PpaError):
-        wire_parasitics(Scenario.NODE_TO_NODE, tech, route_fraction=0.0)
+        wire_parasitics(Scenario.NODE_TO_NODE, tech, "2D", 1.0, 0.0)
 
 
 def test_miv_counts():
@@ -436,12 +436,14 @@ def test_fold_area_always_smaller(tech, cal):
 # form_context; gate_improvements and sweep_alpha price folded forms only,
 # so they take an alpha alone.
 FORM_ENTRIES = {
-    "wire_parasitics": lambda c, m, a: wire_parasitics(Scenario.NODE_TO_NODE, c["tech"], m, a),
+    "wire_parasitics": lambda c, m, a: wire_parasitics(Scenario.NODE_TO_NODE, c["tech"], m, a,
+                                                       c["cal"].route_fraction),
     "gate_ppa": lambda c, m, a: gate_ppa("TH22", c["tech"], c["cal"], m, a),
     "gate_improvements": lambda c, m, a: gate_improvements("TH22", c["tech"], c["cal"], a),
     "circuit_delay_assignment": lambda c, m, a: circuit_delay_assignment(
         c["system"], c["cl"], c["tech"], c["cal"], m, a),
-    "circuit_ppa": lambda c, m, a: circuit_ppa(c["cl"], c["trace"], c["tech"], c["cal"], m, a),
+    "circuit_ppa": lambda c, m, a: circuit_ppa(c["cl"], c["trace"], c["tech"], c["cal"], m, a,
+                                               report=c["report"]),
     "evaluate_circuit": lambda c, m, a: evaluate_circuit(
         c["cl"], c["vectors"], c["tech"], c["cal"], m, a),
     "ppa_jobs": lambda c, m, a: ppa_jobs(c["cl"], c["vectors"], c["tech"], c["cal"], [(m, a)]),
@@ -459,8 +461,9 @@ def form_context(tech, cal):
     cl = build_array_multiplier(2)
     vectors = [operand_bits(2, x, y) for x in range(4) for y in range(4)]
     system = build_pipeline(cl)
+    trace = simulate(system, vectors)
     return {"tech": tech, "cal": cal, "cl": cl, "vectors": vectors, "system": system,
-            "trace": simulate(system, vectors)}
+            "trace": trace, "report": measure(trace)}
 
 
 @pytest.mark.parametrize("entry,mode,alpha", BAD_FORMS,
@@ -529,8 +532,8 @@ def test_delay_assignment_shape(tech, cal):
 def test_delay_assignment_matches_pricing_each_gate(tech, cal, mode, alpha):
     """Delays computed once per (kind, fanout) are the per-gate RC steps,
     gate for gate and in gate order."""
-    from ncl3d.ppa import _delay, _instance_rows, _segment_cap
-    seg = _segment_cap(tech, mode, alpha, cal.net_route_factor)
+    from ncl3d.ppa import _delay, _instance_rows
+    seg = wire_parasitics(Scenario.NODE_TO_NODE, tech, mode, alpha, cal.net_route_factor).c
     for width in range(2, 9):
         cl = build_array_multiplier(width)
         system = build_pipeline(cl)
@@ -593,7 +596,8 @@ def test_evaluate_circuit_measures_its_trace_once(monkeypatch, tech, cal):
     vectors = [operand_bits(2, x, y) for x in range(4) for y in range(4)]
     result = evaluate_circuit(cl, vectors, tech, cal, "M3D", 0.7)
     assert len(reports) == 1 and result.metrics is reports[0]
-    assert result.ppa == circuit_ppa(cl, result.trace, tech, cal, "M3D", 0.7)
+    assert result.ppa == circuit_ppa(cl, result.trace, tech, cal, "M3D", 0.7,
+                                     report=real(result.trace))
 
 
 def test_ppa_jobs_match_one_at_a_time(tech, cal):
