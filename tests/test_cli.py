@@ -534,6 +534,11 @@ OUTPUT_PINS = {
     "sweep-gates-tiny-step": (["sweep", "gates", "--alpha", "0.5:1:1e-320"], 2, EMPTY_SHA, None),
     "gate-report-long-range": (["gate-report", "TH22", "--alpha", "0.5:1:1e-6"], 2,
                                EMPTY_SHA, None),
+    # simulate checks --alpha's syntax in every mode, not only with M3D
+    "simulate-unit-alpha-xyz": (["simulate", "and2.ncl", "v.txt", "--alpha", "xyz"], 2,
+                                EMPTY_SHA, None),
+    "simulate-2d-alpha-xyz": (["simulate", "and2.ncl", "v.txt", "--mode", "2D",
+                               "--alpha", "xyz"], 2, EMPTY_SHA, None),
 }
 
 
@@ -564,6 +569,8 @@ STDERR_PINS = {
     "gate-report-tiny-step": error_sha(BAD_SPEC.format("0.5:1:1e-320")),
     "sweep-gates-tiny-step": error_sha(BAD_SPEC.format("0.5:1:1e-320")),
     "gate-report-long-range": error_sha(BAD_SPEC.format("0.5:1:1e-6")),
+    "simulate-unit-alpha-xyz": error_sha(BAD_SPEC.format("xyz")),
+    "simulate-2d-alpha-xyz": error_sha(BAD_SPEC.format("xyz")),
 }
 
 

@@ -1,16 +1,21 @@
 """Start-up: the package's public names, which modules each command runs,
-and the entry points the benchmark harness (perfbench/child.py) relies on.
+the entry points, and those the benchmark harness (perfbench/child.py)
+relies on.
 
 Importing ncl3d runs none of its submodules; each public name resolves on
 first use.  These tests pin what that must not change: every name the
 package exported when it imported all its modules still resolves to the
-same object, ``check`` never runs the model, simulator or synthesis
-modules and never imports ``json``, no command imports ``dataclasses`` or
-``inspect``, ``gate-report`` and ``sweep gates`` never run the simulator
-or pipeline, only calibration reads the reference table, the commands
-that fork workers load no process pool and run each ncl3d module once,
-and the harness's set-up and traced children still work.
+same object, each command runs its own command module and no other,
+``check`` never runs the model, simulator or synthesis modules and never
+imports ``json``, no command imports ``dataclasses`` or ``inspect``,
+``gate-report`` and ``sweep gates`` never run the simulator or pipeline,
+only calibration reads the reference table, the commands that fork
+workers load no process pool and run each ncl3d module once, the exit
+through ``cli.entry`` keeps every output of ``main``, the ``ncl3d``
+script and ``python -m ncl3d`` share that entry, and the harness's
+set-up and traced children still work.
 """
+import ast
 import json
 import os
 import re
@@ -23,9 +28,11 @@ import pytest
 
 import ncl3d
 from ncl3d import build_array_multiplier, build_pipeline, serialize_netlist, sim
+from ncl3d.cli import main
 from ncl3d.forkmap import usable_cpus
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(ncl3d.__file__).resolve().parent
 CHILD = ROOT / "perfbench" / "child.py"
 
 # The package's exports as they stood when __init__ imported every module
@@ -125,11 +132,17 @@ def run_probed(tmp_path, *argv):
     return run.returncode, run.stdout, set(imported) | set(executed), forks(run)
 
 
+def command_modules(loaded):
+    """The command modules (cmd_*.py) among the modules a run loaded."""
+    return {m for m in loaded if m.startswith("ncl3d.cmd_")}
+
+
 def test_check_runs_no_model_simulator_or_synthesis_module(tmp_path):
     (tmp_path / "mult3.ncl").write_text(serialize_netlist(build_array_multiplier(3)))
     code, out, loaded, n_forks = run_probed(tmp_path, "check", "mult3.ncl")
     assert code == 0 and out.splitlines()[-1] == "result: PASS"
     assert {"ncl3d.cli", "ncl3d.gates", "ncl3d.netlist"} <= loaded
+    assert command_modules(loaded) == {"ncl3d.cmd_check"}
     assert loaded & (HEAVY | {"ncl3d.forkmap", "ncl3d.timesplit"}) == set()
     assert n_forks == 0
     # only --out loads json
@@ -144,6 +157,7 @@ def test_simulate_runs_no_synthesis_module(tmp_path):
                                             "--mode", "M3D")
     assert code == 0 and "words: 0 1 9" in out
     assert {"ncl3d.sim", "ncl3d.ppa"} <= loaded
+    assert command_modules(loaded) == {"ncl3d.cmd_simulate"}
     assert loaded & ({"ncl3d.synth", "ncl3d.boolnet", "ncl3d.refdata"} | SLOW_STDLIB) == set()
     # far below sim.SPLIT_MIN: one process, and nothing of the split is loaded
     assert loaded & {"ncl3d.forkmap", "ncl3d.timesplit"} == set() and n_forks == 0
@@ -163,11 +177,22 @@ def test_a_long_simulate_forks_one_round(tmp_path):
     assert n_forks == min(n, usable_cpus()) - 1
 
 
+def test_synth_runs_no_model_or_simulator_module(tmp_path):
+    (tmp_path / "fa.bnl").write_bytes((PACKAGE / "data" / "fixtures" / "full_adder.bnl")
+                                      .read_bytes())
+    code, out, loaded, n_forks = run_probed(tmp_path, "synth", "fa.bnl")
+    assert code == 0 and out.startswith("# ncl3d synth\n") and n_forks == 0
+    assert command_modules(loaded) == {"ncl3d.cmd_synth"}
+    assert loaded & HEAVY == {"ncl3d.synth", "ncl3d.boolnet"}
+    assert loaded & SLOW_STDLIB == set()
+
+
 def gate_figures_loaded(tmp_path, *argv):
-    """What a gate-figure command loads; it must run no simulator,
-    pipeline or synthesis module."""
+    """What a gate-figure command loads; it must run its own command
+    module and no simulator, pipeline or synthesis module."""
     code, out, loaded, n_forks = run_probed(tmp_path, *argv)
     assert code == 0 and "ncl3d.ppa" in loaded and n_forks == 0
+    assert command_modules(loaded) == {f"ncl3d.cmd_{argv[0].replace('-', '_')}"}
     assert loaded & ({"ncl3d.sim", "ncl3d.pipeline", "ncl3d.synth", "ncl3d.boolnet",
                       "ncl3d.refdata"} | SLOW_STDLIB) == set()
     return out
@@ -200,11 +225,54 @@ def test_forked_evaluations_load_no_process_pool(tmp_path, argv, jobs):
     assert "ncl3d.forkmap" in imported
     executed = Counter(re.findall(r"^executed (\S+)$", run.stderr, re.M))
     assert {"ncl3d.pipeline", "ncl3d.sim", "ncl3d.ppa"} <= set(executed)
+    assert command_modules(executed) == {f"ncl3d.cmd_{argv[0].replace('-', '_')}"}
     assert "ncl3d.refdata" not in executed
     assert [m for m, n in executed.items() if n != 1] == []
     assert {m for m in imported
             if m.split(".")[0] in ("multiprocessing", "concurrent")} == set()
     assert imported & SLOW_STDLIB == set()
+
+
+# A failing check, a report written by simulate and a usage error: argv and
+# exit code, on the bundled fixtures.
+EXIT_CASES = {
+    "check-fails": (["check", "and2_relaxed.ncl", "--out", "r.json"], 1),
+    "simulate-out": (["simulate", "and2.ncl", "v.txt", "--mode", "M3D", "--out", "r.json"], 0),
+    "usage-error": (["simulate", "and2.ncl", "v.txt", "--alpha", "xyz"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_the_frozen_exit_keeps_every_output(tmp_path, monkeypatch, capsys, case):
+    """A fresh `python -m ncl3d` exits through cli.entry, which freezes the
+    heap once main has returned: it prints, writes and exits as main does
+    in this process."""
+    argv, want = EXIT_CASES[case]
+    for name in ("and2.ncl", "and2_relaxed.ncl"):
+        (tmp_path / name).write_bytes((PACKAGE / "data" / "fixtures" / name).read_bytes())
+    (tmp_path / "v.txt").write_text("0\n1\n2\n3\n")
+    report = tmp_path / "r.json"
+    run = subprocess.run([sys.executable, "-m", "ncl3d", *argv], capture_output=True,
+                         text=True, cwd=str(tmp_path), env=child_env())
+    fresh = report.read_bytes() if "--out" in argv else None
+    report.unlink(missing_ok=True)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == run.returncode == want
+    assert capsys.readouterr() == (run.stdout, run.stderr)
+    assert (report.read_bytes() if "--out" in argv else None) == fresh
+
+
+def test_the_script_and_python_m_share_one_entry_point():
+    """pyproject.toml's ncl3d script names the function __main__.py calls."""
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "__main__.py").read_text(encoding="utf-8"))
+    imported = {a.asname or a.name: f"ncl3d.{node.module}:{a.name}"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    called = [imported[n.func.id] for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    assert called == [scripts["project"]["scripts"]["ncl3d"]] == ["ncl3d.cli:entry"]
 
 
 @pytest.fixture(scope="module")
