@@ -30,9 +30,9 @@ _EXPORTS = {
     "sim": ("DeadlockError", "DelayAssignment", "DIReport", "EventLimitError", "Report",
             "SimulationError", "Trace", "VectorError", "Wave", "check_delay_insensitivity",
             "load_vectors", "measure", "parse_vectors", "simulate"),
-    "refdata": ("ReferenceTable", "load_reference"),
+    "refdata": ("ReferenceTable", "calibrate", "load_reference"),
     "ppa": ("Calibration", "CalibrationError", "CircuitResult", "PpaError", "PpaReport",
-            "Scenario", "SweepRow", "TechParams", "WireRC", "calibrate",
+            "Scenario", "SweepRow", "TechParams", "WireRC",
             "circuit_delay_assignment", "circuit_ppa", "default_calibration",
             "default_tech", "evaluate_circuit", "gate_improvements", "gate_ppa",
             "load_calibration", "load_tech", "miv_count", "save_calibration",

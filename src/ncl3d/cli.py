@@ -229,23 +229,26 @@ def _command(name: str):
     return command
 
 
-def _usage_errors() -> tuple:
-    """The exceptions main reports with exit code 2 (FormatError and
-    SynthError are NetlistErrors).  It runs only once something was raised,
-    so a command that never touched ppa or sim does not load them."""
-    from .gates import GateError
-    from .netlist import NetlistError
-    from .ppa import PpaError
-    from .sim import SimulationError
-    return (CliError, GateError, NetlistError, PpaError, SimulationError,
-            OSError, UnicodeDecodeError)
+# The exceptions of other ncl3d modules that main reports with exit code 2,
+# by module and class name; every ncl3d error subclasses one of these or
+# CliError (FormatError and SynthError are NetlistErrors).  A name check
+# imports nothing, so an error exit runs only the modules the command ran.
+_USAGE_ERRORS = {("ncl3d.gates", "GateError"), ("ncl3d.netlist", "NetlistError"),
+                 ("ncl3d.ppa", "PpaError"), ("ncl3d.sim", "SimulationError")}
+
+
+def _usage_error(err: Exception) -> bool:
+    return isinstance(err, (CliError, OSError, UnicodeDecodeError)) or any(
+        (c.__module__, c.__name__) in _USAGE_ERRORS for c in type(err).__mro__)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _command(args.command)(args)
-    except _usage_errors() as err:
+    except Exception as err:
+        if not _usage_error(err):
+            raise
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -128,6 +128,18 @@ def test_check_missing_file(capsys):
     assert "error:" in err
 
 
+def test_an_error_of_no_ncl3d_class_is_no_usage_error(monkeypatch):
+    """Exit 2 goes by the module and name of the error's classes: a plain
+    ValueError, base of most ncl3d errors, is a fault and propagates."""
+    import ncl3d.cli
+
+    def command(args):
+        raise ValueError("a fault, not bad usage")
+    monkeypatch.setattr(ncl3d.cli, "_command", lambda name: command)
+    with pytest.raises(ValueError, match="a fault"):
+        main(["check", "x.ncl"])
+
+
 # ----------------------------------------------------------------- simulate
 
 def test_simulate_unit_delays(capsys, tmp_path):

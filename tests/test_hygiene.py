@@ -2,8 +2,9 @@
 imports a name it never uses, every function, method, class and
 module-level assignment the package defines is named outside the tests
 somewhere besides its own definition, every NamedTuple field the package
-defines is read outside the tests, and no package module imports
-``dataclasses``.
+defines is read outside the tests, no package module imports
+``dataclasses``, and only ``refdata.py``, which holds the calibration fit,
+imports scipy.
 
 Plain AST and text scans, so they need no linter.  The package's
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -185,6 +186,14 @@ def test_no_package_module_imports_dataclasses():
     users = [p.name for p in sorted(PACKAGE.glob("*.py"))
              if "dataclasses" in imported_modules(p.read_text(encoding="utf-8"))]
     assert users == []
+
+
+def test_only_the_fit_imports_scipy():
+    """scipy is an optional extra (``ncl3d[fit]``): every command runs
+    without it, and only ``refdata.calibrate`` needs it."""
+    users = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if "scipy" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert users == ["refdata.py"]
 
 
 def process_calls(source: str):

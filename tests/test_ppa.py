@@ -8,6 +8,7 @@ model is required to hold.
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
@@ -17,7 +18,6 @@ from ncl3d.ppa import (
     PpaError,
     Scenario,
     TechParams,
-    calibrate,
     circuit_delay_assignment,
     circuit_ppa,
     default_calibration,
@@ -37,7 +37,7 @@ from ncl3d.ppa import (
     wire_parasitics,
 )
 from ncl3d.pipeline import build_pipeline
-from ncl3d.refdata import load_reference
+from ncl3d.refdata import calibrate, load_reference
 from ncl3d.sim import DelayAssignment, measure, simulate
 from ncl3d.synth import build_array_multiplier, operand_bits
 
@@ -305,6 +305,14 @@ def test_refit_holds_plain_floats(refit):
     values = [v for name, v in zip(refit._fields, refit) if name not in maps]
     values += [v for m in maps for v in getattr(refit, m).values()]
     assert {type(v) for v in values} == {float}
+
+
+def test_calibrate_without_scipy_names_the_fit_extra(monkeypatch):
+    """Only the fit needs scipy, and ncl3d installs without it."""
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    with pytest.raises(ImportError, match=r"pip install 'ncl3d\[fit\]'"):
+        calibrate()
 
 
 # ------------------------------------------------------------- gate figures

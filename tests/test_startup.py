@@ -9,7 +9,8 @@ same object, each command runs its own command module and no other,
 ``check`` never runs the model, simulator or synthesis modules and never
 imports ``json``, no command imports ``dataclasses`` or ``inspect``,
 ``gate-report`` and ``sweep gates`` never run the simulator or pipeline,
-only calibration reads the reference table, the commands that fork
+only calibration reads the reference table, an error exit runs no module
+the command's successful run does not, the commands that fork
 workers load no process pool and run each ncl3d module once, the exit
 through ``cli.entry`` keeps every output of ``main``, the ``ncl3d``
 script and ``python -m ncl3d`` share that entry, and the harness's
@@ -36,7 +37,8 @@ PACKAGE = Path(ncl3d.__file__).resolve().parent
 CHILD = ROOT / "perfbench" / "child.py"
 
 # The package's exports as they stood when __init__ imported every module
-# eagerly: submodule -> the names it exported.
+# eagerly, save that calibrate has since moved from ppa to refdata:
+# submodule -> the names it exported.
 EAGER_EXPORTS = {
     "gates": "DEFAULT_CATALOG STUDY_GATES GateError GateSpec eval_set next_output "
              "spec_from_name transistor_counts",
@@ -49,9 +51,9 @@ EAGER_EXPORTS = {
     "sim": "DeadlockError DelayAssignment DIReport EventLimitError Report SimulationError "
            "Trace VectorError Wave check_delay_insensitivity load_vectors measure "
            "parse_vectors simulate",
-    "refdata": "ReferenceTable load_reference",
+    "refdata": "ReferenceTable calibrate load_reference",
     "ppa": "Calibration CalibrationError CircuitResult PpaError PpaReport Scenario SweepRow "
-           "TechParams WireRC calibrate circuit_delay_assignment circuit_ppa "
+           "TechParams WireRC circuit_delay_assignment circuit_ppa "
            "default_calibration default_tech evaluate_circuit gate_improvements gate_ppa "
            "load_calibration load_tech miv_count save_calibration save_tech sweep_alpha "
            "wire_parasitics",
@@ -231,6 +233,32 @@ def test_forked_evaluations_load_no_process_pool(tmp_path, argv, jobs):
     assert {m for m in imported
             if m.split(".")[0] in ("multiprocessing", "concurrent")} == set()
     assert imported & SLOW_STDLIB == set()
+
+
+# Per command, a successful run and an error exit (exit code 2) beside it,
+# on the bundled fixtures.
+ERROR_EXITS = {
+    "check": (["check", "and2.ncl"], ["check", "missing.ncl"]),
+    "gate-report": (["gate-report", "TH22"], ["gate-report", "NOPE"]),
+    "simulate": (["simulate", "and2.ncl", "v.txt"], ["simulate", "and2.ncl", "v.txt",
+                                                     "--alpha", "xyz"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ERROR_EXITS))
+def test_an_error_exit_runs_only_what_the_command_runs(tmp_path, command):
+    """main tells a usage error by its class's module and name, so deciding
+    on exit code 2 loads nothing the command itself did not."""
+    (tmp_path / "and2.ncl").write_bytes((PACKAGE / "data" / "fixtures" / "and2.ncl")
+                                        .read_bytes())
+    (tmp_path / "v.txt").write_text("0\n1\n2\n3\n")
+    good, bad = ERROR_EXITS[command]
+    code, _, ran, _ = run_probed(tmp_path, *good)
+    assert code == 0
+    code, out, failed_ran, _ = run_probed(tmp_path, *bad)
+    assert code == 2 and out == ""
+    assert command_modules(failed_ran) == command_modules(ran)
+    assert failed_ran - ran == set()
 
 
 # A failing check, a report written by simulate and a usage error: argv and
