@@ -11,7 +11,11 @@ This module holds the parser, the dispatch and the helpers the commands
 share, and imports nothing from the package at top level.  Each command's
 code sits in a module of its own (``cmd_check.py``, ``cmd_simulate.py``,
 ...), which ``main`` imports only once it has parsed that command, so a
-command compiles and runs none of the others.
+command compiles and runs none of the others.  Its ``run(args)`` returns
+the report: the lines to print, the dict ``--out`` writes as JSON (None
+for ``synth``, whose ``--out`` is the netlist) and the verdict.  ``main``
+alone heads the lines with ``# ncl3d <command>``, writes ``--out`` before
+printing anything, prints and turns the verdict into the exit code.
 
 Exit codes: 0 success, 1 a checker or verification found a violation,
 2 bad usage, unreadable input, or malformed file.
@@ -19,8 +23,9 @@ Exit codes: 0 success, 1 a checker or verification found a violation,
 import argparse
 import gc
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import Dict, List, NoReturn, Optional, Sequence
+from typing import List, NoReturn, Optional, Sequence
 
 # The checkers sweep every (vector, port subset) pair exhaustively up to
 # this many dual-rail inputs; beyond it they sample unless forced.
@@ -94,25 +99,14 @@ def _single_alpha(spec: str) -> float:
 
 
 def _model(args) -> tuple:
+    """The technology and calibration of a model command, the digest lines
+    that open its text and the digest fields of its JSON report."""
     from .ppa import default_calibration, default_tech, load_calibration, load_tech
     tech = load_tech(args.tech) if args.tech else default_tech()
     cal = load_calibration(args.cal) if args.cal else default_calibration()
-    return tech, cal
-
-
-def _model_header(command: str, tech, cal) -> List[str]:
-    return [f"# ncl3d {command}",
-            f"# tech {tech.digest()}",
-            f"# calibration {cal.digest()}"]
-
-
-def _write_report(args, doc: Dict) -> List[str]:
-    if not getattr(args, "out", None):
-        return []
-    import json
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
-    return [f"wrote {args.out}"]
+    tech_sha, cal_sha = tech.digest(), cal.digest()
+    return (tech, cal, [f"# tech {tech_sha}", f"# calibration {cal_sha}"],
+            {"tech_digest": tech_sha, "calibration_digest": cal_sha})
 
 
 def _mult_vectors(width: int, exhaustive: bool, seed: int) -> tuple:
@@ -213,20 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command(name: str):
-    """The function that runs command ``name``; only its module is imported."""
-    if name == "gate-report":
-        from .cmd_gate_report import cmd_gate_report as command
-    elif name == "check":
-        from .cmd_check import cmd_check as command
-    elif name == "simulate":
-        from .cmd_simulate import cmd_simulate as command
-    elif name == "synth":
-        from .cmd_synth import cmd_synth as command
-    elif name == "multiplier-demo":
-        from .cmd_multiplier_demo import cmd_multiplier_demo as command
-    else:
-        from .cmd_sweep import cmd_sweep as command
-    return command
+    """The ``run`` of command ``name``; only its module is imported."""
+    return import_module(f".cmd_{name.replace('-', '_')}", __package__).run
 
 
 # The exceptions of other ncl3d modules that main reports with exit code 2,
@@ -245,7 +227,16 @@ def _usage_error(err: Exception) -> bool:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _command(args.command)(args)
+        lines, doc, passed = _command(args.command)(args)
+        lines.insert(0, f"# ncl3d {args.command}")
+        if args.out and doc is not None:   # written before anything is printed
+            import json
+            doc["command"] = args.command
+            Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                                      encoding="utf-8")
+            lines.append(f"wrote {args.out}")
+        print("\n".join(lines))
+        return 0 if passed else 1
     except Exception as err:
         if not _usage_error(err):
             raise

@@ -2,7 +2,7 @@
 on a dual-rail netlist."""
 from typing import List, Sequence
 
-from .cli import EXHAUSTIVE_PORT_LIMIT, _write_report
+from .cli import EXHAUSTIVE_PORT_LIMIT
 from .netlist import check_input_completeness, check_observability, load_netlist
 
 # Past EXHAUSTIVE_PORT_LIMIT dual-rail inputs the checkers sample this many
@@ -20,10 +20,9 @@ def _itemize(label: str, items: Sequence, limit: int = 8) -> List[str]:
     return lines
 
 
-def cmd_check(args) -> int:
+def run(args) -> tuple:
     nl = load_netlist(args.netlist)
-    lines = [f"# ncl3d check",
-             f"netlist: {args.netlist} "
+    lines = [f"netlist: {args.netlist} "
              f"(gates={len(nl.gates)}, inputs={len(nl.inputs)}, "
              f"outputs={len(nl.outputs)})"]
     defects = nl.validate()
@@ -46,10 +45,8 @@ def cmd_check(args) -> int:
         lines += _itemize("observability", obs)
         passed = not ic and not obs
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    doc = {"command": "check", "netlist": str(args.netlist),
+    doc = {"netlist": str(args.netlist),
            "structural": [str(d) for d in defects],
            "input_completeness": [str(v) for v in ic],
            "observability": [str(v) for v in obs], "passed": passed}
-    lines += _write_report(args, doc)
-    print("\n".join(lines))
-    return 0 if passed else 1
+    return lines, doc, passed

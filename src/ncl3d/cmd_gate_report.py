@@ -1,17 +1,16 @@
 """``ncl3d gate-report``: per-gate 2D and folded figures with improvements."""
-from .cli import _model, _model_header, _parse_alphas, _write_report
+from .cli import _model, _parse_alphas
 from .gates import STUDY_GATES
 
 
-def cmd_gate_report(args) -> int:
+def run(args) -> tuple:
     from .ppa import METRICS, gate_ppa, improvement_pct
-    tech, cal = _model(args)
+    tech, cal, lines, digests = _model(args)
     alphas = _parse_alphas(args.alpha)
     # absent or "all" -> the studied six
     names = list(args.gates)
     if names == ["all"]:
         names = list(STUDY_GATES)
-    lines = _model_header("gate-report", tech, cal)
     head = (f"{'gate':<10} {'mode':<5} {'alpha':>5} {'t_d_ps':>9} {'t_s_ps':>9} "
             f"{'power_uW':>9} {'area_um2':>9}  {'d_t_d%':>7} {'d_t_s%':>7} "
             f"{'d_pow%':>7} {'d_area%':>7}")
@@ -46,9 +45,4 @@ def cmd_gate_report(args) -> int:
         lines.append(f"{'average':<10} {'M3D':<5} {a:>5.2f} {'-':>9} {'-':>9} "
                      f"{'-':>9} {'-':>9}  "
                      + " ".join(f"{avg[m]:>7.1f}" for m in METRICS))
-    doc = {"command": "gate-report", "tech_digest": tech.digest(),
-           "calibration_digest": cal.digest(), "alphas": alphas,
-           "rows": rows, "averages": averages}
-    lines += _write_report(args, doc)
-    print("\n".join(lines))
-    return 0
+    return lines, {**digests, "alphas": alphas, "rows": rows, "averages": averages}, True

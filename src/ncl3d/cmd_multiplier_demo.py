@@ -1,18 +1,17 @@
 """``ncl3d multiplier-demo``: build, verify and price the array multiplier."""
-from .cli import _model, _model_header, _mult_vectors, _single_alpha, _write_report
+from .cli import _model, _mult_vectors, _single_alpha
 
 
-def cmd_multiplier_demo(args) -> int:
+def run(args) -> tuple:
     from .forkmap import fork_map
     from .pipeline import build_pipeline
     from .ppa import PpaReport, improvement_pct, ppa_jobs
     from .sim import di_trials
     from .synth import build_array_multiplier, count_transistors
-    tech, cal = _model(args)
+    tech, cal, lines, digests = _model(args)
     alpha = _single_alpha(args.alpha)
     cl = build_array_multiplier(args.width)
     transistors = count_transistors(cl).total
-    lines = _model_header("multiplier-demo", tech, cal)
     lines.append(f"width: {args.width}   gates: {len(cl.gates)}   "
                  f"transistors: {transistors}")
 
@@ -50,8 +49,7 @@ def cmd_multiplier_demo(args) -> int:
                      f"{getattr(fold, m):>12.{nd}f} {impr[m]:>7.1f}")
     passed = ok_products and di.passed
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    doc = {"command": "multiplier-demo", "tech_digest": tech.digest(),
-           "calibration_digest": cal.digest(), "width": args.width,
+    doc = {**digests, "width": args.width,
            "alpha": alpha, "gates": len(cl.gates),
            "transistors": transistors,
            "verification": {"mode": tag, "correct": correct,
@@ -63,6 +61,4 @@ def cmd_multiplier_demo(args) -> int:
     if not di.passed:   # what a replay of the failed trial needs
         doc["delay_insensitivity"].update(counterexample=dict(di.counterexample.per_gate),
                                           detail=di.detail)
-    lines += _write_report(args, doc)
-    print("\n".join(lines))
-    return 0 if passed else 1
+    return lines, doc, passed

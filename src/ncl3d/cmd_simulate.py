@@ -1,31 +1,30 @@
 """``ncl3d simulate``: a dual-rail netlist driven through the four-phase
 pipeline, at unit delays or at the delays of the RC model."""
-from typing import Dict
+from typing import Dict, List
 
-from .cli import _model, _model_header, _single_alpha, _write_report
+from .cli import _model, _single_alpha
 from .netlist import load_netlist
 
 
-def cmd_simulate(args) -> int:
+def run(args) -> tuple:
     from .pipeline import build_pipeline
     from .sim import load_vectors, measure, simulate
-    # the spec's syntax is checked in every mode; a 2D run prices alpha 1
+    # the spec is checked in every mode, its range only where a mode prices it
     alpha = _single_alpha(args.alpha)
     nl = load_netlist(args.netlist)
     vectors = load_vectors(args.vectors)
     system = build_pipeline(nl)
-    doc: Dict = {"command": "simulate", "netlist": str(args.netlist),
+    doc: Dict = {"netlist": str(args.netlist),
                  "vector_count": len(vectors), "mode": args.mode or "unit"}
     delays = None
-    lines = ["# ncl3d simulate"]
+    lines: List[str] = []
     if args.mode:
         from .ppa import circuit_delay_assignment
-        tech, cal = _model(args)
-        if args.mode == "2D":
-            alpha = 1.0
+        tech, cal, lines, digests = _model(args)
         delays = circuit_delay_assignment(system, nl, tech, cal, args.mode, alpha)
-        lines = _model_header("simulate", tech, cal)
-        doc.update(alpha=alpha, tech_digest=tech.digest(), calibration_digest=cal.digest())
+        if args.mode == "2D":   # a 2D run prices alpha 1
+            alpha = 1.0
+        doc.update(alpha=alpha, **digests)
     lines += [f"netlist: {args.netlist} (gates={len(nl.gates)})",
               f"vectors: {len(vectors)} from {args.vectors}",
               f"delay model: {args.mode} alpha={alpha:.2f}" if args.mode else "delay model: unit"]
@@ -46,6 +45,4 @@ def cmd_simulate(args) -> int:
                cycle_times_ps=list(rep.cycle_times),
                transitions_by_class=dict(rep.transitions_by_class),
                total_transitions=rep.total_transitions)
-    lines += _write_report(args, doc)
-    print("\n".join(lines))
-    return 0
+    return lines, doc, True

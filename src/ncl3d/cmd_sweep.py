@@ -1,14 +1,13 @@
 """``ncl3d sweep``: the 2D-versus-M3D improvements over a range of fold
 ratios, for the study gates or the array multiplier."""
-from .cli import _model, _model_header, _mult_vectors, _parse_alphas, _write_report
+from .cli import _model, _mult_vectors, _parse_alphas
 from .gates import STUDY_GATES
 
 
-def cmd_sweep(args) -> int:
+def run(args) -> tuple:
     from .ppa import METRICS, sweep_alpha
-    tech, cal = _model(args)
+    tech, cal, lines, digests = _model(args)
     alphas = _parse_alphas(args.alpha)
-    lines = _model_header("sweep", tech, cal)
     if args.target == "gates":
         rows = sweep_alpha(STUDY_GATES, alphas, tech, cal)
         lines.append(f"target: study gates ({len(STUDY_GATES)}), "
@@ -34,12 +33,9 @@ def cmd_sweep(args) -> int:
                  + " ".join(f"{m}={'yes' if monotone[m] else 'NO'}"
                             for m in ("t_d", "t_s", "power"))
                  + f" (area constant: {'yes' if monotone['area_constant'] else 'NO'})")
-    doc = {"command": "sweep", "tech_digest": tech.digest(),
-           "calibration_digest": cal.digest(), "target": args.target,
+    doc = {**digests, "target": args.target,
            "rows": [{"alpha": r.alpha, "improvement_pct": dict(r.improvements),
                      "per_gate": {k: dict(v) for k, v in r.per_gate.items()}}
                     for r in rows],
            "monotone": monotone}
-    lines += _write_report(args, doc)
-    print("\n".join(lines))
-    return 0 if all(monotone[m] for m in ("t_d", "t_s", "power")) else 1
+    return lines, doc, all(monotone[m] for m in ("t_d", "t_s", "power"))

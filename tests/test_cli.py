@@ -551,6 +551,15 @@ OUTPUT_PINS = {
                                 EMPTY_SHA, None),
     "simulate-2d-alpha-xyz": (["simulate", "and2.ncl", "v.txt", "--mode", "2D",
                                "--alpha", "xyz"], 2, EMPTY_SHA, None),
+    # a 2D run prices alpha 1, but the range is checked in every mode that prices
+    "simulate-2d-alpha-0": (["simulate", "and2.ncl", "v.txt", "--mode", "2D", "--alpha", "0"],
+                            2, EMPTY_SHA, None),
+    "simulate-2d-alpha-1.5": (["simulate", "and2.ncl", "v.txt", "--mode", "2D",
+                               "--alpha", "1.5"], 2, EMPTY_SHA, None),
+    # --out is written before anything is printed: a failed write prints nothing
+    "check-out-nodir": (["check", "and2.ncl", "--out", "nodir/r.json"], 2, EMPTY_SHA, None),
+    "synth-out-nodir": (["synth", "full_adder.bnl", "--out", "nodir/fa.ncl"], 2,
+                        EMPTY_SHA, None),
 }
 
 
@@ -583,6 +592,10 @@ STDERR_PINS = {
     "gate-report-long-range": error_sha(BAD_SPEC.format("0.5:1:1e-6")),
     "simulate-unit-alpha-xyz": error_sha(BAD_SPEC.format("xyz")),
     "simulate-2d-alpha-xyz": error_sha(BAD_SPEC.format("xyz")),
+    "simulate-2d-alpha-0": error_sha("fold ratio alpha=0.0 outside (0, 1]"),
+    "simulate-2d-alpha-1.5": error_sha("fold ratio alpha=1.5 outside (0, 1]"),
+    "check-out-nodir": error_sha("[Errno 2] No such file or directory: 'nodir/r.json'"),
+    "synth-out-nodir": error_sha("[Errno 2] No such file or directory: 'nodir/fa.ncl'"),
 }
 
 
@@ -599,7 +612,8 @@ def test_command_output_is_pinned(capsys, tmp_path, monkeypatch, case):
     (tmp_path / "v.txt").write_text(SIM_VECTORS)
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
-    blob = (tmp_path / argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else None
+    out_file = tmp_path / argv[argv.index("--out") + 1] if "--out" in argv else None
+    blob = out_file.read_bytes() if out_file and out_file.exists() else None
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_out
     assert (None if blob is None else hashlib.sha256(blob).hexdigest()) == want_file

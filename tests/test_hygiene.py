@@ -3,8 +3,9 @@ imports a name it never uses, every function, method, class and
 module-level assignment the package defines is named outside the tests
 somewhere besides its own definition, every NamedTuple field the package
 defines is read outside the tests, no package module imports
-``dataclasses``, and only ``refdata.py``, which holds the calibration fit,
-imports scipy.
+``dataclasses``, only ``refdata.py``, which holds the calibration fit,
+imports scipy, and each command module returns its report from ``run``
+and leaves printing, JSON and the exit to ``cli.main``.
 
 Plain AST and text scans, so they need no linter.  The package's
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -221,3 +222,43 @@ def test_only_forkmap_forks_or_exits():
     users = [p.name for p in sorted(PACKAGE.glob("*.py"))
              if process_calls(p.read_text(encoding="utf-8"))]
     assert users == ["forkmap.py"]
+
+
+def report_calls(source: str):
+    """(line, name) of each call of ``print``, ``json.dumps`` or ``sys.exit``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            name = f"{func.value.id}.{func.attr}"
+        else:
+            continue
+        if name in ("print", "json.dumps", "sys.exit"):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_report_call_scan():
+    src = ("import json, sys\nprint(1)\njson.dumps({})\nsys.exit(0)\n"
+           "json.loads('1')\nout.print()\nlog.dumps()\n")
+    assert report_calls(src) == [(2, "print"), (3, "json.dumps"), (4, "sys.exit")]
+
+
+def test_commands_return_their_reports():
+    """Each command's ``run(args)`` returns its lines, its JSON dict and its
+    verdict; only ``cli.main`` heads and prints them, writes ``--out`` and
+    sets the exit code."""
+    commands = sorted(PACKAGE.glob("cmd_*.py"))
+    assert len(commands) == 6
+    found = []
+    for path in commands:
+        source = path.read_text(encoding="utf-8")
+        found += [f"{path.name}:{line} {name}" for line, name in report_calls(source)]
+        if "run" not in {n.name for n in ast.parse(source).body
+                         if isinstance(n, ast.FunctionDef)}:
+            found.append(f"{path.name} defines no run")
+    assert found == []
