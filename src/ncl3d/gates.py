@@ -70,14 +70,9 @@ def eval_sop(products: Iterable[Iterable[int]], values: Sequence[int]) -> int:
 
 
 def threshold_products(weights: Sequence[int], threshold: int) -> Products:
-    """Minimal input subsets whose weighted sum reaches the threshold."""
+    """Minimal input subsets whose weighted sum reaches the threshold, which
+    parse_th_name keeps within [1, sum(weights)]."""
     n = len(weights)
-    if threshold < 1:
-        raise GateError("threshold must be at least 1")
-    if threshold > sum(weights):
-        raise GateError(
-            f"threshold {threshold} exceeds total input weight {sum(weights)}"
-        )
     hits = []
     for k in range(1, n + 1):
         for combo in combinations(range(n), k):
@@ -178,13 +173,12 @@ _TH_NAME = re.compile(r"^TH([1-9])([1-9])(?:[wW]([0-9]+))?$")
 
 
 def parse_th_name(name: str) -> Tuple[int, int, Tuple[int, ...]]:
-    """Split a THmn / THmnw... name into (threshold, arity, weights)."""
+    """Split a THmn / THmnw... name into (threshold, arity, weights); the
+    arity range is GateSpec's to check."""
     m = _TH_NAME.match(name)
     if m is None:
         raise GateError(f"malformed threshold gate name {name!r}")
     threshold, arity = int(m.group(1)), int(m.group(2))
-    if arity > 4:
-        raise GateError(f"{name}: arity {arity} outside [1, 4]")
     digits = m.group(3) or ""
     if len(digits) > arity:
         raise GateError(f"{name}: more weights than inputs")

@@ -558,8 +558,7 @@ def _parse_output_token(tok: str, lineno: int) -> Port:
 
 
 def parse_netlist(text: str) -> Netlist:
-    inputs: list = []
-    outputs: list = []
+    ports = {"input": (), "output": ()}
     ctl_in: list = []
     ctl_out: list = []
     gate_lines: list = []
@@ -569,10 +568,13 @@ def parse_netlist(text: str) -> Netlist:
             continue
         toks = line.split()
         head, rest = toks[0], toks[1:]
-        if head == "input":
-            inputs.extend(port(t) for t in rest)
-        elif head == "output":
-            outputs.extend(_parse_output_token(t, lineno) for t in rest)
+        if head in ports:
+            new = [port(t) if head == "input" else _parse_output_token(t, lineno)
+                   for t in rest]
+            try:
+                ports[head] = _ports(head, ports[head] + tuple(new))
+            except NetlistError as exc:
+                raise FormatError(lineno, str(exc)) from exc
         elif head == "ctlin":
             ctl_in.extend(rest)
         elif head == "ctlout":
@@ -583,11 +585,11 @@ def parse_netlist(text: str) -> Netlist:
             if len(rest) < 4:
                 raise FormatError(lineno, "gate line needs kind, instance, inputs, '->', output")
             gate_lines.append((lineno, head, rest[0], rest[1:-2], rest[-1]))
-    if not inputs:
+    if not ports["input"]:
         raise FormatError(1, "no input declaration")
-    if not outputs:
+    if not ports["output"]:
         raise FormatError(1, "no output declaration")
-    nl = Netlist(inputs, outputs, ctl_inputs=ctl_in, ctl_outputs=ctl_out)
+    nl = Netlist(ports["input"], ports["output"], ctl_inputs=ctl_in, ctl_outputs=ctl_out)
     for lineno, kind, name, ins, out in gate_lines:
         try:
             spec_from_name(kind)

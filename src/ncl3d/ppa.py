@@ -79,6 +79,60 @@ def _finite(value) -> bool:
         return False
 
 
+# ------------------------------------------------------------- model files
+
+def _bundled(name: str) -> str:
+    """The text of the package data file ``data/<name>``."""
+    return resources.files("ncl3d").joinpath(f"data/{name}").read_text("utf-8")
+
+
+class _Model:
+    """The one codec of both model files: a version-1 JSON document
+    ``{"version": 1, KEY: {field: value, ...}}``.  Mixed into a validating
+    NamedTuple that sets ``KEY`` and the ``NOUN`` its errors use."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> Dict[str, object]:
+        return {name: dict(v) if isinstance(v, Mapping) else v
+                for name, v in zip(self._fields, self)}
+
+    def digest(self) -> str:
+        return sha256(json.dumps(self.to_dict(), sort_keys=True,
+                                 separators=(",", ":")).encode("utf-8")).hexdigest()
+
+    def dump(self) -> str:
+        return json.dumps({"version": 1, self.KEY: self.to_dict()},
+                          indent=2, sort_keys=True) + "\n"
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.dump())
+
+    @classmethod
+    def parse(cls, text: str):
+        """The model built from the ``KEY`` object of a version-1 document."""
+        try:
+            doc = json.loads(text)
+            body = dict(doc[cls.KEY])
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
+            raise PpaError(f"{cls.KEY} document is malformed: {exc}") from exc
+        if doc.get("version") != 1:
+            raise PpaError(f"unsupported {cls.KEY} document version")
+        unknown = sorted(set(body) - set(cls._fields))
+        if unknown:
+            raise PpaError(f"unknown {cls.KEY} {cls.NOUN}: {unknown}")
+        try:
+            return cls(**body)
+        except TypeError as exc:  # a missing field or a value of the wrong type
+            raise PpaError(f"{cls.KEY} document is malformed: {exc}") from exc
+
+    @classmethod
+    def load(cls, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.parse(fh.read())
+
+
 # --------------------------------------------------------------- technology
 
 class _TechFields(NamedTuple):
@@ -101,11 +155,12 @@ class _TechFields(NamedTuple):
     C_load: float = 1.0        # default output pin load, fF
 
 
-class TechParams(_TechFields):
+class TechParams(_TechFields, _Model):
     """Process constants. Defaults describe the 50 nm study node.  Built
     only through the validating constructor: nothing calls ``_replace``."""
 
     __slots__ = ()
+    KEY, NOUN = "tech", "parameters"
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -125,59 +180,14 @@ class TechParams(_TechFields):
     def replaced(self, **kw) -> "TechParams":
         return TechParams(**{**self._asdict(), **kw})
 
-    def to_dict(self) -> Dict[str, float]:
-        return self._asdict()
 
-    def digest(self) -> str:
-        return _digest(self.to_dict())
-
-
-def dump_tech(tech: TechParams) -> str:
-    return json.dumps({"version": 1, "tech": tech.to_dict()},
-                      indent=2, sort_keys=True) + "\n"
-
-
-def _parse_model(text: str, key: str, cls, noun: str):
-    """A ``cls`` built from the ``key`` object of a version-1 JSON document."""
-    try:
-        doc = json.loads(text)
-        body = dict(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
-        raise PpaError(f"{key} document is malformed: {exc}") from exc
-    if doc.get("version") != 1:
-        raise PpaError(f"unsupported {key} document version")
-    unknown = sorted(set(body) - set(cls._fields))
-    if unknown:
-        raise PpaError(f"unknown {key} {noun}: {unknown}")
-    try:
-        return cls(**body)
-    except TypeError as exc:  # a missing field or a value of the wrong type
-        raise PpaError(f"{key} document is malformed: {exc}") from exc
-
-
-def parse_tech(text: str) -> TechParams:
-    return _parse_model(text, "tech", TechParams, "parameters")
-
-
-def load_tech(path) -> TechParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tech(fh.read())
-
-
-def save_tech(tech: TechParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_tech(tech))
+dump_tech, parse_tech = TechParams.dump, TechParams.parse
+load_tech, save_tech = TechParams.load, TechParams.save
 
 
 @lru_cache(maxsize=1)
 def default_tech() -> TechParams:
-    text = resources.files("ncl3d").joinpath("data/default_tech.json").read_text("utf-8")
-    return parse_tech(text)
-
-
-def _digest(doc) -> str:
-    return sha256(json.dumps(doc, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")).hexdigest()
+    return parse_tech(_bundled("default_tech.json"))
 
 
 # -------------------------------------------------------------- wire classes
@@ -246,7 +256,7 @@ class _CalibrationFields(NamedTuple):
     residuals: Mapping[str, float]
 
 
-class Calibration(_CalibrationFields):
+class Calibration(_CalibrationFields, _Model):
     """Fitted model coefficients.
 
     ``r_drive`` and ``activity_mhz`` are per-type maps; unknown types fall
@@ -255,6 +265,7 @@ class Calibration(_CalibrationFields):
     """
 
     __slots__ = ()
+    KEY, NOUN = "calibration", "fields"
     _MAPS = ("r_drive", "activity_mhz", "residuals")
 
     def __new__(cls, *args, **kwargs):
@@ -292,13 +303,6 @@ class Calibration(_CalibrationFields):
     def activity_for(self, kind: str) -> float:
         return _per_type(self.activity_mhz, kind, "activity figures")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {name: dict(v) if isinstance(v, Mapping) else v
-                for name, v in zip(self._fields, self)}
-
-    def digest(self) -> str:
-        return _digest(self.to_dict())
-
 
 def _per_type(table: Mapping[str, float], kind: str, noun: str) -> float:
     """``table[kind]``, or the average over the table for an unlisted type."""
@@ -309,30 +313,13 @@ def _per_type(table: Mapping[str, float], kind: str, noun: str) -> float:
     return sum(table.values()) / len(table)
 
 
-def dump_calibration(cal: Calibration) -> str:
-    return json.dumps({"version": 1, "calibration": cal.to_dict()},
-                      indent=2, sort_keys=True) + "\n"
-
-
-def parse_calibration(text: str) -> Calibration:
-    return _parse_model(text, "calibration", Calibration, "fields")
-
-
-def load_calibration(path) -> Calibration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_calibration(fh.read())
-
-
-def save_calibration(cal: Calibration, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_calibration(cal))
+dump_calibration, parse_calibration = Calibration.dump, Calibration.parse
+load_calibration, save_calibration = Calibration.load, Calibration.save
 
 
 @lru_cache(maxsize=1)
 def default_calibration() -> Calibration:
-    text = resources.files("ncl3d").joinpath(
-        "data/default_calibration.json").read_text("utf-8")
-    return parse_calibration(text)
+    return parse_calibration(_bundled("default_calibration.json"))
 
 
 # ---------------------------------------------------------- gate estimators

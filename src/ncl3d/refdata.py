@@ -11,13 +11,12 @@ which every command reads; it needs scipy, which the ``fit`` extra
 installs.
 """
 import json
-from importlib import resources
 from typing import List, Mapping, NamedTuple, Optional, Sequence
 
 from .gates import STUDY_GATES, GateSpec, spec_from_name, transistor_counts
-from .ppa import (LN2, Calibration, CalibrationError, Scenario, TechParams, _instance_rows,
-                  _rc, _switched_cap, default_tech, gate_improvements, miv_count,
-                  wire_parasitics)
+from .ppa import (LN2, Calibration, CalibrationError, Scenario, TechParams, _bundled,
+                  _instance_rows, _rc, _switched_cap, default_tech, gate_improvements,
+                  miv_count, wire_parasitics)
 
 
 class GateRow(NamedTuple):
@@ -39,9 +38,7 @@ class ReferenceTable(NamedTuple):
 
 
 def load_reference() -> ReferenceTable:
-    raw = json.loads(
-        resources.files("ncl3d").joinpath("data/reference_gates.json").read_text("utf-8")
-    )
+    raw = json.loads(_bundled("reference_gates.json"))
     if raw.get("version") != 1:
         raise ValueError("unsupported reference table version")
     gates = raw["gates"]

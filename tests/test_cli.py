@@ -575,9 +575,9 @@ BAD_SPEC = ("bad fold ratio spec {!r}; use values like '0.7', '0.6,0.8', "
 STDERR_PINS = {
     "check-unknown-kind": "570a7d6825b21923b4b1d3bcb3df2f6a348311eccc7852ee5760e15003ebeabc",
     "synth-broken": "6cc0aabf24c5d002bff43d15dc7809b59e4a5d55b87f2ce216bac8171109172d",
-    # a port declared twice: one line, and the .bnl parser names the line
-    "check-dup-input": "0d0057fca74b630545ae71b4fb3374ec42ec5700d667752a15074f3b16e64b3c",
-    "simulate-dup-input": "0d0057fca74b630545ae71b4fb3374ec42ec5700d667752a15074f3b16e64b3c",
+    # a port declared twice: one error line, which names the file line (.ncl and .bnl)
+    "check-dup-input": error_sha("line 1: duplicate input port A"),
+    "simulate-dup-input": error_sha("line 1: duplicate input port A"),
     "synth-dup-input": "3cae217e44295e252d01bd83e0bd6bfdf82b3fd46c50b7e2f3235521eac721f2",
     "synth-dup-output": "32880b2fd0246f72001998545a62d0aa41159f77dd3bd59ef841b7aa9ae97461",
     "gate-report-alpha-1.5": error_sha("fold ratio alpha=1.5 outside (0, 1]"),

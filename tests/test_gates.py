@@ -138,10 +138,14 @@ def test_th_name_grammar():
     assert parse_th_name("TH23") == (2, 3, (1, 1, 1))
     assert parse_th_name("TH54w322") == (5, 4, (3, 2, 2, 1))
     assert parse_th_name("TH34W2") == (3, 4, (2, 1, 1, 1))
-    for bad in ("TH", "TH2", "TH05", "TH25", "TH99", "TH54", "TH22w3",
+    for bad in ("TH", "TH2", "TH05", "TH54", "TH22w3",
                 "TH22w222", "TH20", "XYZ", "th22", "TH24comp"):
         with pytest.raises(GateError):
             parse_th_name(bad)
+    # the arity range is GateSpec's rule, reached through the name lookup
+    for bad in ("TH25", "TH99"):
+        with pytest.raises(GateError, match=rf"^{bad}: arity \d outside \[1, 4\]$"):
+            spec_from_name(bad)
 
 
 def test_spec_from_name_prefers_catalog_then_grammar():

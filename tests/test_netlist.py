@@ -221,6 +221,8 @@ def test_round_trip_preserves_rebound_output_rails():
     ("input A\noutput Z\nTH99 g1 A.1 A.0 -> Z.1\n", 3),
     ("output Z\nTH11 g1 x -> Z.1\n", 1),
     ("input A\noutput Z=only\nTH11 g1 A.1 -> Z.1\n", 2),
+    ("input A A\noutput Z\nTH11 g1 A.1 -> Z.1\n", 1),
+    ("input A\noutput Z\noutput Y Z\nTH11 g1 A.1 -> Z.1\n", 3),
 ])
 def test_parse_errors_carry_line_numbers(bad, lineno):
     with pytest.raises(FormatError) as err:
