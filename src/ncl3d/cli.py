@@ -36,6 +36,10 @@ EXHAUSTIVE_PORT_LIMIT = 8
 # whole list before anything else runs.
 MAX_ALPHAS = 10_000
 
+# A DI check draws every trial's delays before the first trial runs (about
+# 26 KB a trial at width 8), so a huge count would run out of memory.
+MAX_TRIALS = 10_000
+
 
 class CliError(ValueError):
     pass
@@ -80,14 +84,16 @@ def _parse_alphas(spec: str) -> List[float]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _trial_count(text: str) -> int:
+    """argparse type for ``--trials``: an int in [1, MAX_TRIALS]."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_TRIALS:,}, got {value}")
     return value
 
 
@@ -189,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exhaustive", action="store_true",
                     help="force exhaustive verification past width 4")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=_positive_int, default=10,
+    sp.add_argument("--trials", type=_trial_count, default=10,
                     help="random delay assignments to try (default %(default)s)")
     model_opts(sp)
     out_opt(sp)

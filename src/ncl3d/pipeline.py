@@ -92,11 +92,10 @@ def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
     def ki(s: int) -> str:
         return f"ko{s + 1}" if s < n_stages else ACK_NET
 
-    ctl_in = [ki(s) for s in range(1, n_stages + 1)]
     nl = Netlist(
         [p.name for p in cl.inputs],
         [],
-        ctl_inputs=tuple(dict.fromkeys(ctl_in)),
+        ctl_inputs=tuple(ki(s) for s in range(1, n_stages + 1)),
         ctl_outputs=tuple(f"cd{s}" for s in range(1, n_stages + 1)),
     )
     net_class: Dict[str, str] = {}

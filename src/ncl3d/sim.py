@@ -67,7 +67,7 @@ import random
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from functools import cached_property, partial
+from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
@@ -166,15 +166,25 @@ class Records(Sequence):
     ``array('q')`` at offset 0, which ``times`` returns as is; a stitched
     run's parts are joined into one such column on the first read of
     ``times``, so ``len`` and the counts never build it.
+
+    ``counts``, transitions per net index in order of first transition, are
+    a stitched run's segment counts or one ``Counter`` pass on first read.
     """
 
-    __slots__ = ("names", "events", "_parts")
+    __slots__ = ("names", "events", "_parts", "_counts")
 
     def __init__(self, names: Tuple[str, ...], events: List[Event],
-                 parts: List[Tuple[Sequence, int]]):
+                 parts: List[Tuple[Sequence, int]], counts: Optional[Dict[int, int]] = None):
         self.names = names
         self.events = events
         self._parts = parts
+        self._counts = counts
+
+    @property
+    def counts(self) -> Dict[int, int]:
+        if self._counts is None:
+            self._counts = Counter(map(itemgetter(0), self.events))
+        return self._counts
 
     @property
     def times(self) -> array:
@@ -205,26 +215,16 @@ class Records(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-class _TraceFields(NamedTuple):
+class Trace(NamedTuple):
     records: Records
     waves: List[Wave]
-    completed: bool
     net_class: Dict[str, str]
-
-
-class Trace(_TraceFields):
-    """No ``__slots__``: the cached ``_counts`` lives in the instance dict."""
-
-    @cached_property
-    def _counts(self) -> Dict[str, int]:
-        names = self.records.names
-        counts = Counter(map(itemgetter(0), self.records.events))
-        return {names[net]: n for net, n in counts.items()}
 
     def transition_counts(self) -> Dict[str, int]:
         """Transitions per net name, in order of each net's first transition
-        (a copy of the counts made on the first call; records are read-only)."""
-        return dict(self._counts)
+        (a fresh dict each call of the counts the records keep)."""
+        names = self.records.names
+        return {names[net]: n for net, n in self.records.counts.items()}
 
     def words(self) -> List[int]:
         return [w.value for w in self.waves]
@@ -243,14 +243,12 @@ class Report(NamedTuple):
 
 
 def measure(trace: Trace) -> Report:
-    if not trace.completed:
-        raise SimulationError("incomplete trace")
     lat = tuple(w.t_data_complete - w.t_applied for w in trace.waves)
     completions = [w.t_data_complete for w in trace.waves]
     cycles = tuple(b - a for a, b in zip(completions, completions[1:]))
     skews = tuple(w.output_skew for w in trace.waves)
     by_class: Dict[str, int] = {}
-    for net, n in trace._counts.items():
+    for net, n in trace.transition_counts().items():
         cls = trace.net_class.get(net, "other")
         by_class[cls] = by_class.get(cls, 0) + n
     return Report(
@@ -348,7 +346,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
         if trace is not None:
             return trace
     events, times, waves, _ = _run(system, nets, vectors, delays, limit)
-    return Trace(Records(nets[0], events, [(times, 0)]), waves, True, dict(system.net_class))
+    return Trace(Records(nets[0], events, [(times, 0)]), waves, dict(system.net_class))
 
 
 class _Stop(Exception):

@@ -86,10 +86,7 @@ def split_run(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]
             for o in arrivals:
                 arrivals[o] += off
             waves.append(Wave(t_applied + off, t_data + off, t_null + off, value, arrivals))
-    names = nets[0]
-    trace = Trace(Records(names, events, parts), waves, True, dict(system.net_class))
-    trace._counts = {names[net]: n for net, n in counts.items()}
-    return trace
+    return Trace(Records(nets[0], events, parts, counts), waves, dict(system.net_class))
 
 
 def _segment(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]],

@@ -3,6 +3,7 @@
 Every command is run through main() with captured stdout; the
 reproducibility tests assert byte equality between repeated runs.
 """
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ncl3d.cli import _parse_alphas, CliError, main
+from ncl3d.cli import _parse_alphas, _trial_count, CliError, main
 from ncl3d.netlist import load_netlist, serialize_netlist
 from test_bitparallel import relaxed_multiplier
 
@@ -228,13 +229,24 @@ def test_multiplier_demo_width_guard(capsys):
     assert "width" in err
 
 
-@pytest.mark.parametrize("trials", ["0", "-3", "x"])
+@pytest.mark.parametrize("trials", ["0", "-3", "x", "10001"])
 def test_multiplier_demo_trials_must_be_positive(capsys, trials):
     with pytest.raises(SystemExit) as exc:
         main(["multiplier-demo", "--width", "2", "--trials", trials])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "error: argument --trials" in err and "Traceback" not in err
+
+
+def test_trial_count_is_bounded():
+    """Every trial's delays are drawn before the first runs, so the count is
+    capped; the type is checked here without running a demo."""
+    assert _trial_count("10000") == 10_000
+    with pytest.raises(argparse.ArgumentTypeError, match="must be at most 10,000, got 10001"):
+        _trial_count("10001")
+    with pytest.raises(argparse.ArgumentTypeError, match="must be at least 1, got 0"):
+        _trial_count("0")
 
 
 # -------------------------------------------------------------------- sweep

@@ -5,7 +5,8 @@ somewhere besides its own definition, every NamedTuple field the package
 defines is read outside the tests, no package module imports
 ``dataclasses``, only ``refdata.py``, which holds the calibration fit,
 imports scipy, and each command module returns its report from ``run``
-and leaves printing, JSON and the exit to ``cli.main``.
+and leaves printing, JSON and the exit to ``cli.main``, and no module
+assigns an underscore attribute of anything but ``self`` or ``cls``.
 
 Plain AST and text scans, so they need no linter.  The package's
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -261,4 +262,28 @@ def test_commands_return_their_reports():
         if "run" not in {n.name for n in ast.parse(source).body
                          if isinstance(n, ast.FunctionDef)}:
             found.append(f"{path.name} defines no run")
+    assert found == []
+
+
+def private_writes(source: str):
+    """(line, target) of each assignment to an underscore attribute of
+    anything but ``self`` or ``cls``."""
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and node.attr.startswith("_")
+                  and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
+
+
+def test_private_write_scan():
+    src = ("self._a = 1\ncls._b: int = 2\ntrace._counts = {}\nx.y._z += 1\n"
+           "a, obj._w = 1, 2\nobj.public = 3\nv = obj._read\nsys.modules[k]._x = 4\n"
+           "obj._items[0] = 5\nobj._inner.value = 6\n")
+    assert private_writes(src) == [(3, "trace._counts"), (4, "x.y._z"), (5, "obj._w"),
+                                   (8, "sys.modules[k]._x")]
+
+
+def test_no_module_writes_another_objects_private_attribute():
+    """An object's underscore attributes are set by its own methods only."""
+    found = [f"{p.name}:{line} {target}" for p in sorted(PACKAGE.glob("*.py"))
+             for line, target in private_writes(p.read_text(encoding="utf-8"))]
     assert found == []

@@ -25,7 +25,6 @@ from ncl3d.sim import (
     DelayAssignment,
     EventLimitError,
     SimulationError,
-    Trace,
     check_delay_insensitivity,
     load_vectors,
     measure,
@@ -329,7 +328,7 @@ def test_net_classes_cover_every_recorded_net():
 
 def test_empty_vector_list_is_a_clean_run():
     trace = simulate(and_pipeline(), [])
-    assert trace.records == [] and trace.waves == [] and trace.completed
+    assert trace.records == [] and trace.waves == []
     check_trace_columns(trace)
     r = measure(trace)
     assert r.worst_forward_latency is None and r.cycle_times == ()
@@ -394,11 +393,6 @@ def test_changing_the_netlist_after_a_run_changes_the_next_run():
 def test_event_time_past_64_bits_is_a_simulation_error():
     with pytest.raises(SimulationError, match="does not fit the trace's 64-bit time column"):
         simulate(and_pipeline(), [3], DelayAssignment(default=2**62))
-
-
-def test_measure_requires_a_finished_trace():
-    with pytest.raises(SimulationError):
-        measure(Trace([], [], False, {}))
 
 
 # ------------------------------------------------------- delay insensitivity

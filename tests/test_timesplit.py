@@ -53,8 +53,7 @@ def outcome(monkeypatch, k, system, vectors, delays=None, max_events=None):
         except SimulationError as err:
             return type(err), str(err)
     return (list(trace.transition_counts().items()), len(trace.records), measure(trace),
-            trace.records.times, list(trace.records), trace.waves, trace.completed,
-            trace.net_class)
+            trace.records.times, list(trace.records), trace.waves, trace.net_class)
 
 
 def delay_models(cl, system):
