@@ -16,6 +16,8 @@ import sys
 __version__ = "0.1.0"
 
 # Submodule -> the public names it exports as ncl3d.<name>.
+# model holds the model files and pipeline reads the vector files, so
+# loading either compiles neither the pricing in ppa nor the simulator.
 _EXPORTS = {
     "gates": ("DEFAULT_CATALOG", "STUDY_GATES", "GateError", "GateSpec", "eval_set",
               "next_output", "spec_from_name", "transistor_counts"),
@@ -26,17 +28,16 @@ _EXPORTS = {
     "synth": ("SynthError", "TransistorCount", "build_array_multiplier",
               "build_boolean_multiplier", "count_transistors", "expand_dual_rail",
               "operand_bits"),
-    "pipeline": ("PipelineSystem", "build_pipeline"),
+    "pipeline": ("PipelineSystem", "build_pipeline", "load_vectors", "parse_vectors"),
     "sim": ("DeadlockError", "DelayAssignment", "DIReport", "EventLimitError", "Report",
             "SimulationError", "Trace", "VectorError", "Wave", "check_delay_insensitivity",
-            "load_vectors", "measure", "parse_vectors", "simulate"),
+            "measure", "simulate"),
     "refdata": ("ReferenceTable", "calibrate", "load_reference"),
-    "ppa": ("Calibration", "CalibrationError", "CircuitResult", "PpaError", "PpaReport",
-            "Scenario", "SweepRow", "TechParams", "WireRC",
-            "circuit_delay_assignment", "circuit_ppa", "default_calibration",
-            "default_tech", "evaluate_circuit", "gate_improvements", "gate_ppa",
-            "load_calibration", "load_tech", "miv_count", "save_calibration",
-            "save_tech", "sweep_alpha", "wire_parasitics"),
+    "model": ("Calibration", "PpaError", "TechParams", "default_calibration", "default_tech",
+              "load_calibration", "load_tech", "save_calibration", "save_tech"),
+    "ppa": ("CalibrationError", "CircuitResult", "PpaReport", "Scenario", "SweepRow",
+            "WireRC", "circuit_delay_assignment", "circuit_ppa", "evaluate_circuit",
+            "gate_improvements", "gate_ppa", "miv_count", "sweep_alpha", "wire_parasitics"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_SOURCE)

@@ -107,7 +107,7 @@ def _single_alpha(spec: str) -> float:
 def _model(args) -> tuple:
     """The technology and calibration of a model command, the digest lines
     that open its text and the digest fields of its JSON report."""
-    from .ppa import default_calibration, default_tech, load_calibration, load_tech
+    from .model import default_calibration, default_tech, load_calibration, load_tech
     tech = load_tech(args.tech) if args.tech else default_tech()
     cal = load_calibration(args.cal) if args.cal else default_calibration()
     tech_sha, cal_sha = tech.digest(), cal.digest()
@@ -222,7 +222,7 @@ def _command(name: str):
 # CliError (FormatError and SynthError are NetlistErrors).  A name check
 # imports nothing, so an error exit runs only the modules the command ran.
 _USAGE_ERRORS = {("ncl3d.gates", "GateError"), ("ncl3d.netlist", "NetlistError"),
-                 ("ncl3d.ppa", "PpaError"), ("ncl3d.sim", "SimulationError")}
+                 ("ncl3d.model", "PpaError"), ("ncl3d.sim", "SimulationError")}
 
 
 def _usage_error(err: Exception) -> bool:

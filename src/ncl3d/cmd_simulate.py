@@ -7,8 +7,8 @@ from .netlist import load_netlist
 
 
 def run(args) -> tuple:
-    from .pipeline import build_pipeline
-    from .sim import load_vectors, measure, simulate
+    from .pipeline import build_pipeline, load_vectors
+    from .sim import measure, simulate
     # the spec is checked in every mode, its range only where a mode prices it
     alpha = _single_alpha(args.alpha)
     nl = load_netlist(args.netlist)

@@ -13,10 +13,13 @@ The inversion is not representable as a threshold gate, so it lives
 outside the netlist proper: ``PipelineSystem.inverters`` maps each
 request net to the detector net it negates, and the simulator applies
 the negation with zero delay.
+
+The input words a pipeline is driven with are read here too
+(``load_vectors``), so reading a vector file compiles no simulator.
 """
 from typing import Dict, List, NamedTuple, Tuple
 
-from .netlist import Netlist, NetlistError, Port
+from .netlist import FormatError, Netlist, NetlistError, Port
 
 RESERVED_PREFIXES = ("rg", "cd", "ko")
 REQUEST_NET = "ko1"                      # first bank's ko, watched by the producer
@@ -131,3 +134,25 @@ def build_pipeline(cl: Netlist, n_stages: int = 1) -> PipelineSystem:
     nl.bind_outputs(tuple(Port(bit, q1, q0) for bit, (q1, q0) in incoming))
     inverters = {f"ko{s}": f"cd{s}" for s in range(1, n_stages + 1)}
     return PipelineSystem(netlist=nl, inverters=inverters, net_class=net_class)
+
+
+def parse_vectors(text: str) -> List[int]:
+    """One input word per line, decimal or 0b-prefixed binary."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            value = int(line, 2) if line.startswith(("0b", "0B")) else int(line, 10)
+        except ValueError:
+            raise FormatError(lineno, f"bad vector {line!r}") from None
+        if value < 0:
+            raise FormatError(lineno, "vectors must be non-negative")
+        out.append(value)
+    return out
+
+
+def load_vectors(path) -> List[int]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_vectors(fh.read())

@@ -14,9 +14,9 @@ import json
 from typing import List, Mapping, NamedTuple, Optional, Sequence
 
 from .gates import STUDY_GATES, GateSpec, spec_from_name, transistor_counts
-from .ppa import (LN2, Calibration, CalibrationError, Scenario, TechParams, _bundled,
-                  _instance_rows, _rc, _switched_cap, default_tech, gate_improvements,
-                  miv_count, wire_parasitics)
+from .model import Calibration, TechParams, _bundled, default_tech
+from .ppa import (LN2, CalibrationError, Scenario, _instance_rows, _rc, _switched_cap,
+                  gate_improvements, miv_count, wire_parasitics)
 
 
 class GateRow(NamedTuple):

@@ -74,7 +74,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from .gates import spec_from_name
-from .netlist import FormatError, Netlist
+from .netlist import Netlist
 from .pipeline import ACK_NET, REQUEST_NET, PipelineSystem
 
 
@@ -627,24 +627,3 @@ def di_trials(system: PipelineSystem, data_vectors: Sequence,
 
     return [partial(trial, a) for a in assignments], report
 
-
-def parse_vectors(text: str) -> List[int]:
-    """One input word per line, decimal or 0b-prefixed binary."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            value = int(line, 2) if line.startswith(("0b", "0B")) else int(line, 10)
-        except ValueError:
-            raise FormatError(lineno, f"bad vector {line!r}") from None
-        if value < 0:
-            raise FormatError(lineno, "vectors must be non-negative")
-        out.append(value)
-    return out
-
-
-def load_vectors(path) -> List[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_vectors(fh.read())

@@ -201,6 +201,15 @@ def test_relaxed_multipliers_do_produce_violations():
     assert [len(check_observability(nl)) for nl in nets] == [7, 0, 0]
 
 
+def test_sampled_checkers_default_to_seed_0():
+    # on this netlist and trial count, seed 1 draws other cases and finds
+    # other violations, so a different default would show
+    nl, trials = relaxed_multiplier(2, 33), 4
+    for check in (check_input_completeness, check_observability):
+        assert check(nl, trials=trials) == check(nl, trials=trials, seed=0)
+        assert check(nl, trials=trials, seed=1) != check(nl, trials=trials, seed=0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(case=boolean_circuit(), seed=st.integers(0, 2**16), count=st.integers(0, 4))
 def test_checkers_match_the_oracle_on_relaxed_random_circuits(case, seed, count):

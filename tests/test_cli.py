@@ -141,6 +141,23 @@ def test_an_error_of_no_ncl3d_class_is_no_usage_error(monkeypatch):
         main(["check", "x.ncl"])
 
 
+def test_each_usage_error_pair_names_a_class_of_its_module():
+    """A pair that names no class, say after the class moved, would turn
+    its errors into tracebacks; every public ncl3d error must be covered."""
+    import importlib
+
+    import ncl3d
+    from ncl3d.cli import _USAGE_ERRORS
+    for module, name in _USAGE_ERRORS:
+        cls = getattr(importlib.import_module(module), name)
+        assert (cls.__module__, cls.__name__) == (module, name)
+    public = [getattr(ncl3d, n) for n in ncl3d.__all__]
+    errors = [c for c in public if isinstance(c, type) and issubclass(c, Exception)]
+    assert len(errors) > len(_USAGE_ERRORS)
+    assert [c.__name__ for c in errors
+            if not any((b.__module__, b.__name__) in _USAGE_ERRORS for b in c.__mro__)] == []
+
+
 # ----------------------------------------------------------------- simulate
 
 def test_simulate_unit_delays(capsys, tmp_path):

@@ -17,18 +17,18 @@ from hypothesis import strategies as st
 from ncl3d import pipeline, sim
 from ncl3d.boolnet import parse_boolean_netlist
 from ncl3d.gates import spec_from_name
-from ncl3d.netlist import Netlist, NetlistError, Port
-from ncl3d.pipeline import build_pipeline
-from ncl3d.ppa import circuit_delay_assignment, default_calibration, default_tech
+from ncl3d.model import default_calibration, default_tech
+from ncl3d.netlist import (Netlist, NetlistError, Port, check_input_completeness,
+                           check_observability)
+from ncl3d.pipeline import build_pipeline, load_vectors, parse_vectors
+from ncl3d.ppa import circuit_delay_assignment
 from ncl3d.sim import (
     DeadlockError,
     DelayAssignment,
     EventLimitError,
     SimulationError,
     check_delay_insensitivity,
-    load_vectors,
     measure,
-    parse_vectors,
     simulate,
 )
 from ncl3d.synth import build_array_multiplier, expand_dual_rail, operand_bits
@@ -416,6 +416,39 @@ def test_di_check_multiplier_short_run():
     system = build_pipeline(build_array_multiplier(2), 1)
     report = check_delay_insensitivity(system, [15, 6, 9], n_trials=10, seed=1)
     assert report.passed
+
+
+def orphan_mutant():
+    """The width-3 multiplier with ``c2_0_r1``, the DATA1 rail of the OR of
+    two half-adder carries, relaxed from THand0 to a TH12 on its first two
+    inputs: ``fa2_c1_r0`` and ``fa2_c2_r0`` may then switch in a wave in
+    which no output observes them."""
+    base = build_array_multiplier(3)
+    nl = Netlist([p.name for p in base.inputs], base.outputs)
+    for g in base.gates:
+        if g.name == "c2_0_r1":
+            assert (g.kind, g.ins) == ("THand0", ("fa2_c1.1", "fa2_c2.1", "fa2_c1.0", "fa2_c2.0"))
+            nl.add("TH12", g.ins[:2], g.out, name=g.name)
+        else:
+            nl.add(g.kind, g.ins, g.out, name=g.name)
+    return nl
+
+
+def test_an_orphan_deadlocks_the_pipeline_that_the_checkers_pass():
+    """A delay-insensitivity defect that unit delays, the input-completeness
+    check and the observability check all miss: one slow orphan gate
+    outlives its wave and the producer stalls."""
+    nl = orphan_mutant()
+    system = build_pipeline(nl, 1)
+    pairs = [(x, y) for x in range(8) for y in range(8)]
+    vectors = [operand_bits(3, x, y) for x, y in pairs]
+    assert simulate(system, vectors).words() == [x * y for x, y in pairs]
+    slow = DelayAssignment(per_gate={"fa2_c2_r0": 50})
+    with pytest.raises(DeadlockError) as err:
+        simulate(system, vectors, slow)
+    assert str(err.value) == ("deadlock waiting on ko1: producer has 33 vectors left, "
+                              "request stuck at 0")
+    assert check_input_completeness(nl) == [] and check_observability(nl) == []
 
 
 # ----------------------------------------------------------------- vectors

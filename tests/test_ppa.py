@@ -13,25 +13,23 @@ import sys
 import pytest
 
 from ncl3d.gates import GateSpec, canonical_sop, spec_from_name, transistor_counts
-from ncl3d.ppa import (
+from ncl3d.model import (
     Calibration,
     PpaError,
-    Scenario,
     TechParams,
-    circuit_delay_assignment,
-    circuit_ppa,
     default_calibration,
     default_tech,
-    dump_calibration,
-    dump_tech,
+    load_calibration,
+    load_tech,
+)
+from ncl3d.ppa import (
+    Scenario,
+    circuit_delay_assignment,
+    circuit_ppa,
     evaluate_circuit,
     gate_improvements,
     gate_ppa,
-    load_calibration,
-    load_tech,
     miv_count,
-    parse_calibration,
-    parse_tech,
     ppa_jobs,
     sweep_alpha,
     wire_parasitics,
@@ -49,7 +47,7 @@ HALF_CELL_C = 0.1637363
 
 METRICS = ("t_d", "t_s", "power", "area")
 
-BUNDLED_CAL = json.loads(dump_calibration(default_calibration()))["calibration"]
+BUNDLED_CAL = json.loads(default_calibration().dump())["calibration"]
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +127,7 @@ def test_record_reprs_are_unchanged(tech, cal):
 
 def test_tech_round_trip(tech, tmp_path):
     path = tmp_path / "tech.json"
-    path.write_text(dump_tech(tech.replaced(V_DD=0.9)))
+    path.write_text(tech.replaced(V_DD=0.9).dump())
     back = load_tech(path)
     assert back.V_DD == 0.9
     assert back.C_int == tech.C_int
@@ -148,7 +146,7 @@ def test_tech_round_trip(tech, tmp_path):
 ])
 def test_tech_parse_errors(text):
     with pytest.raises(PpaError):
-        parse_tech(text)
+        TechParams.parse(text)
 
 
 # ------------------------------------------------------------- wire classes
@@ -255,7 +253,7 @@ def test_calibration_fallbacks(cal):
 
 def test_calibration_round_trip(cal, tmp_path):
     path = tmp_path / "cal.json"
-    path.write_text(dump_calibration(cal))
+    path.write_text(cal.dump())
     back = load_calibration(path)
     assert back == cal
     assert back.digest() == cal.digest()
@@ -278,7 +276,7 @@ def test_calibration_round_trip(cal, tmp_path):
 ])
 def test_calibration_parse_errors(text):
     with pytest.raises(PpaError):
-        parse_calibration(text)
+        Calibration.parse(text)
 
 
 @pytest.fixture(scope="module")

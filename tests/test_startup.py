@@ -9,7 +9,9 @@ same object, each command runs its own command module and no other,
 ``check`` never runs the model, simulator or synthesis modules and never
 imports ``json``, no command imports ``dataclasses`` or ``inspect``,
 ``gate-report`` and ``sweep gates`` never run the simulator or pipeline,
-only calibration reads the reference table, an error exit runs no module
+``gate-report`` not even ``netlist``, reading a netlist, a vector file or
+a model file runs neither the pricing nor the simulator, only calibration
+reads the reference table, an error exit runs no module
 the command's successful run does not, the commands that fork
 workers load no process pool and run each ncl3d module once, the exit
 through ``cli.entry`` keeps every output of ``main``, the ``ncl3d``
@@ -37,7 +39,9 @@ PACKAGE = Path(ncl3d.__file__).resolve().parent
 CHILD = ROOT / "perfbench" / "child.py"
 
 # The package's exports as they stood when __init__ imported every module
-# eagerly, save that calibrate has since moved from ppa to refdata:
+# eagerly, save that calibrate has since moved from ppa to refdata, the
+# technology and calibration records, their loaders and PpaError from ppa
+# to model, and load_vectors and parse_vectors from sim to pipeline:
 # submodule -> the names it exported.
 EAGER_EXPORTS = {
     "gates": "DEFAULT_CATALOG STUDY_GATES GateError GateSpec eval_set next_output "
@@ -47,25 +51,25 @@ EAGER_EXPORTS = {
     "boolnet": "BoolNetlist parse_boolean_netlist",
     "synth": "SynthError TransistorCount build_array_multiplier build_boolean_multiplier "
              "count_transistors expand_dual_rail operand_bits",
-    "pipeline": "PipelineSystem build_pipeline",
+    "pipeline": "PipelineSystem build_pipeline load_vectors parse_vectors",
     "sim": "DeadlockError DelayAssignment DIReport EventLimitError Report SimulationError "
-           "Trace VectorError Wave check_delay_insensitivity load_vectors measure "
-           "parse_vectors simulate",
+           "Trace VectorError Wave check_delay_insensitivity measure simulate",
     "refdata": "ReferenceTable calibrate load_reference",
-    "ppa": "Calibration CalibrationError CircuitResult PpaError PpaReport Scenario SweepRow "
-           "TechParams WireRC circuit_delay_assignment circuit_ppa "
-           "default_calibration default_tech evaluate_circuit gate_improvements gate_ppa "
-           "load_calibration load_tech miv_count save_calibration save_tech sweep_alpha "
-           "wire_parasitics",
+    "model": "Calibration PpaError TechParams default_calibration default_tech "
+             "load_calibration load_tech save_calibration save_tech",
+    "ppa": "CalibrationError CircuitResult PpaReport Scenario SweepRow WireRC "
+           "circuit_delay_assignment circuit_ppa evaluate_circuit gate_improvements gate_ppa "
+           "miv_count sweep_alpha wire_parasitics",
 }
 EXPORTS = [(m, name) for m, names in EAGER_EXPORTS.items() for name in names.split()]
 
-# Runs `python -m ncl3d ARG...` as -m does, and writes to stderr the name of
-# every ncl3d module whose body executes, however it was loaded, and of every
-# other module the command added to sys.modules (so not those that site hooks
-# load), and a line per os.fork in any of its processes.  ncl3d's own
-# submodules sit there as lazy stubs, hence the hook.
-PROBE = """
+# HOOK writes to stderr the name of every ncl3d module whose body executes,
+# however it was loaded, and a line per os.fork in any of its processes.
+# PROBE runs `python -m ncl3d ARG...` under it as -m does, and also names
+# every other module the command added to sys.modules (so not those that
+# site hooks load).  ncl3d's own submodules sit there as lazy stubs, hence
+# the hook.
+HOOK = """
 import os, runpy, sys
 def hook(event, args):
     if event == "os.fork":
@@ -77,6 +81,8 @@ def hook(event, args):
         if os.path.basename(folder) == "ncl3d":
             sys.stderr.write("executed ncl3d." + name[:-3] + "\\n")
 sys.addaudithook(hook)
+"""
+PROBE = HOOK + """
 before = set(sys.modules)
 try:
     runpy.run_module("ncl3d", run_name="__main__", alter_sys=True)
@@ -84,8 +90,8 @@ finally:
     sys.stderr.writelines(f"imported {m}\\n" for m in set(sys.modules) - before
                           if m.split(".")[0] != "ncl3d")
 """
-HEAVY = {"ncl3d.ppa", "ncl3d.sim", "ncl3d.synth", "ncl3d.pipeline", "ncl3d.boolnet",
-         "ncl3d.refdata"}
+HEAVY = {"ncl3d.model", "ncl3d.ppa", "ncl3d.sim", "ncl3d.synth", "ncl3d.pipeline",
+         "ncl3d.boolnet", "ncl3d.refdata"}
 # Every record is a NamedTuple: dataclasses alone costs about 13 ms a
 # process, as it loads inspect.
 SLOW_STDLIB = {"dataclasses", "inspect"}
@@ -139,6 +145,27 @@ def command_modules(loaded):
     return {m for m in loaded if m.startswith("ncl3d.cmd_")}
 
 
+def test_the_file_loaders_run_neither_the_pricing_nor_the_simulator(tmp_path):
+    """Reading a netlist, a vector file or a model file, and building the
+    pipeline, compiles neither ppa nor sim."""
+    (tmp_path / "mult2.ncl").write_text(serialize_netlist(build_array_multiplier(2)))
+    (tmp_path / "v.txt").write_text("0\n5\n")
+    script = HOOK + """
+import ncl3d
+ncl3d.build_pipeline(ncl3d.load_netlist("mult2.ncl"))
+assert ncl3d.load_vectors("v.txt") == [0, 5]
+ncl3d.save_tech(ncl3d.default_tech(), "tech.json")
+assert ncl3d.load_tech("tech.json") == ncl3d.default_tech()
+ncl3d.default_calibration()
+"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         cwd=str(tmp_path), env=child_env())
+    assert run.returncode == 0, run.stderr[-400:]
+    executed = set(re.findall(r"^executed (\S+)$", run.stderr, re.M))
+    assert {"ncl3d.netlist", "ncl3d.pipeline", "ncl3d.model"} <= executed
+    assert executed & {"ncl3d.ppa", "ncl3d.sim"} == set()
+
+
 def test_check_runs_no_model_simulator_or_synthesis_module(tmp_path):
     (tmp_path / "mult3.ncl").write_text(serialize_netlist(build_array_multiplier(3)))
     code, out, loaded, n_forks = run_probed(tmp_path, "check", "mult3.ncl")
@@ -158,7 +185,7 @@ def test_simulate_runs_no_synthesis_module(tmp_path):
     code, out, loaded, n_forks = run_probed(tmp_path, "simulate", "mult2.ncl", "v.txt",
                                             "--mode", "M3D")
     assert code == 0 and "words: 0 1 9" in out
-    assert {"ncl3d.sim", "ncl3d.ppa"} <= loaded
+    assert {"ncl3d.sim", "ncl3d.ppa", "ncl3d.model"} <= loaded
     assert command_modules(loaded) == {"ncl3d.cmd_simulate"}
     assert loaded & ({"ncl3d.synth", "ncl3d.boolnet", "ncl3d.refdata"} | SLOW_STDLIB) == set()
     # far below sim.SPLIT_MIN: one process, and nothing of the split is loaded
@@ -193,19 +220,21 @@ def gate_figures_loaded(tmp_path, *argv):
     """What a gate-figure command loads; it must run its own command
     module and no simulator, pipeline or synthesis module."""
     code, out, loaded, n_forks = run_probed(tmp_path, *argv)
-    assert code == 0 and "ncl3d.ppa" in loaded and n_forks == 0
+    assert code == 0 and {"ncl3d.ppa", "ncl3d.model"} <= loaded and n_forks == 0
     assert command_modules(loaded) == {f"ncl3d.cmd_{argv[0].replace('-', '_')}"}
     assert loaded & ({"ncl3d.sim", "ncl3d.pipeline", "ncl3d.synth", "ncl3d.boolnet",
                       "ncl3d.refdata"} | SLOW_STDLIB) == set()
-    return out
+    return out, loaded
 
 
 def test_gate_report_runs_no_simulator_or_pipeline(tmp_path):
-    assert "TH22" in gate_figures_loaded(tmp_path, "gate-report", "TH22", "--alpha", "0.7")
+    """gate-report prices gate types, not netlists: not even netlist runs."""
+    out, loaded = gate_figures_loaded(tmp_path, "gate-report", "TH22", "--alpha", "0.7")
+    assert "TH22" in out and "ncl3d.netlist" not in loaded
 
 
 def test_sweep_gates_runs_no_simulator_or_pipeline(tmp_path):
-    out = gate_figures_loaded(tmp_path, "sweep", "gates", "--alpha", "0.7")
+    out, _ = gate_figures_loaded(tmp_path, "sweep", "gates", "--alpha", "0.7")
     assert "target: study gates" in out
 
 
@@ -226,7 +255,7 @@ def test_forked_evaluations_load_no_process_pool(tmp_path, argv, jobs):
     imported = set(re.findall(r"^import time:.*\| +(\S+)$", run.stderr, re.M))
     assert "ncl3d.forkmap" in imported
     executed = Counter(re.findall(r"^executed (\S+)$", run.stderr, re.M))
-    assert {"ncl3d.pipeline", "ncl3d.sim", "ncl3d.ppa"} <= set(executed)
+    assert {"ncl3d.pipeline", "ncl3d.sim", "ncl3d.model", "ncl3d.ppa"} <= set(executed)
     assert command_modules(executed) == {f"ncl3d.cmd_{argv[0].replace('-', '_')}"}
     assert "ncl3d.refdata" not in executed
     assert [m for m, n in executed.items() if n != 1] == []

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncl3d import forkmap, sim, timesplit
+from ncl3d.model import default_calibration, default_tech
 from ncl3d.netlist import parse_netlist, serialize_netlist
 from ncl3d.pipeline import build_pipeline
-from ncl3d.ppa import circuit_delay_assignment, default_calibration, default_tech
+from ncl3d.ppa import circuit_delay_assignment
 from ncl3d.sim import (DeadlockError, DelayAssignment, EventLimitError, SimulationError, measure,
                        simulate)
 from ncl3d.synth import build_array_multiplier, expand_dual_rail
