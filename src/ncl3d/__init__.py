@@ -17,13 +17,15 @@ __version__ = "0.1.0"
 
 # Submodule -> the public names it exports as ncl3d.<name>.
 # model holds the model files and pipeline reads the vector files, so
-# loading either compiles neither the pricing in ppa nor the simulator.
+# loading either compiles neither the pricing in ppa nor the simulator;
+# settle and the checkers sit in checks, so loading a netlist compiles
+# neither.
 _EXPORTS = {
     "gates": ("DEFAULT_CATALOG", "STUDY_GATES", "GateError", "GateSpec", "eval_set",
               "next_output", "spec_from_name", "transistor_counts"),
-    "netlist": ("FormatError", "Netlist", "NetlistError", "Port",
-                "check_input_completeness", "check_observability", "load_netlist",
-                "parse_netlist", "serialize_netlist", "settle"),
+    "netlist": ("FormatError", "Netlist", "NetlistError", "Port", "load_netlist",
+                "parse_netlist", "serialize_netlist"),
+    "checks": ("check_input_completeness", "check_observability", "settle"),
     "boolnet": ("BoolNetlist", "parse_boolean_netlist"),
     "synth": ("SynthError", "TransistorCount", "build_array_multiplier",
               "build_boolean_multiplier", "count_transistors", "expand_dual_rail",

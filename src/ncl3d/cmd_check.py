@@ -3,7 +3,8 @@ on a dual-rail netlist."""
 from typing import List, Sequence
 
 from .cli import EXHAUSTIVE_PORT_LIMIT
-from .netlist import check_input_completeness, check_observability, load_netlist
+from .checks import check_input_completeness, check_observability
+from .netlist import load_netlist
 
 # Past EXHAUSTIVE_PORT_LIMIT dual-rail inputs the checkers sample this many
 # (vector, port subset) cases unless --exhaustive forces the full sweep.

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Seq
 from .gates import GateSpec, spec_from_name, transistor_counts
 from .model import Calibration, PpaError, TechParams, default_calibration, default_tech
 
-if TYPE_CHECKING:  # the circuit rollup and sweep_alpha import these themselves
+if TYPE_CHECKING:  # annotations only; the circuit rollup imports what it runs itself
     from .netlist import GateInst, Netlist
     from .pipeline import PipelineSystem
     from .sim import DelayAssignment, Report, Trace
@@ -323,15 +323,16 @@ def sweep_alpha(target: Union[Sequence[str], Netlist],
 
     ``target`` is either gate type names (headline row is their average)
     or a combinational netlist, which also needs input ``vectors``.
+    A netlist is told by its gate instances, so pricing gate names
+    imports no netlist module.
     """
-    from .netlist import Netlist
     tech = tech or default_tech()
     cal = cal or default_calibration()
     order = sorted({_form("M3D", a)[1] for a in alphas}, reverse=True)
     if not order:
         raise PpaError("no fold ratios to sweep")
     rows: List[SweepRow] = []
-    if isinstance(target, Netlist):
+    if hasattr(target, "gates"):
         if vectors is None:
             raise PpaError("a circuit sweep needs input vectors")
         from .forkmap import fork_map

@@ -17,18 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ncl3d.netlist
+import ncl3d.checks
 from ncl3d.boolnet import parse_boolean_netlist
-from ncl3d.netlist import (
+from ncl3d.checks import (
     ICViolation,
-    Netlist,
-    NonConvergenceError,
     ObsViolation,
     check_input_completeness,
     check_observability,
-    parse_netlist,
     settle,
 )
+from ncl3d.netlist import Netlist, NonConvergenceError, parse_netlist
 from ncl3d.synth import build_array_multiplier, expand_dual_rail
 from oracles import DATA, NULL, encode_word, output_word
 from test_netlist import and_template, boolean_circuit, relaxed_and_template
@@ -221,7 +219,7 @@ def test_checkers_match_the_oracle_on_relaxed_random_circuits(case, seed, count)
 def assert_no_state_settles_to_null(nl):
     """What the checkers' NULL->DATA sweep starts from: a netlist they accept,
     settled from no state with no rail driven, is 0 on every net."""
-    ncl3d.netlist._check_preconditions(nl)   # raises unless the checkers accept nl
+    ncl3d.checks._check_preconditions(nl)   # raises unless the checkers accept nl
     assert settle(nl, {}) == dict.fromkeys(nl.nets, 0)
 
 
@@ -284,7 +282,7 @@ def test_zero_trials_sample_nothing():
 # Lane budgets: below one block (one case per settle), three 16-lane blocks
 # (the width-2 multiplier's 14 subsets and 16 gates leave a partial last
 # chunk), and the default.
-BUDGETS = (1, 50, ncl3d.netlist.LANE_BUDGET)
+BUDGETS = (1, 50, ncl3d.checks.LANE_BUDGET)
 
 
 def test_every_lane_budget_matches_the_oracle_in_order(monkeypatch):
@@ -293,7 +291,7 @@ def test_every_lane_budget_matches_the_oracle_in_order(monkeypatch):
             want = (reference_input_completeness(nl, trials, seed),
                     reference_observability(nl, trials, seed))
             for budget in BUDGETS:
-                monkeypatch.setattr(ncl3d.netlist, "LANE_BUDGET", budget)
+                monkeypatch.setattr(ncl3d.checks, "LANE_BUDGET", budget)
                 assert (check_input_completeness(nl, trials, seed),
                         check_observability(nl, trials, seed)) == want, (budget, trials)
 
@@ -306,7 +304,7 @@ def counted_settles(monkeypatch):
         calls.append(kwargs.get("frozen"))
         return settle(*args, **kwargs)
 
-    monkeypatch.setattr(ncl3d.netlist, "settle", counted)
+    monkeypatch.setattr(ncl3d.checks, "settle", counted)
     return calls
 
 
@@ -317,7 +315,7 @@ def test_each_sweep_settles_once_per_direction_and_chunk(monkeypatch):
     calls.clear()
     assert check_observability(nl) == [] and len(calls) == 2          # 61 at one per gate
     assert len(calls[-1]) == 60         # the last settle holds every gate stuck
-    monkeypatch.setattr(ncl3d.netlist, "LANE_BUDGET", 50)
+    monkeypatch.setattr(ncl3d.checks, "LANE_BUDGET", 50)
     calls.clear()
     check_input_completeness(relaxed_multiplier(2, 5))
     assert len(calls) == 1 + 2 * 5      # 14 subsets in chunks of 3

@@ -11,19 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncl3d.boolnet import BOOL_KINDS, BoolNetlist
+from ncl3d.checks import ICViolation, check_input_completeness, check_observability, settle
 from ncl3d.netlist import (
     CycleError,
     FormatError,
-    ICViolation,
     Netlist,
     NetlistError,
     NonConvergenceError,
     Port,
-    check_input_completeness,
-    check_observability,
     parse_netlist,
     serialize_netlist,
-    settle,
 )
 from ncl3d.synth import expand_dual_rail
 from oracles import DATA, DATA0, INVALID, NULL, encode_word, evaluate_outputs, output_word

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from ncl3d import pipeline, sim
 from ncl3d.boolnet import parse_boolean_netlist
+from ncl3d.checks import check_input_completeness, check_observability
 from ncl3d.gates import spec_from_name
 from ncl3d.model import default_calibration, default_tech
-from ncl3d.netlist import (Netlist, NetlistError, Port, check_input_completeness,
-                           check_observability)
+from ncl3d.netlist import Netlist, NetlistError, Port
 from ncl3d.pipeline import build_pipeline, load_vectors, parse_vectors
 from ncl3d.ppa import circuit_delay_assignment
 from ncl3d.sim import (
@@ -270,6 +270,32 @@ def causal_mismatches(system, trace, delays=None):
         if caused != recorded[net]:
             bad.append(net)
     return bad
+
+
+class RequestFirst(Netlist):
+    """A netlist that numbers the first bank's request net 0.  Input rails
+    come first in every Netlist, so in a built pipeline no inverter drives
+    net 0."""
+
+    def _ends(self):
+        head, tail = super()._ends()
+        return (pipeline.REQUEST_NET, *head), tail
+
+
+def test_a_run_does_not_depend_on_how_the_nets_are_numbered():
+    """The same pipeline, hand-made with its request inverter's output as
+    net 0, runs exactly as the built one."""
+    system = and_pipeline()
+    nl = system.netlist
+    first = RequestFirst(nl.inputs, nl.outputs, nl.ctl_inputs, nl.ctl_outputs)
+    for g in nl.gates:
+        first.add(g.kind, g.ins, g.out, name=g.name)
+    moved = system._replace(netlist=first)
+    assert first.nets[0] == "ko1" and nl.nets[0] != "ko1" and "ko1" in system.inverters
+    want, got = (simulate(s, [3, 1, 0, 2], DelayAssignment(per_gate={"z_r1": 4}, default=2))
+                 for s in (system, moved))
+    assert got.words() == want.words() == [1, 0, 0, 0]
+    assert (list(got.records), got.waves) == (list(want.records), want.waves)
 
 
 @settings(max_examples=40, deadline=None)

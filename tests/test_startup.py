@@ -7,18 +7,21 @@ first use.  These tests pin what that must not change: every name the
 package exported when it imported all its modules still resolves to the
 same object, each command runs its own command module and no other,
 ``check`` never runs the model, simulator or synthesis modules and never
-imports ``json``, no command imports ``dataclasses`` or ``inspect``,
-``gate-report`` and ``sweep gates`` never run the simulator or pipeline,
-``gate-report`` not even ``netlist``, reading a netlist, a vector file or
-a model file runs neither the pricing nor the simulator, only calibration
-reads the reference table, an error exit runs no module
+imports ``json``, only ``check`` runs the checkers, no command imports
+``dataclasses`` or ``inspect``, ``gate-report`` and ``sweep gates`` never
+run the simulator, the pipeline or even ``netlist``, reading a netlist, a
+vector file or a model file runs neither the checkers, the pricing nor
+the simulator, only calibration reads the reference table, an error exit
+runs no module
 the command's successful run does not, the commands that fork
 workers load no process pool and run each ncl3d module once, the exit
 through ``cli.entry`` keeps every output of ``main``, the ``ncl3d``
 script and ``python -m ncl3d`` share that entry, and the harness's
-set-up and traced children still work.
+set-up and traced children still work, with every function its traced
+mode names by module still found there.
 """
 import ast
+import importlib
 import json
 import os
 import re
@@ -41,13 +44,15 @@ CHILD = ROOT / "perfbench" / "child.py"
 # The package's exports as they stood when __init__ imported every module
 # eagerly, save that calibrate has since moved from ppa to refdata, the
 # technology and calibration records, their loaders and PpaError from ppa
-# to model, and load_vectors and parse_vectors from sim to pipeline:
-# submodule -> the names it exported.
+# to model, load_vectors and parse_vectors from sim to pipeline, and settle
+# and the checkers from netlist to checks: submodule -> the names it
+# exported.
 EAGER_EXPORTS = {
     "gates": "DEFAULT_CATALOG STUDY_GATES GateError GateSpec eval_set next_output "
              "spec_from_name transistor_counts",
-    "netlist": "FormatError Netlist NetlistError Port check_input_completeness "
-               "check_observability load_netlist parse_netlist serialize_netlist settle",
+    "netlist": "FormatError Netlist NetlistError Port load_netlist parse_netlist "
+               "serialize_netlist",
+    "checks": "check_input_completeness check_observability settle",
     "boolnet": "BoolNetlist parse_boolean_netlist",
     "synth": "SynthError TransistorCount build_array_multiplier build_boolean_multiplier "
              "count_transistors expand_dual_rail operand_bits",
@@ -147,7 +152,7 @@ def command_modules(loaded):
 
 def test_the_file_loaders_run_neither_the_pricing_nor_the_simulator(tmp_path):
     """Reading a netlist, a vector file or a model file, and building the
-    pipeline, compiles neither ppa nor sim."""
+    pipeline, compiles neither ppa nor sim, nor the checkers."""
     (tmp_path / "mult2.ncl").write_text(serialize_netlist(build_array_multiplier(2)))
     (tmp_path / "v.txt").write_text("0\n5\n")
     script = HOOK + """
@@ -163,14 +168,14 @@ ncl3d.default_calibration()
     assert run.returncode == 0, run.stderr[-400:]
     executed = set(re.findall(r"^executed (\S+)$", run.stderr, re.M))
     assert {"ncl3d.netlist", "ncl3d.pipeline", "ncl3d.model"} <= executed
-    assert executed & {"ncl3d.ppa", "ncl3d.sim"} == set()
+    assert executed & {"ncl3d.ppa", "ncl3d.sim", "ncl3d.checks"} == set()
 
 
 def test_check_runs_no_model_simulator_or_synthesis_module(tmp_path):
     (tmp_path / "mult3.ncl").write_text(serialize_netlist(build_array_multiplier(3)))
     code, out, loaded, n_forks = run_probed(tmp_path, "check", "mult3.ncl")
     assert code == 0 and out.splitlines()[-1] == "result: PASS"
-    assert {"ncl3d.cli", "ncl3d.gates", "ncl3d.netlist"} <= loaded
+    assert {"ncl3d.cli", "ncl3d.gates", "ncl3d.netlist", "ncl3d.checks"} <= loaded
     assert command_modules(loaded) == {"ncl3d.cmd_check"}
     assert loaded & (HEAVY | {"ncl3d.forkmap", "ncl3d.timesplit"}) == set()
     assert n_forks == 0
@@ -187,7 +192,8 @@ def test_simulate_runs_no_synthesis_module(tmp_path):
     assert code == 0 and "words: 0 1 9" in out
     assert {"ncl3d.sim", "ncl3d.ppa", "ncl3d.model"} <= loaded
     assert command_modules(loaded) == {"ncl3d.cmd_simulate"}
-    assert loaded & ({"ncl3d.synth", "ncl3d.boolnet", "ncl3d.refdata"} | SLOW_STDLIB) == set()
+    assert loaded & ({"ncl3d.synth", "ncl3d.boolnet", "ncl3d.refdata", "ncl3d.checks"}
+                     | SLOW_STDLIB) == set()
     # far below sim.SPLIT_MIN: one process, and nothing of the split is loaded
     assert loaded & {"ncl3d.forkmap", "ncl3d.timesplit"} == set() and n_forks == 0
 
@@ -213,7 +219,7 @@ def test_synth_runs_no_model_or_simulator_module(tmp_path):
     assert code == 0 and out.startswith("# ncl3d synth\n") and n_forks == 0
     assert command_modules(loaded) == {"ncl3d.cmd_synth"}
     assert loaded & HEAVY == {"ncl3d.synth", "ncl3d.boolnet"}
-    assert loaded & SLOW_STDLIB == set()
+    assert loaded & (SLOW_STDLIB | {"ncl3d.checks"}) == set()
 
 
 def gate_figures_loaded(tmp_path, *argv):
@@ -234,8 +240,9 @@ def test_gate_report_runs_no_simulator_or_pipeline(tmp_path):
 
 
 def test_sweep_gates_runs_no_simulator_or_pipeline(tmp_path):
-    out, _ = gate_figures_loaded(tmp_path, "sweep", "gates", "--alpha", "0.7")
-    assert "target: study gates" in out
+    """sweep_alpha tells gate names from a netlist without importing netlist."""
+    out, loaded = gate_figures_loaded(tmp_path, "sweep", "gates", "--alpha", "0.7")
+    assert "target: study gates" in out and "ncl3d.netlist" not in loaded
 
 
 @pytest.mark.parametrize("argv,jobs", [
@@ -248,7 +255,8 @@ def test_forked_evaluations_load_no_process_pool(tmp_path, argv, jobs):
     a process pool would cost more start-up than they save.  They run as
     one round of jobs, and no job forks again.  Every ncl3d module runs
     once, in the parent before the fork, not again in a worker.  Neither
-    command calibrates, so neither reads the reference table."""
+    command calibrates, so neither reads the reference table, and neither
+    runs the checkers."""
     run = probe(tmp_path, *argv)
     assert run.returncode == 0, run.stderr[-400:]
     assert forks(run) == min(jobs, usable_cpus()) - 1
@@ -257,7 +265,7 @@ def test_forked_evaluations_load_no_process_pool(tmp_path, argv, jobs):
     executed = Counter(re.findall(r"^executed (\S+)$", run.stderr, re.M))
     assert {"ncl3d.pipeline", "ncl3d.sim", "ncl3d.model", "ncl3d.ppa"} <= set(executed)
     assert command_modules(executed) == {f"ncl3d.cmd_{argv[0].replace('-', '_')}"}
-    assert "ncl3d.refdata" not in executed
+    assert executed.keys() & {"ncl3d.refdata", "ncl3d.checks"} == set()
     assert [m for m, n in executed.items() if n != 1] == []
     assert {m for m in imported
             if m.split(".")[0] in ("multiprocessing", "concurrent")} == set()
@@ -358,3 +366,32 @@ def test_bench_trace_child_records_spans(bench_inputs):
     assert run.stdout.splitlines()[-1] == "result: PASS"
     spans = json.loads((bench_inputs / "spans.json").read_text())["spans"]
     assert {"cli.main", "netlist.load_netlist", "netlist.settle"} <= {s["name"] for s in spans}
+    # checks is a lazy stub when the tracer installs, so the checkers' own
+    # settle calls are wrapped too
+    assert [spans[s["parent"]]["name"] for s in spans if s["name"] == "netlist.settle"] == (
+        ["netlist.check_input_completeness"] * 3 + ["netlist.check_observability"] * 2)
+
+
+def traced_functions():
+    """child.py's TRACED list of (module, function), read without running it."""
+    tree = ast.parse(CHILD.read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+
+
+def test_every_traced_function_resolves_in_the_module_the_harness_names():
+    """The traced mode looks each function up by module, so settle and the
+    checkers, which live in checks, must still be found on netlist."""
+    traced = traced_functions()
+    assert ("netlist", "settle") in traced
+    assert [f"{m}.{f}" for m, f in traced
+            if not callable(getattr(importlib.import_module(f"ncl3d.{m}"), f, None))] == []
+
+
+def test_netlist_forwards_only_settle_and_the_checkers():
+    for name in ("settle", "check_input_completeness", "check_observability"):
+        assert getattr(ncl3d.netlist, name) is getattr(ncl3d.checks, name)
+    for name in ("LANE_BUDGET", "ICViolation", "_settle_rows", "simulate", "no_such_name"):
+        with pytest.raises(AttributeError, match=f"'ncl3d.netlist' has no attribute '{name}'"):
+            getattr(ncl3d.netlist, name)

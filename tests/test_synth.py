@@ -9,7 +9,8 @@ import itertools
 import pytest
 
 from ncl3d.boolnet import parse_boolean_netlist
-from ncl3d.netlist import check_input_completeness, check_observability, serialize_netlist, settle
+from ncl3d.checks import check_input_completeness, check_observability, settle
+from ncl3d.netlist import serialize_netlist
 from ncl3d.synth import (
     SynthError,
     build_array_multiplier,
