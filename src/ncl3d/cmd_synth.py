@@ -2,7 +2,7 @@
 from pathlib import Path
 from typing import Dict
 
-from .netlist import serialize_netlist
+from .netlist import NetlistError, parse_netlist, serialize_netlist
 
 
 def run(args) -> tuple:
@@ -18,6 +18,11 @@ def run(args) -> tuple:
                f"# dual-rail: {len(nl.gates)} gates, "
                f"{count_transistors(nl).total} transistors ({mix})"]
     body = serialize_netlist(nl)
+    try:    # a Boolean netlist without inputs or outputs has no .ncl form
+        parse_netlist(body)
+    except NetlistError as exc:
+        raise NetlistError(f"{args.netlist}: the dual-rail result is not a valid .ncl "
+                           f"file ({exc})") from None
     if args.out:
         Path(args.out).write_text(body, encoding="utf-8")
         summary.append(f"# wrote {args.out}")

@@ -47,8 +47,6 @@ about 20 bytes per transition against about 90 for a fresh
 most of a long simulation's memory.  ``Trace.records`` decodes
 ``(t, name, value)`` only when it is read; ``len`` and
 ``transition_counts`` work on the columns.  Times must fit in 64 bits.
-A stitched run's time column stays in its segments' parts until
-``Records.times`` is first read, which the CLI never does.
 
 A run of at least ``SPLIT_MIN`` vectors x gates is cut at wave boundaries
 into one segment per process a ``forkmap.fork_map`` round would use, and
@@ -59,9 +57,11 @@ state on both sides of every seam is the same (relative to the seam's
 time); otherwise, or if a segment raised, the whole run goes again
 serially.  Either way the returned trace, or the exception raised, is the
 serial run's.  The kernel, ``_run``, marks seams only in the consumer's
-branch of the environment, once a wave.  Each segment counts its kept
-transitions per net, so a stitched trace comes with its counts merged
-and ``measure`` and the power model do not count again.
+branch of the environment, once a wave.  A segment sends back only its
+seams, its waves and its kept transitions counted per net: ``len``,
+``measure`` and the power model read the merged counts.  The records,
+the serial run's by the seam checks, are made by running it serially on
+their first read, which no command does.
 """
 import random
 from array import array
@@ -71,7 +71,7 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from .gates import spec_from_name
 from .netlist import Netlist
@@ -161,24 +161,36 @@ class Records(Sequence):
     and iteration decode, ``len`` does not.  A slice is a list, and the
     view compares equal to the list of its decoded records.
 
-    The times come as parts, each a column of ints and the offset to add
-    to them, in record order.  A serial run's one part is its
-    ``array('q')`` at offset 0, which ``times`` returns as is; a stitched
-    run's parts are joined into one such column on the first read of
-    ``times``, so ``len`` and the counts never build it.
+    ``columns`` is the pair ``(events, times)``, or a function that returns
+    it, which a split run gives with its ``counts``: the first read of
+    ``events`` or ``times`` calls it, and ``len`` and the counts never do.
 
     ``counts``, transitions per net index in order of first transition, are
-    a stitched run's segment counts or one ``Counter`` pass on first read.
+    a split run's segment counts or one ``Counter`` pass on first read.
     """
 
-    __slots__ = ("names", "events", "_parts", "_counts")
+    __slots__ = ("names", "_columns", "_len", "_counts")
 
-    def __init__(self, names: Tuple[str, ...], events: List[Event],
-                 parts: List[Tuple[Sequence, int]], counts: Optional[Dict[int, int]] = None):
+    def __init__(self, names: Tuple[str, ...],
+                 columns: Union[Tuple[List[Event], array], Callable[[], tuple]],
+                 counts: Optional[Dict[int, int]] = None):
         self.names = names
-        self.events = events
-        self._parts = parts
+        self._columns = columns
         self._counts = counts
+        self._len = sum(counts.values()) if callable(columns) else len(columns[0])
+
+    def _loaded(self) -> tuple:
+        if callable(self._columns):
+            self._columns = self._columns()
+        return self._columns
+
+    @property
+    def events(self) -> List[Event]:
+        return self._loaded()[0]
+
+    @property
+    def times(self) -> array:
+        return self._loaded()[1]
 
     @property
     def counts(self) -> Dict[int, int]:
@@ -186,27 +198,19 @@ class Records(Sequence):
             self._counts = Counter(map(itemgetter(0), self.events))
         return self._counts
 
-    @property
-    def times(self) -> array:
-        if len(self._parts) > 1:
-            times = array("q")
-            for column, offset in self._parts:
-                times.extend(map(offset.__add__, column))
-            self._parts = [(times, 0)]
-        return self._parts[0][0]
-
     def __len__(self) -> int:
-        return len(self.events)
+        return self._len
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return list(Records(self.names, self.events[k], [(self.times[k], 0)]))
+            return list(Records(self.names, (self.events[k], self.times[k])))
         net, v = self.events[k]
         return self.times[k], self.names[net], v
 
     def __iter__(self):
         names = self.names
-        for t, (net, v) in zip(self.times, self.events):
+        events, times = self._loaded()
+        for t, (net, v) in zip(times, events):
             yield t, names[net], v
 
     def __eq__(self, other):
@@ -346,7 +350,7 @@ def simulate(system: PipelineSystem, data_vectors: Sequence,
         if trace is not None:
             return trace
     events, times, waves, _ = _run(system, nets, vectors, delays, limit)
-    return Trace(Records(nets[0], events, [(times, 0)]), waves, dict(system.net_class))
+    return Trace(Records(nets[0], (events, times)), waves, dict(system.net_class))
 
 
 class _Stop(Exception):
@@ -577,7 +581,7 @@ def check_delay_insensitivity(system: PipelineSystem, data_vectors: Sequence,
     order, as one trial after another would give.
 
     Random trials do not catch the input-completeness defect class; the
-    static checkers in :mod:`ncl3d.netlist` do.  The bundled
+    static checkers in :mod:`ncl3d.checks` do.  The bundled
     ``and2_relaxed.ncl`` has 6 input-completeness violations, yet never
     failed here: not in 1,000 trials at 1-20 ps, not in 3,000 at 1-1000 ps,
     and not in 200 with a delay gate on every input fork.  A likely reason

@@ -15,8 +15,7 @@ parent keeps the stitched trace only if
   phase and the pending application times;
 - the events popped add up to no more than the run's event limit;
 - the last time, shifted, fits in 64 bits.
-Otherwise, or if a segment raised or kept a time past 2**32 - 1 ps in its
-own time base, ``split_run`` returns None and
+Otherwise, or if a segment raised, ``split_run`` returns None and
 ``simulate`` runs the whole thing serially from reset, so a stitched trace
 is the serial one record for record.  The multiplier pipelines' wave
 boundaries are quiescent (every net NULL but the next vector's input rails
@@ -24,16 +23,17 @@ and the first request), so their warm-ups reach the serial state; a gate
 whose transitions outlive its wave (an unobserved one, say) makes the
 seams differ, and the run falls back.
 
-The parent's tail after the round is short: each segment has counted its
-kept transitions per net and sends its times as 32-bit ints, and the
-stitched trace keeps the segments' time columns, with their offsets,
-until something reads ``times``.
+The parent's tail after the round is short: each segment sends only its
+seams, its waves and its kept transitions counted per net.  The stitched
+trace's records are the serial run's, so it holds no event or time column,
+only a function that makes them by running the serial run; the first read
+of the records calls it.
 
 A run inside a ``fork_map`` job never splits: ``processes()`` is 1 there.
 """
-from array import array
 from collections import Counter
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
@@ -67,26 +67,19 @@ def split_run(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]
     if popped > limit or t_end > T_MAX:
         return None
 
-    # Segment 0's events list, extended in place, and one count, both
-    # merged in segment order; each segment's time column is a part of the
-    # records.  Each segment's results are dropped as soon as they are read.
-    events = results[0][6]
-    counts = Counter()
-    parts = []
+    counts = Counter()            # merged in segment order
     waves: List[Wave] = []
-    for i, off in enumerate(offsets):
-        *_, seg_events, seg_counts, column, kept = results[i]
-        results[i] = None
-        if i:
-            events += seg_events
-        del seg_events
+    for (*_, seg_counts, kept), off in zip(results, offsets):
         counts.update(seg_counts)
-        parts.append((memoryview(column).cast("B").cast("I"), off))
         for t_applied, t_data, t_null, value, arrivals in kept:
             for o in arrivals:
                 arrivals[o] += off
             waves.append(Wave(t_applied + off, t_data + off, t_null + off, value, arrivals))
-    return Trace(Records(nets[0], events, parts, counts), waves, dict(system.net_class))
+    # A copy of the delays, so that a caller's later edits of its per-gate
+    # dict cannot change the records.
+    frozen = DelayAssignment(delays.default, dict(delays.per_gate))
+    return Trace(Records(nets[0], lambda: _run(system, nets, vectors, frozen, limit)[:2], counts),
+                 waves, dict(system.net_class))
 
 
 def _segment(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]],
@@ -96,31 +89,21 @@ def _segment(system: PipelineSystem, nets: tuple, vectors: List[Tuple[int, ...]]
     Past wave 0 the segment runs ``vectors[lo - 1:]`` from reset and keeps
     what follows its first seam.  Unless hi is the last wave it stops at
     the seam that ends wave hi - 1.  Returns the (time, events popped,
-    state) of both seams (wave 0 starts at reset), the kept events, their
-    count per net index in order of first transition, their times in the
-    segment's own time base as a 32-bit column (4 bytes a record through
-    the pipe and held in the parent, against 8), and the kept waves, all
-    plain values; None if the run raised or a kept time needs more bits.
+    state) of both seams (wave 0 starts at reset), the kept transitions'
+    count per net index in order of first transition, and the kept waves,
+    all plain values; None if the run raised.
     """
     first = max(lo - 1, 0)
     stop = hi - first if hi < len(vectors) else None
     seams = tuple(s for s in (lo - first, stop) if s)
     try:
-        events, times, waves, marks = _run(system, nets, vectors[first:], delays, limit,
-                                           seams, stop)
+        events, _, waves, marks = _run(system, nets, vectors[first:], delays, limit, seams, stop)
     except _Stop as at_stop:
-        events, times, waves, marks = at_stop.args
+        events, _, waves, marks = at_stop.args
     except SimulationError:
         return None
     start = marks[0] if lo else (0, 0, 0, None)
     end = marks[-1]
-    n0 = start[1]
-    del events[:n0]
-    try:
-        column = array("I", memoryview(times)[n0:])
-    except OverflowError:
-        return None
-    del times
-    return (start[0], start[2], start[3], end[0], end[2], end[3], events,
-            dict(Counter(map(itemgetter(0), events))), column,
+    return (start[0], start[2], start[3], end[0], end[2], end[3],
+            dict(Counter(map(itemgetter(0), islice(events, start[1], None)))),
             [tuple(w) for w in waves[lo - first:]])

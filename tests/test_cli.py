@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from ncl3d.cli import _parse_alphas, _trial_count, CliError, main
 from ncl3d.netlist import load_netlist, serialize_netlist
+from oracles import serialize_boolean_netlist
 from test_bitparallel import relaxed_multiplier
+from test_netlist import boolean_circuit
 
 
 def fixture(name: str) -> str:
@@ -212,6 +214,46 @@ def test_synth_to_file(capsys, tmp_path):
     assert "# wrote" in out
     nl = load_netlist(out_file)
     assert len(nl.gates) == 10
+
+
+# Port lines a drawn .bnl may lose, and documents with no port at all.
+BLANKED = [(), ("input",), ("output",), ("input", "output")]
+PORTLESS = ["", "input\noutput\n", "input a b\noutput\nAND2 g1 a b -> z\n",
+            "input\noutput z\n", "output\nINV g a -> z\n"]
+
+
+def blank_ports(case, blank):
+    """The .bnl text of a drawn circuit, its port lines in ``blank`` emptied."""
+    lines = serialize_boolean_netlist(case[0]).splitlines(True)
+    return "".join(line.split()[0] + "\n" if line.split()[0] in blank else line
+                   for line in lines)
+
+
+def test_every_netlist_synth_writes_loads_and_validates():
+    """Whatever .bnl synth accepts, the .ncl it writes loads and validates;
+    whatever it refuses exits 2 with empty stdout and no file written."""
+    codes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.builds(blank_ports, boolean_circuit(), st.sampled_from(BLANKED)),
+                     st.sampled_from(PORTLESS)))
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = os.path.join(tmp, "c.bnl"), os.path.join(tmp, "c.ncl")
+            with open(src, "w") as fh:
+                fh.write(text)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["synth", src, "--out", out])
+            codes.add(code)
+            if code == 0:
+                assert load_netlist(out).validate() == []
+            else:
+                assert (code, stdout.getvalue(), os.path.exists(out)) == (2, "", False)
+
+    check()
+    assert codes == {0, 2}
 
 
 # ---------------------------------------------------------- multiplier-demo
@@ -468,7 +510,9 @@ SIM_VECTORS = "0\n1\n2\n3\n"
 # net and gate graph.  The .ncl carries second drivers on x and Z.1,
 # undriven nets m and n, an arity mismatch (g4) and a cycle (g5, g6); an
 # unknown kind is a parse error, so it gets a file of its own.  The .bnl
-# carries a second driver on x and a cycle (g4, g5).
+# carries a second driver on x and a cycle (g4, g5).  Two .bnl files have
+# no .ncl form (no ports at all, no outputs), and ctl.ncl uses a control
+# net, which neither the checkers nor the pipeline take.
 BROKEN_FILES = {
     "broken.ncl": ("input A B\noutput Z\n"
                    "TH22 g1 A.1 B.1 -> x\n"
@@ -489,6 +533,9 @@ BROKEN_FILES = {
     "dup_input.ncl": "input A A\noutput Z\nTH11 g1 A.1 -> Z.1\nTH11 g0 A.0 -> Z.0\n",
     "dup_input.bnl": "input a a\noutput z\nAND2 a a -> z\n",
     "dup_output.bnl": "input a b\noutput z z\nAND2 a b -> z\n",
+    "empty.bnl": "",
+    "no_output.bnl": "input a b\noutput\nAND2 g1 a b -> z\n",
+    "ctl.ncl": "input A\noutput Z\nctlin ki\nTH22 g1 A.1 ki -> Z.1\nTH22 g0 A.0 ki -> Z.0\n",
 }
 
 # Relaxed multipliers as (width, seed) of relaxed_multiplier: width 4 has
@@ -559,6 +606,11 @@ OUTPUT_PINS = {
     "simulate-dup-input": (["simulate", "dup_input.ncl", "v.txt"], 2, EMPTY_SHA, None),
     "synth-dup-input": (["synth", "dup_input.bnl"], 2, EMPTY_SHA, None),
     "synth-dup-output": (["synth", "dup_output.bnl"], 2, EMPTY_SHA, None),
+    "synth-empty": (["synth", "empty.bnl", "--out", "e.ncl"], 2, EMPTY_SHA, None),
+    "synth-no-output": (["synth", "no_output.bnl"], 2, EMPTY_SHA, None),
+    "check-ctl": (["check", "ctl.ncl"], 2, EMPTY_SHA, None),
+    "simulate-ctl": (["simulate", "ctl.ncl", "v.txt"], 2, EMPTY_SHA, None),
+    "simulate-broken": (["simulate", "broken.ncl", "v.txt"], 2, EMPTY_SHA, None),
     # rules the command leaves to their owners: ppa's fold ratio range, synth's
     # multiplier widths; and fold ratio ranges too fine or too long to count
     "gate-report-alpha-1.5": (["gate-report", "--alpha", "1.5"], 2, EMPTY_SHA, None),
@@ -569,6 +621,11 @@ OUTPUT_PINS = {
     "multiplier-demo-alpha-1.5": (["multiplier-demo", "--width", "2", "--alpha", "1.5"],
                                   2, EMPTY_SHA, None),
     "multiplier-demo-width-9": (["multiplier-demo", "--width", "9"], 2, EMPTY_SHA, None),
+    # a command that prices one fold ratio refuses two
+    "simulate-alpha-pair": (["simulate", "and2.ncl", "v.txt", "--mode", "M3D",
+                             "--alpha", "0.6,0.7"], 2, EMPTY_SHA, None),
+    "multiplier-demo-alpha-pair": (["multiplier-demo", "--width", "2", "--alpha", "0.6,0.7"],
+                                   2, EMPTY_SHA, None),
     "sweep-multiplier-width-1": (["sweep", "multiplier", "--width", "1"], 2, EMPTY_SHA, None),
     "gate-report-tiny-step": (["gate-report", "TH22", "--alpha", "0.5:1:1e-320"], 2,
                               EMPTY_SHA, None),
@@ -609,6 +666,17 @@ STDERR_PINS = {
     "simulate-dup-input": error_sha("line 1: duplicate input port A"),
     "synth-dup-input": "3cae217e44295e252d01bd83e0bd6bfdf82b3fd46c50b7e2f3235521eac721f2",
     "synth-dup-output": "32880b2fd0246f72001998545a62d0aa41159f77dd3bd59ef841b7aa9ae97461",
+    "synth-empty": error_sha("empty.bnl: the dual-rail result is not a valid .ncl file "
+                             "(line 1: no input declaration)"),
+    "synth-no-output": error_sha("no_output.bnl: the dual-rail result is not a valid .ncl "
+                                 "file (line 1: no output declaration)"),
+    "check-ctl": error_sha("checkers expect pure dual-rail netlists (no control inputs)"),
+    "simulate-ctl": error_sha("combinational netlist must not use control nets"),
+    "simulate-broken": error_sha("combinational netlist invalid: multiple-drivers: Z.1 "
+                                 "(more than one gate drives this net)"),
+    "simulate-alpha-pair": error_sha("this command takes one fold ratio, got [0.6, 0.7]"),
+    "multiplier-demo-alpha-pair": error_sha("this command takes one fold ratio, "
+                                            "got [0.6, 0.7]"),
     "gate-report-alpha-1.5": error_sha("fold ratio alpha=1.5 outside (0, 1]"),
     "gate-report-alpha-0.7,2.0": error_sha("fold ratio alpha=2.0 outside (0, 1]"),
     "sweep-gates-alpha-1.2": error_sha("fold ratio alpha=1.2 outside (0, 1]"),

@@ -227,6 +227,25 @@ def test_parse_errors_carry_line_numbers(bad, lineno):
     assert err.value.lineno == lineno
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("input A\noutput Z\nTH11 g1 -> Z.1\n",
+     "line 3: gate line needs kind, instance, inputs, '->', output"),
+    ("input A\nTH11 g1 A.1 -> Z.1\n", "line 1: no output declaration"),
+], ids=["gate-without-inputs", "no-output-line"])
+def test_parse_errors_name_the_rule(bad, message):
+    with pytest.raises(FormatError) as err:
+        parse_netlist(bad)
+    assert str(err.value) == message
+
+
+def test_control_nets_round_trip():
+    text = ("input A\noutput Z\nctlin ki kj\nctlout ko\n"
+            "TH22 g1 A.1 ki -> Z.1\nTH22 g0 A.0 kj -> Z.0\nTH12 g2 Z.1 Z.0 -> ko\n")
+    nl = parse_netlist(text)
+    assert (nl.ctl_inputs, nl.ctl_outputs) == (("ki", "kj"), ("ko",))
+    assert serialize_netlist(nl) == text
+
+
 def test_duplicate_port_names_rejected():
     for inputs, outputs in ((["A", "A"], ["Z"]), (["A"], ["Z", "Z"])):
         with pytest.raises(NetlistError, match="^duplicate (in|out)put port [AZ]$"):

@@ -713,17 +713,17 @@ def test_trace_memory_per_transition(mult4):
 
 @pytest.mark.usefixtures("no_child_left")
 def test_split_trace_memory_per_transition(monkeypatch, mult4):
-    """The same run split in two (timesplit): the stitched trace holds at
-    most the serial bound of 32 bytes per transition, and the parent's
-    traced peak during the run stays under it too (about 23 a transition:
-    its own half's columns, then the other half's payload and the
-    unmarshalled events with 32-bit times)."""
+    """The same run split in two (timesplit): the stitched trace holds no
+    event or time column (about 5 bytes a transition, its waves and
+    counts), under the serial bound of 32, and the parent's traced peak
+    during the run stays under it too (about 12 a transition: its own
+    half's columns)."""
     from ncl3d import forkmap
     _, system = mult4
     vectors = [operand_bits(4, x, y) for x in range(16) for y in range(16)]
     monkeypatch.setattr(forkmap, "usable_cpus", lambda: 2)
     monkeypatch.setattr(sim, "SPLIT_MIN", 0)
     trace, held, peak = traced_run(system, vectors)
-    assert len(trace.records._parts) == 2               # stitched, times not joined
+    assert callable(trace.records._columns)            # stitched, no column held
     assert held <= 32 * len(trace.records), held / len(trace.records)
     assert peak <= 32 * len(trace.records), peak / len(trace.records)

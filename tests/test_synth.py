@@ -8,7 +8,7 @@ import itertools
 
 import pytest
 
-from ncl3d.boolnet import parse_boolean_netlist
+from ncl3d.boolnet import BoolNetlist, parse_boolean_netlist
 from ncl3d.checks import check_input_completeness, check_observability, settle
 from ncl3d.netlist import serialize_netlist
 from ncl3d.synth import (
@@ -144,6 +144,20 @@ def test_transistor_count_rejects_unpriced_gate():
     nl.add("TH33w22", ["a.1", "b.1", "a.0"], "dead")
     with pytest.raises(SynthError):
         count_transistors(nl)
+
+
+@pytest.mark.parametrize("kind,ins,defect", [
+    ("FOO2", ["a", "b"], "unknown-gate: u1 (kind FOO2)"),
+    ("AND2", ["a"], "arity-mismatch: u1 (AND2 takes 2 inputs)"),
+    ("AND2", ["a", "q"], "undriven-net: q (no driver or input declaration)"),
+], ids=["unknown-gate", "arity-mismatch", "undriven-net"])
+def test_expansion_refuses_an_invalid_boolean_netlist(kind, ins, defect):
+    """The parser refuses these, so they are built gate by gate."""
+    bnl = BoolNetlist(["a", "b"], ["z"])
+    bnl.add(kind, ins, "z")
+    with pytest.raises(SynthError) as err:
+        expand_dual_rail(bnl)
+    assert str(err.value) == f"boolean netlist does not validate: {defect}"
 
 
 def test_construction_is_deterministic():

@@ -154,38 +154,71 @@ def test_runs_inside_a_fork_map_job_never_split(monkeypatch, stitched, forks):
     assert forks() == 1 and True not in stitched
 
 
-def test_the_stitched_time_column_is_built_on_first_read(monkeypatch):
-    """Counting, measuring and taking the length of a stitched trace leave
-    its segments' time columns apart; the first read of ``times`` joins
-    them into the serial run's column."""
+def test_the_stitched_time_column_is_built_on_first_read(monkeypatch, stitched):
+    """A stitched trace holds no event or time column: making, counting,
+    measuring and sizing it runs no serial run, and the first read of its
+    records runs one, whose columns the trace then holds."""
     system = build_pipeline(build_array_multiplier(3))
     vectors = list(range(0, 64, 5))
+    serial = simulate(system, vectors)
     monkeypatch.setattr(forkmap, "usable_cpus", lambda: 2)
     monkeypatch.setattr(sim, "SPLIT_MIN", 0)
+    runs = []
+    real = timesplit._run
+
+    def counted(*args):
+        if len(args) == 5:        # a segment's run passes its seams too
+            runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(timesplit, "_run", counted)
     trace = simulate(system, vectors)
-    assert (measure(trace).total_transitions == len(trace.records)
+    assert stitched == [True]
+    assert callable(trace.records._columns)
+    assert (measure(trace).total_transitions == len(trace.records) == len(serial.records)
             == sum(trace.transition_counts().values()))
-    assert len(trace.records._parts) == 2
-    monkeypatch.setattr(sim, "SPLIT_MIN", 1 << 62)
-    assert trace.records.times == simulate(system, vectors).records.times
-    assert len(trace.records._parts) == 1
+    assert trace.transition_counts() == serial.transition_counts()
+    assert runs == []
+    assert trace.records.times == serial.records.times
+    assert trace.records.events == serial.records.events
+    assert trace.records == serial.records and list(trace.records) == list(serial.records)
+    assert len(runs) == 1
 
 
-def test_times_past_32_bits_ship_as_64_bit_columns(monkeypatch, stitched):
+def test_segment_times_past_32_bits_stitch(monkeypatch, stitched):
     """A delay of 2**30 ps per gate takes every segment's own times past
-    2**32 - 1 ps, far below T_MAX: no segment ships them, and the run
-    falls back to the serial one, whose 64-bit column holds them."""
+    2**32 - 1 ps, far below T_MAX: the segments stitch, and the records are
+    the serial run's, in its 64-bit column."""
     system = build_pipeline(build_array_multiplier(2))
     vectors = list(range(8))
     delays = DelayAssignment(default=1 << 30)
     nets, bits = sim._nets(system), sim._as_bit_vectors(system, vectors)
     for lo, hi in ((0, 4), (4, 8)):
-        assert timesplit._segment(system, nets, bits, delays, 1 << 62, lo, hi) is None
+        t_end = timesplit._segment(system, nets, bits, delays, 1 << 62, lo, hi)[3]
+        assert t_end > 1 << 32
     serial = outcome(monkeypatch, 1, system, vectors, delays)
     assert serial[3].typecode == "q" and (1 << 32) < serial[3][-1] < sim.T_MAX
     for k in (2, 3):
         assert outcome(monkeypatch, k, system, vectors, delays) == serial, k
-    assert stitched == [False, False]
+    assert stitched == [True, True]
+
+
+def test_a_stitched_trace_keeps_the_delays_it_ran(monkeypatch, stitched):
+    """Editing the per-gate dict after simulate returns leaves the records
+    read later as they were, though a run with the edited dict differs."""
+    system = build_pipeline(build_array_multiplier(2))
+    vectors = list(range(16))
+    per_gate = {g.name: 1 + i % 7 for i, g in enumerate(system.netlist.gates)}
+    serial = simulate(system, vectors, DelayAssignment(per_gate=dict(per_gate)))
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sim, "SPLIT_MIN", 0)
+    trace = simulate(system, vectors, DelayAssignment(per_gate=per_gate))
+    assert stitched == [True]
+    per_gate.update(dict.fromkeys(per_gate, 9))
+    assert list(trace.records) == list(serial.records)
+    assert trace.transition_counts() == serial.transition_counts()
+    assert list(simulate(system, vectors, DelayAssignment(per_gate=per_gate)).records) \
+        != list(serial.records)
 
 
 def test_random_circuits_split_as_the_serial_run(monkeypatch, stitched):
