@@ -1,12 +1,13 @@
 """The settle fixpoint and the two behavioral delay-insensitivity checkers.
 
 Evaluation is a one-pass fixpoint (settle) over lane ints, one bit per
-case. On it the checkers run as parallel-pattern, parallel-fault
-simulation: lane ``j*V + k`` is case block j (a partial input wavefront
-for input-completeness, a gate held at 0 by an AND lane mask for
-observability) under vector k of the V DATA vectors, with whole blocks
-packed up to LANE_BUDGET lanes per settle.  Only ``ncl3d check`` runs
-them, so loading a netlist compiles none of this.
+case, on an acyclic netlist where each net has at most one driver, a
+gate or the environment. On it the checkers run as parallel-pattern,
+parallel-fault simulation: lane ``j*V + k`` is case block j (a partial
+input wavefront for input-completeness, a gate held at 0 by an AND lane
+mask for observability) under vector k of the V DATA vectors, with
+whole blocks packed up to LANE_BUDGET lanes per settle.  Only
+``ncl3d check`` runs them, so loading a netlist compiles none of this.
 """
 from __future__ import annotations
 
@@ -15,24 +16,29 @@ import random
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .gates import eval_sop, spec_from_name
-from .netlist import Netlist, NetlistError, NonConvergenceError, Port
+from .netlist import Netlist, NetlistError, Port
 
 
 def _settle_rows(netlist: Netlist) -> tuple:
     """Net index map and topo-ordered settle rows.
 
     Each row is (products over net indices, one single-net product per
-    distinct input net, output net index, instance name).
+    distinct input net, output net index).  Raises NetlistError if a gate
+    drives a net that an input rail, a control input or an earlier gate
+    already drives: with one driver per net, one pass settles.
     """
     index = {net: i for i, net in enumerate(netlist.nets)}
-    rows = tuple(
-        (tuple(tuple(index[inst.ins[k]] for k in prod)
-               for prod in spec_from_name(inst.kind).products),
-         tuple((i,) for i in dict.fromkeys(index[p] for p in inst.ins)),
-         index[inst.out], inst.name)
-        for inst in netlist.topo_order()
-    )
-    return index, rows
+    driven = set(netlist.external_rails())
+    rows = []
+    for inst in netlist.topo_order():
+        if inst.out in driven:
+            raise NetlistError(f"net {inst.out} has a second driver, gate {inst.name}")
+        driven.add(inst.out)
+        rows.append((tuple(tuple(index[inst.ins[k]] for k in prod)
+                           for prod in spec_from_name(inst.kind).products),
+                     tuple((i,) for i in dict.fromkeys(index[p] for p in inst.ins)),
+                     index[inst.out]))
+    return index, tuple(rows)
 
 
 def settle(
@@ -41,18 +47,18 @@ def settle(
     state: Optional[Mapping[str, int]] = None,
     frozen: Optional[Mapping[str, int]] = None,
 ) -> Dict[str, int]:
-    """Fixpoint evaluation: one topological pass, then a verification pass.
+    """Fixpoint evaluation: one pass over the gates in topological order.
 
     ``rails`` gives externally driven rail values (missing rails read 0);
     ``state`` gives previous net values for hysteresis (missing nets read
-    0, the all-NULL reset); ``frozen`` maps nets to AND lane masks: in
-    both passes a frozen net's value is ANDed with its mask, so
-    ``{net: 0}`` holds the net at 0 in every lane, and the observability
-    checker holds one gate output at 0 in each block of lanes. Returns the
-    complete net-value map. One pass suffices on an acyclic graph; a
-    second pass verifies that and raises NonConvergenceError if any lane
-    still changes. Values are lane ints (bit k is vector k; 0/1 is one
-    lane) and each gate steps as ``set | (prev & any input)``.
+    0, the all-NULL reset); ``frozen`` maps nets to AND lane masks: a
+    frozen net's value is ANDed with its mask, so ``{net: 0}`` holds the
+    net at 0 in every lane, and the observability checker holds one gate
+    output at 0 in each block of lanes. Returns the complete net-value
+    map. Values are lane ints (bit k is vector k; 0/1 is one lane) and
+    each gate steps as ``set | (prev & any input)``. With no cycle and one
+    driver per net (``_settle_rows`` raises otherwise), each gate reads
+    final inputs, so one step settles it.
     """
     index, rows = netlist.derive(_settle_rows)
     nets = netlist.nets
@@ -63,18 +69,14 @@ def settle(
     masks = {index[net]: m for net, m in (frozen or {}).items() if net in index}
     for i, m in masks.items():
         values[i] &= m
-    for verify in (False, True):
-        for prods, anys, out, name in rows:
-            prev = values[out]
-            nxt = eval_sop(prods, values)
-            if prev:
-                nxt |= prev & eval_sop(anys, values)
-            if out in masks:
-                nxt &= masks[out]
-            if nxt != prev:
-                if verify:
-                    raise NonConvergenceError(f"net {nets[out]} (gate {name}) did not settle")
-                values[out] = nxt
+    for prods, anys, out in rows:
+        prev = values[out]
+        nxt = eval_sop(prods, values)
+        if prev:
+            nxt |= prev & eval_sop(anys, values)
+        if out in masks:
+            nxt &= masks[out]
+        values[out] = nxt
     return dict(zip(nets, values))
 
 

@@ -20,10 +20,6 @@ class CycleError(NetlistError):
     """The gate graph contains a combinational cycle."""
 
 
-class NonConvergenceError(NetlistError):
-    """A second settle pass still changed nets; acyclicity was violated."""
-
-
 class FormatError(NetlistError):
     """Malformed netlist text; carries a 1-based line number."""
 
@@ -241,10 +237,10 @@ class Netlist(GateGraph):
     def validate(self) -> list:
         """Structural defects as data; empty list iff all invariants hold."""
         driver, multi, _, nets = self._structure()
-        defects = []
-        for net in sorted(set(multi)):
-            defects.append(Defect("multiple-drivers", net, "more than one gate drives this net"))
         external = set(self.external_rails())
+        defects = [Defect("multiple-drivers", net, "more than one gate drives this net"
+                          if net in multi else "an input and a gate drive this net")
+                   for net in sorted(set(multi) | external.intersection(driver))]
         for net in nets:
             if net not in driver and net not in external:
                 defects.append(Defect("undriven-net", net, "no gate output or primary input drives it"))

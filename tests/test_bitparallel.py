@@ -26,7 +26,8 @@ from ncl3d.checks import (
     check_observability,
     settle,
 )
-from ncl3d.netlist import Netlist, NonConvergenceError, parse_netlist
+from ncl3d.gates import next_output, spec_from_name
+from ncl3d.netlist import Netlist, NetlistError, parse_netlist
 from ncl3d.synth import build_array_multiplier, expand_dual_rail
 from oracles import DATA, NULL, encode_word, output_word
 from test_netlist import and_template, boolean_circuit, relaxed_and_template
@@ -142,15 +143,43 @@ def test_packed_settle_matches_per_lane_settle(case, words, dropped):
         assert lane(back, k) == settle(nl, encode_word(nl.inputs, still), want)
 
 
-def test_packed_settle_reports_nonconvergence_in_any_lane():
-    # two drivers of Z.1 that agree when A is DATA1 and fight when it is DATA0
+def test_packed_settle_refuses_a_second_driver_in_any_lane():
+    # two drivers of Z.1 that agree when A is DATA1 and fight when it is
+    # DATA0: settle refuses the netlist whatever its lanes carry
     nl = Netlist(["A"], ["Z"])
     nl.add("TH11", ["A.1"], "Z.1", name="g1")
     nl.add("TH12", ["A.1", "A.0"], "Z.1", name="g2")
     nl.add("TH11", ["A.0"], "Z.0", name="g3")
-    settle(nl, packed_rails(nl, [(1,), (1,)]))
-    with pytest.raises(NonConvergenceError, match=r"net Z\.1 \(gate g1\)"):
-        settle(nl, packed_rails(nl, [(1,), (0,), (1,)]))
+    for vectors in ([(1,), (1,)], [(1,), (0,), (1,)]):
+        with pytest.raises(NetlistError, match=r"^net Z\.1 has a second driver, gate g2$"):
+            settle(nl, packed_rails(nl, vectors))
+
+
+# expanded random Boolean circuits, and relaxed multipliers of widths 2 and 3
+SETTLE_NETLISTS = st.one_of(
+    boolean_circuit().map(lambda case: expand_dual_rail(case[0])),
+    st.tuples(st.integers(2, 3), st.integers(0, 2**16)).map(
+        lambda ws: relaxed_multiplier(*ws)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nl=SETTLE_NETLISTS, lanes=st.integers(1, 16), seed=st.integers(0, 2**32))
+def test_one_pass_settles_every_gate_in_every_lane(nl, lanes, seed):
+    """settle walks its gates once; what it returns must be a fixpoint: one
+    more hysteresis step of any gate, on its settled inputs and its own
+    settled value, changes no lane (for a frozen net, the step ANDed with
+    its mask).  Rails, state and masks are random lane ints."""
+    rng = random.Random(seed)
+    rails = {r: rng.getrandbits(lanes) for r in nl.input_rails()}
+    state = {net: rng.getrandbits(lanes) for net in nl.nets if rng.random() < 0.5}
+    frozen = {net: rng.getrandbits(lanes) for net in nl.nets if rng.random() < 0.2}
+    vals = settle(nl, rails, state, frozen)
+    for g in nl.gates:
+        spec = spec_from_name(g.kind)
+        for k in range(lanes):
+            step = next_output(spec, [vals[n] >> k & 1 for n in g.ins], vals[g.out] >> k & 1)
+            mask = frozen.get(g.out, -1) >> k & 1
+            assert vals[g.out] >> k & 1 == step & mask, (g.name, k)
 
 
 # ------------------------------------------------------------ checkers

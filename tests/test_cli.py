@@ -512,7 +512,9 @@ SIM_VECTORS = "0\n1\n2\n3\n"
 # unknown kind is a parse error, so it gets a file of its own.  The .bnl
 # carries a second driver on x and a cycle (g4, g5).  Two .bnl files have
 # no .ncl form (no ports at all, no outputs), and ctl.ncl uses a control
-# net, which neither the checkers nor the pipeline take.
+# net, which neither the checkers nor the pipeline take.  In
+# input_driven.ncl gate g drives the input rail A.1, so the rail has two
+# drivers: the environment and g.
 BROKEN_FILES = {
     "broken.ncl": ("input A B\noutput Z\n"
                    "TH22 g1 A.1 B.1 -> x\n"
@@ -536,6 +538,8 @@ BROKEN_FILES = {
     "empty.bnl": "",
     "no_output.bnl": "input a b\noutput\nAND2 g1 a b -> z\n",
     "ctl.ncl": "input A\noutput Z\nctlin ki\nTH22 g1 A.1 ki -> Z.1\nTH22 g0 A.0 ki -> Z.0\n",
+    "input_driven.ncl": ("input A B\noutput Z\n"
+                         "TH11 g B.1 -> A.1\nTH11 z1 A.1 -> Z.1\nTH11 z0 A.0 -> Z.0\n"),
 }
 
 # Relaxed multipliers as (width, seed) of relaxed_multiplier: width 4 has
@@ -611,6 +615,10 @@ OUTPUT_PINS = {
     "check-ctl": (["check", "ctl.ncl"], 2, EMPTY_SHA, None),
     "simulate-ctl": (["simulate", "ctl.ncl", "v.txt"], 2, EMPTY_SHA, None),
     "simulate-broken": (["simulate", "broken.ncl", "v.txt"], 2, EMPTY_SHA, None),
+    "check-input-driven": (["check", "input_driven.ncl", "--out", "r.json"], 1,
+        "f2ed15af927df9976c73f865d154f0068de98e33c28389f324200eb06c294c41",
+        "313c0acc89aaf4a44e9e909cb79f9839dfbe8e8401b25c06b145d10e9b476df8"),
+    "simulate-input-driven": (["simulate", "input_driven.ncl", "v.txt"], 2, EMPTY_SHA, None),
     # rules the command leaves to their owners: ppa's fold ratio range, synth's
     # multiplier widths; and fold ratio ranges too fine or too long to count
     "gate-report-alpha-1.5": (["gate-report", "--alpha", "1.5"], 2, EMPTY_SHA, None),
@@ -637,6 +645,11 @@ OUTPUT_PINS = {
                                 EMPTY_SHA, None),
     "simulate-2d-alpha-xyz": (["simulate", "and2.ncl", "v.txt", "--mode", "2D",
                                "--alpha", "xyz"], 2, EMPTY_SHA, None),
+    # a 2D run prices and reports alpha 1 ("delay model: 2D alpha=1.00", "alpha": 1.0)
+    "simulate-2d-alpha-0.7": (["simulate", "and2.ncl", "v.txt", "--mode", "2D",
+                               "--alpha", "0.7", "--out", "r.json"], 0,
+        "2e024fdd51b6e21dcaf208633017180b3c3ca80bff7a3717ba193bb760847a1b",
+        "dd670758f6425a8bee54fb15f4f67efad75ffb341a79c205643d0d29e92a94f3"),
     # a 2D run prices alpha 1, but the range is checked in every mode that prices
     "simulate-2d-alpha-0": (["simulate", "and2.ncl", "v.txt", "--mode", "2D", "--alpha", "0"],
                             2, EMPTY_SHA, None),
@@ -674,6 +687,8 @@ STDERR_PINS = {
     "simulate-ctl": error_sha("combinational netlist must not use control nets"),
     "simulate-broken": error_sha("combinational netlist invalid: multiple-drivers: Z.1 "
                                  "(more than one gate drives this net)"),
+    "simulate-input-driven": error_sha("combinational netlist invalid: multiple-drivers: A.1 "
+                                       "(an input and a gate drive this net)"),
     "simulate-alpha-pair": error_sha("this command takes one fold ratio, got [0.6, 0.7]"),
     "multiplier-demo-alpha-pair": error_sha("this command takes one fold ratio, "
                                             "got [0.6, 0.7]"),

@@ -17,7 +17,6 @@ from ncl3d.netlist import (
     FormatError,
     Netlist,
     NetlistError,
-    NonConvergenceError,
     Port,
     parse_netlist,
     serialize_netlist,
@@ -116,13 +115,21 @@ def test_a_repeated_pin_waits_for_every_driver():
     assert [g.name for g in nl.topo_order()] == ["gw", "gx", "g0", "gy", "gz"]
 
 
-def test_settle_verification_pass_catches_conflicting_drivers():
+def test_settle_refuses_a_second_driver():
     nl = Netlist(["A"], ["Z"])
     nl.add("TH11", ["A.1"], "Z.1", name="g1")
     nl.add("TH11", ["A.0"], "Z.1", name="g2")   # second driver of Z.1
     nl.add("TH11", ["A.0"], "Z.0", name="g3")
-    with pytest.raises(NonConvergenceError, match=r"net Z\.1 \(gate g1\)"):
+    with pytest.raises(NetlistError, match=r"^net Z\.1 has a second driver, gate g2$"):
         settle(nl, encode_word(nl.inputs, {"A": 1}))
+    # a gate that drives an input rail or a control input is its second driver
+    for decl, net in (("", "A.1"), ("ctlin ki\n", "ki")):
+        nl = parse_netlist(f"input A B\noutput Z\n{decl}TH11 g B.1 -> {net}\n"
+                           "TH11 z1 A.1 -> Z.1\nTH11 z0 A.0 -> Z.0\n")
+        with pytest.raises(NetlistError, match=rf"^net {net} has a second driver, gate g$"):
+            settle(nl, encode_word(nl.inputs, {"A": 1, "B": 1}))
+        assert [str(d) for d in nl.validate()] == [
+            f"multiple-drivers: {net} (an input and a gate drive this net)"]
 
 
 def test_and_template_passes_both_checkers():

@@ -376,6 +376,25 @@ def test_incomplete_circuit_deadlocks_with_named_output():
     assert simulate(system, [3]).words() == [1]
 
 
+def test_a_bank_that_never_completes_stalls_the_producer_holding_its_word():
+    # bank 1's detector reads only the 1-rail, so a DATA0 word never completes
+    # it and the request never drops to ask for NULL
+    system = build_pipeline(identity_cl(1), 1)
+    old = system.netlist
+    nl = Netlist(old.inputs, old.outputs, old.ctl_inputs, old.ctl_outputs)
+    for g in old.gates:
+        if g.name == "cdet1_b0":
+            nl.add("TH22", ["rg1.x0.1", "rg1.x0.1"], g.out, name=g.name)
+        else:
+            nl.add(g.kind, g.ins, g.out, name=g.name)
+    stuck = pipeline.PipelineSystem(nl, system.inverters, system.net_class)
+    assert simulate(stuck, [1]).words() == [1]
+    with pytest.raises(DeadlockError) as err:
+        simulate(stuck, [1, 0, 1])
+    assert str(err.value) == ("deadlock waiting on ko1: producer holding vector 1, "
+                              "request stuck at 1")
+
+
 def test_event_limit_guards_against_livelock():
     with pytest.raises(EventLimitError) as err:
         simulate(and_pipeline(), [3, 3], max_events=5)
