@@ -1,9 +1,9 @@
 """The technology and calibration records of the RC model, and their files.
 
-Both files are version-1 JSON documents with one codec, ``_Model``.  This
-module imports no other ncl3d module, so a command that only reads or
-writes a model file compiles none of the pricing in :mod:`ncl3d.ppa`,
-whose units the fields use.
+Both files are version-1 JSON documents with one codec and one validator,
+``_Model``.  This module imports no other ncl3d module, so a command that
+only reads or writes a model file compiles none of the pricing in
+:mod:`ncl3d.ppa`, whose units the fields use.
 """
 import json
 import math
@@ -38,11 +38,42 @@ def _bundled(name: str) -> str:
 
 
 class _Model:
-    """The one codec of both model files: a version-1 JSON document
-    ``{"version": 1, KEY: {field: value, ...}}``.  Mixed into a validating
-    NamedTuple that sets ``KEY`` and the ``NOUN`` its errors use."""
+    """The one codec and the one validator of both model files: a version-1
+    JSON document ``{"version": 1, KEY: {field: value, ...}}``.  Mixed in
+    before a NamedTuple of fields, so that its constructor checks them.
+
+    Every scalar, and every value of a ``MAPS`` field, must be finite and
+    positive; a ``ZERO_OK`` field may be zero and a ``SIGNED`` one of either
+    sign.  An omitted ``MAPS`` field is a fresh ``{}``.  Nothing calls
+    ``_replace``, which would skip the check.
+    """
 
     __slots__ = ()
+    MAPS = ZERO_OK = SIGNED = ()
+
+    def __new__(cls, *args, **kwargs):
+        for name in cls._fields[len(args):]:
+            if name in cls.MAPS:
+                kwargs.setdefault(name, {})
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            items = [(name, value)]
+            if name in cls.MAPS:
+                if not isinstance(value, Mapping):
+                    raise cls._error(name, "a mapping", value)
+                items = [(f"{name}[{kind}]", v) for kind, v in value.items()]
+            for label, v in items:
+                if not _finite(v):
+                    raise cls._error(label, "finite", v)
+                if name in cls.ZERO_OK and v < 0:
+                    raise cls._error(label, "non-negative", v)
+                if v <= 0 and name not in cls.ZERO_OK + cls.SIGNED:
+                    raise cls._error(label, "positive", v)
+        return self
+
+    @classmethod
+    def _error(cls, label: str, rule: str, value) -> PpaError:
+        return PpaError(f"{cls.KEY} field {label} must be {rule}, got {value!r}")
 
     def to_dict(self) -> Dict[str, object]:
         return {name: dict(v) if isinstance(v, Mapping) else v
@@ -72,10 +103,10 @@ class _Model:
             raise PpaError(f"unsupported {cls.KEY} document version")
         unknown = sorted(set(body) - set(cls._fields))
         if unknown:
-            raise PpaError(f"unknown {cls.KEY} {cls.NOUN}: {unknown}")
+            raise PpaError(f"unknown {cls.KEY} fields: {unknown}")
         try:
             return cls(**body)
-        except TypeError as exc:  # a missing field or a value of the wrong type
+        except TypeError as exc:  # a missing field
             raise PpaError(f"{cls.KEY} document is malformed: {exc}") from exc
 
     @classmethod
@@ -106,22 +137,13 @@ class _TechFields(NamedTuple):
     C_load: float = 1.0        # default output pin load, fF
 
 
-class TechParams(_TechFields, _Model):
-    """Process constants. Defaults describe the 50 nm study node.  Built
-    only through the validating constructor: nothing calls ``_replace``."""
+class TechParams(_Model, _TechFields):
+    """Process constants. Defaults describe the 50 nm study node; the via
+    fields may be zero, to model the degenerate fold."""
 
     __slots__ = ()
-    KEY, NOUN = "tech", "parameters"
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        can_be_zero = {"R_MIV", "C_MIV", "koz"}
-        for name, v in zip(self._fields, self):
-            if v < 0 or (v == 0 and name not in can_be_zero):
-                raise PpaError(f"tech parameter {name} must be positive, got {v}")
-            if not _finite(v):
-                raise PpaError(f"tech parameter {name} must be finite, got {v}")
-        return self
+    KEY = "tech"
+    ZERO_OK = ("R_MIV", "C_MIV", "koz")
 
     @property
     def cell_height(self) -> float:
@@ -156,46 +178,19 @@ class _CalibrationFields(NamedTuple):
     residuals: Mapping[str, float]
 
 
-class Calibration(_CalibrationFields, _Model):
+class Calibration(_Model, _CalibrationFields):
     """Fitted model coefficients.
 
     ``r_drive`` and ``activity_mhz`` are per-type maps; unknown types fall
-    back to the map average.  An omitted map is a fresh ``{}``; nothing
-    calls ``_replace``, which skips the validating constructor.
+    back to the map average.  ``a_miv_eff`` may be zeroed to model vias as
+    free, like the zeroable via tech fields; ``residuals`` record the fit's
+    misses, so they may take either sign.
     """
 
     __slots__ = ()
-    KEY, NOUN = "calibration", "fields"
-    _MAPS = ("r_drive", "activity_mhz", "residuals")
-
-    def __new__(cls, *args, **kwargs):
-        for name in cls._fields[len(args):]:
-            if name in cls._MAPS:
-                kwargs.setdefault(name, {})
-        self = super().__new__(cls, *args, **kwargs)
-        # a_miv_eff may be zeroed to model vias as free, mirroring the
-        # zeroable R_MIV/C_MIV tech fields; everything else must be positive.
-        positive = ("a_unit", "c_dev", "k_skew", "route_fraction",
-                    "net_route_factor", "test_rate_mhz", "p_leak_per_t")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise PpaError(f"calibration field {name} must be positive")
-        if self.a_miv_eff < 0:
-            raise PpaError("calibration field a_miv_eff must be non-negative")
-        for name in positive + ("a_miv_eff",):
-            if not _finite(getattr(self, name)):
-                raise PpaError(f"calibration field {name} must be finite")
-        # residuals record the fit's misses, so they may take either sign
-        for label in self._MAPS:
-            table = getattr(self, label)
-            if not isinstance(table, Mapping):
-                raise PpaError(f"calibration field {label} must be a mapping")
-            for kind, value in table.items():
-                if label != "residuals" and value <= 0:
-                    raise PpaError(f"{label}[{kind}] must be positive")
-                if not _finite(value):
-                    raise PpaError(f"{label}[{kind}] must be finite")
-        return self
+    KEY = "calibration"
+    MAPS = ("r_drive", "activity_mhz", "residuals")
+    ZERO_OK, SIGNED = ("a_miv_eff",), ("residuals",)
 
     def r_drive_for(self, kind: str) -> float:
         return _per_type(self.r_drive, kind, "drive resistances")

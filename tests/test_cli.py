@@ -282,6 +282,35 @@ def test_multiplier_demo_sampled(capsys):
     assert "result: PASS" in out
 
 
+def test_multiplier_demo_reports_a_wrong_product(capsys, tmp_path, monkeypatch):
+    """A multiplier whose p0 rails are swapped gets every product wrong, yet
+    stays delay-insensitive: the trials' reference is its own 2D words."""
+    import ncl3d.synth
+    from ncl3d.netlist import Port
+    build = ncl3d.synth.build_array_multiplier
+
+    def swapped_p0(width):
+        cl = build(width)
+        cl.bind_outputs([Port(p.name, p.rail0, p.rail1) if p.name == "p0" else p
+                         for p in cl.outputs])
+        return cl
+
+    monkeypatch.setattr(ncl3d.synth, "build_array_multiplier", swapped_p0)
+    out_file = tmp_path / "demo.json"
+    code, out, _ = run(capsys, "multiplier-demo", "--width", "3", "--trials", "4",
+                       "--out", str(out_file))
+    assert code == 1
+    lines = out.splitlines()
+    for line in ("verification: exhaustive 64: 0/64 products correct, "
+                 "every wave returned to NULL",
+                 "  first mismatch at vector 0: got 1, want 0",
+                 "delay insensitivity: 4 random assignments over 16 vectors: pass",
+                 "result: FAIL"):
+        assert line in lines
+    doc = json.loads(out_file.read_text())
+    assert doc["verification"]["correct"] == 0 and doc["passed"] is False
+
+
 def test_multiplier_demo_width_guard(capsys):
     code, _, err = run(capsys, "multiplier-demo", "--width", "9")
     assert code == 2
@@ -506,6 +535,14 @@ def test_cli_keeps_its_exit_codes_on_arbitrary_files(netlist, boolean, vectors, 
 
 SIM_VECTORS = "0\n1\n2\n3\n"
 
+
+def cal_text(**fields) -> str:
+    """The bundled calibration file with ``fields`` replaced."""
+    doc = json.loads(bundled("default_calibration.json"))
+    doc["calibration"].update(fields)
+    return json.dumps(doc)
+
+
 # Structurally broken inputs, whose defect listings follow the order of the
 # net and gate graph.  The .ncl carries second drivers on x and Z.1,
 # undriven nets m and n, an arity mismatch (g4) and a cycle (g5, g6); an
@@ -540,6 +577,14 @@ BROKEN_FILES = {
     "ctl.ncl": "input A\noutput Z\nctlin ki\nTH22 g1 A.1 ki -> Z.1\nTH22 g0 A.0 ki -> Z.0\n",
     "input_driven.ncl": ("input A B\noutput Z\n"
                          "TH11 g B.1 -> A.1\nTH11 z1 A.1 -> Z.1\nTH11 z0 A.0 -> Z.0\n"),
+    # model files that break the one value rule, one per rule
+    "tech_zero.json": '{"version": 1, "tech": {"V_DD": 0}}',
+    "tech_negative_miv.json": '{"version": 1, "tech": {"R_MIV": -1}}',
+    "tech_unknown.json": '{"version": 1, "tech": {"V_dd": 1.1, "R_MIV": 0}}',
+    "cal_zero_drive.json": cal_text(r_drive={"TH22": 0}),
+    "cal_string.json": cal_text(c_dev="x"),
+    "cal_nan.json": cal_text(c_dev=math.nan),
+    "cal_list.json": cal_text(r_drive=[1]),
 }
 
 # Relaxed multipliers as (width, seed) of relaxed_multiplier: width 4 has
@@ -655,6 +700,10 @@ OUTPUT_PINS = {
                             2, EMPTY_SHA, None),
     "simulate-2d-alpha-1.5": (["simulate", "and2.ncl", "v.txt", "--mode", "2D",
                                "--alpha", "1.5"], 2, EMPTY_SHA, None),
+    # a model file that breaks the value rule is a usage error
+    **{f"gate-report-{name[:-5]}": (["gate-report", "TH22", f"--{name.split('_')[0]}", name],
+                                    2, EMPTY_SHA, None)
+       for name in BROKEN_FILES if name.endswith(".json")},
     # --out is written before anything is printed: a failed write prints nothing
     "check-out-nodir": (["check", "and2.ncl", "--out", "nodir/r.json"], 2, EMPTY_SHA, None),
     "synth-out-nodir": (["synth", "full_adder.bnl", "--out", "nodir/fa.ncl"], 2,
@@ -706,6 +755,14 @@ STDERR_PINS = {
     "simulate-2d-alpha-xyz": error_sha(BAD_SPEC.format("xyz")),
     "simulate-2d-alpha-0": error_sha("fold ratio alpha=0.0 outside (0, 1]"),
     "simulate-2d-alpha-1.5": error_sha("fold ratio alpha=1.5 outside (0, 1]"),
+    "gate-report-tech_zero": error_sha("tech field V_DD must be positive, got 0"),
+    "gate-report-tech_negative_miv": error_sha("tech field R_MIV must be non-negative, got -1"),
+    "gate-report-tech_unknown": error_sha("unknown tech fields: ['V_dd']"),
+    "gate-report-cal_zero_drive": error_sha("calibration field r_drive[TH22] must be positive, "
+                                            "got 0"),
+    "gate-report-cal_string": error_sha("calibration field c_dev must be finite, got 'x'"),
+    "gate-report-cal_nan": error_sha("calibration field c_dev must be finite, got nan"),
+    "gate-report-cal_list": error_sha("calibration field r_drive must be a mapping, got [1]"),
     "check-out-nodir": error_sha("[Errno 2] No such file or directory: 'nodir/r.json'"),
     "synth-out-nodir": error_sha("[Errno 2] No such file or directory: 'nodir/fa.ncl'"),
 }

@@ -167,6 +167,16 @@ def test_spec_validation_rejects_inconsistent_fields():
         GateSpec("BAD", 5, canonical_sop([(0,)], 5))
 
 
+def test_evaluation_needs_one_value_per_input():
+    th22 = spec_from_name("TH22")
+    for inputs in ((1,), (1, 1, 0)):
+        message = rf"^TH22 expects 2 inputs, got {len(inputs)}$"
+        with pytest.raises(GateError, match=message):
+            eval_set(th22, inputs)
+        with pytest.raises(GateError, match=message):
+            next_output(th22, inputs, 0)
+
+
 @st.composite
 def monotone_ramp(draw):
     """A vector sequence that only ever asserts more inputs (NULL to DATA)."""

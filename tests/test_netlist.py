@@ -262,6 +262,11 @@ def test_duplicate_port_names_rejected():
         nl.bind_outputs([Port("Z", "A.1", "A.0"), Port("Z", "A.0", "A.1")])
 
 
+def test_input_port_must_use_canonical_rails():
+    with pytest.raises(NetlistError, match=r"^input port A must use canonical rails$"):
+        Netlist([Port("A", "A.0", "A.1")], ["Z"])
+
+
 def test_duplicate_instance_name_rejected():
     text = "input A\noutput Z\nTH11 g A.1 -> Z.1\nTH11 g A.0 -> Z.0\n"
     with pytest.raises(FormatError):

@@ -145,6 +145,18 @@ def test_identity_single_wave():
     assert [v for _, v in y] == [1, 0]
 
 
+def test_a_wave_with_no_arrivals_has_no_skew():
+    assert sim.Wave(0, 3, 5, 0, {}).output_skew == 0
+    assert sim.Wave(0, 3, 5, 1, {"z": 2, "y": 3}).output_skew == 1
+
+
+def test_records_equal_only_a_list_or_records():
+    records = simulate(build_pipeline(identity_cl(1), 1), [1]).records
+    assert (records == 5) is False
+    assert (records != 5) is True
+    assert records == list(records) and records != list(records)[1:]
+
+
 def test_identity_two_stages_streams_words():
     system = build_pipeline(identity_cl(2), 2)
     trace = simulate(system, [1, 2, 3, 0])

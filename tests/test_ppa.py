@@ -21,6 +21,8 @@ from ncl3d.model import (
     default_tech,
     load_calibration,
     load_tech,
+    save_calibration,
+    save_tech,
 )
 from ncl3d.ppa import (
     Scenario,
@@ -277,6 +279,99 @@ def test_calibration_round_trip(cal, tmp_path):
 def test_calibration_parse_errors(text):
     with pytest.raises(PpaError):
         Calibration.parse(text)
+
+
+def test_save_writes_the_dump_and_load_gives_the_record_back(tmp_path):
+    # the zeroable via fields and signed residuals survive a save
+    tech = default_tech().replaced(R_MIV=0.0)
+    cal = Calibration(**dict(BUNDLED_CAL, a_miv_eff=0.0, residuals={"t_d": -1.5, "area": 0.25}))
+    for record, save, load in ((tech, save_tech, load_tech),
+                               (cal, save_calibration, load_calibration)):
+        path = tmp_path / f"{record.KEY}.json"
+        save(record, path)
+        assert path.read_bytes() == record.dump().encode("utf-8")
+        back = load(path)
+        assert type(back) is type(record) and back == record
+        assert back.digest() == record.digest()
+
+
+# ------------------------------------------------------ the model-file rule
+
+# The one value rule of both model files, stated here as its own oracle:
+# every number must be finite and positive, except that the via fields may
+# be zero and the residuals may take either sign; a map field must be a
+# mapping, and its values follow the rule of the field.  A bool counts as
+# the number 0 or 1.
+ZERO_OK = {"R_MIV", "C_MIV", "koz", "a_miv_eff"}
+SIGNED = {"residuals"}
+MAPS = {"r_drive", "activity_mhz", "residuals"}
+
+RULE_GRID = (
+    0, -0.0, -1, 1e-300, -1e-300, 2.5, math.inf, -math.inf, math.nan, True, False,
+    10**400, -10**400, "x", "2", None, [], [1], {},
+    {"TH22": 1.0}, {"TH22": 0}, {"TH22": -0.0}, {"TH22": -1.0}, {"TH22": 1e-300},
+    {"TH22": math.inf}, {"TH22": math.nan}, {"TH22": "x"}, {"TH22": None},
+    {"TH22": True}, {"TH22": False}, {"TH22": 10**400}, {"TH22": 2.5, "TH12": -2.5},
+)
+
+
+def number_fault(name, v):
+    """The rule ``v`` breaks as a number of field ``name``, or None."""
+    if not isinstance(v, (int, float)):
+        return "finite"
+    try:
+        v = float(v)
+    except OverflowError:
+        return "finite"
+    if not abs(v) < math.inf:
+        return "finite"
+    if v > 0 or name in SIGNED:
+        return None
+    if name in ZERO_OK:
+        return None if v == 0 else "non-negative"
+    return "positive"
+
+
+def rule_fault(name, value):
+    """(label, rule, offending value) for the first fault of ``value`` as
+    field ``name``, or None when the rule accepts it."""
+    if name in MAPS:
+        if not isinstance(value, dict):
+            return name, "a mapping", value
+        for kind, v in value.items():
+            rule = number_fault(name, v)
+            if rule:
+                return f"{name}[{kind}]", rule, v
+        return None
+    rule = number_fault(name, value)
+    return rule and (name, rule, value)
+
+
+@pytest.mark.parametrize("record, name", [
+    *((TechParams, name) for name in TechParams._fields),
+    *((Calibration, name) for name in Calibration._fields),
+], ids=lambda x: getattr(x, "KEY", x))
+def test_every_model_value_follows_the_one_rule(record, name):
+    base = {} if record is TechParams else BUNDLED_CAL
+    for value in RULE_GRID:
+        fields = dict(base, **{name: value})
+        text = json.dumps({"version": 1, record.KEY: fields})
+        fault = rule_fault(name, value)
+        for build in (lambda: record(**fields), lambda: record.parse(text)):
+            if fault is None:
+                assert getattr(build(), name) == value
+                continue
+            with pytest.raises(PpaError) as exc:
+                build()
+            label, rule, bad = fault
+            assert str(exc.value) == f"{record.KEY} field {label} must be {rule}, got {bad!r}"
+
+
+def test_unknown_model_fields_are_named():
+    for record in (TechParams, Calibration):
+        text = json.dumps({"version": 1, record.KEY: {"zz": 1, record._fields[0]: 1, "aa": 1}})
+        with pytest.raises(PpaError, match=rf"^unknown {record.KEY} fields: \['aa', 'zz'\]$"):
+            record.parse(text)
 
 
 @pytest.fixture(scope="module")
