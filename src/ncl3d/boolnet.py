@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from typing import Dict, Sequence, Tuple
 
-from .netlist import CycleError, Defect, FormatError, GateGraph, NetlistError
+from .netlist import FormatError, GateGraph, NetlistError
+from .gates import GateError
 
 BOOL_KINDS: Dict[str, int] = {
     "AND2": 2, "OR2": 2, "XOR2": 2,
@@ -22,38 +23,20 @@ _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class BoolNetlist(GateGraph):
-    """Single-driver acyclic Boolean netlist."""
+    """Boolean netlist over the BOOL_KINDS vocabulary; GateGraph validates it."""
 
     def __init__(self, inputs: Sequence[str] = (), outputs: Sequence[str] = ()):
         super().__init__()
         self.inputs: Tuple[str, ...] = tuple(inputs)
         self.outputs: Tuple[str, ...] = tuple(outputs)
 
+    def _arity(self, kind: str) -> int:
+        if kind not in BOOL_KINDS:
+            raise GateError(f"kind {kind}")
+        return BOOL_KINDS[kind]
+
     def _ends(self):
         return self.inputs, self.outputs
-
-    def validate(self) -> list:
-        driver, _, _, nets = self._structure()
-        defects = []
-        for inst in self.gates:
-            first = driver[inst.out]
-            if first is not inst:
-                defects.append(Defect("multiple-drivers", inst.out,
-                                      f"driven by {first.name} and {inst.name}"))
-            if inst.kind not in BOOL_KINDS:
-                defects.append(Defect("unknown-gate", inst.name, f"kind {inst.kind}"))
-            elif len(inst.ins) != BOOL_KINDS[inst.kind]:
-                defects.append(Defect("arity-mismatch", inst.name,
-                                      f"{inst.kind} takes {BOOL_KINDS[inst.kind]} inputs"))
-        external = set(self.inputs)
-        for net in nets:
-            if net not in driver and net not in external:
-                defects.append(Defect("undriven-net", net, "no driver or input declaration"))
-        try:
-            self.topo_order()
-        except CycleError as exc:
-            defects.append(Defect("cycle", "netlist", str(exc)))
-        return defects
 
 
 def _check_ident(tok: str, lineno: int) -> str:
@@ -69,8 +52,9 @@ def parse_boolean_netlist(text: str) -> BoolNetlist:
         output z
         AND2 g1 a b -> z (instance name optional: "AND2 a b -> z")
 
-    Declared IO is enforced; without declarations, inputs are the undriven
-    nets and outputs the unread ones, in order of first appearance.
+    Without declarations, inputs are the undriven nets and outputs the
+    unread ones, in order of first appearance; whatever ``validate``
+    reports is a FormatError.
     """
     declared: Dict[str, list] = {}    # "input" and "output" lines' names
     bnl = BoolNetlist()
@@ -106,29 +90,10 @@ def parse_boolean_netlist(text: str) -> BoolNetlist:
         except NetlistError as exc:
             raise FormatError(lineno, str(exc)) from exc
     driver, _, readers, nets = bnl._structure()
-    inferred_in = [n for n in nets if n not in driver]
-    inferred_out = [inst.out for inst in bnl.gates if inst.out not in readers]
-    declared_in, declared_out = declared.get("input"), declared.get("output")
-    if declared_in is None:
-        declared_in = inferred_in
-    else:
-        extra = [n for n in inferred_in if n not in declared_in]
-        if extra:
-            raise FormatError(1, f"undeclared input nets: {', '.join(extra)}")
-        driven = [n for n in declared_in if n in driver]
-        if driven:
-            raise FormatError(1, f"declared inputs are gate-driven: {', '.join(driven)}")
-    if declared_out is None:
-        declared_out = inferred_out
-    else:
-        for n in declared_out:
-            if n not in driver and n not in declared_in:
-                raise FormatError(1, f"declared output {n!r} is not driven")
-    bnl.inputs = tuple(declared_in)
-    bnl.outputs = tuple(declared_out)
-    defects = [d for d in bnl.validate() if d.code != "undriven-net"]
-    # undriven nets not covered by declarations were rejected above; the
-    # remaining defect kinds are all reportable as parse-level problems
+    bnl.inputs = tuple(declared.get("input", [n for n in nets if n not in driver]))
+    bnl.outputs = tuple(declared.get("output",
+                                     [g.out for g in bnl.gates if g.out not in readers]))
+    defects = bnl.validate()
     if defects:
         raise FormatError(1, "; ".join(str(d) for d in defects))
     return bnl

@@ -28,17 +28,16 @@ def _settle_rows(netlist: Netlist) -> tuple:
     already drives: with one driver per net, one pass settles.
     """
     index = {net: i for i, net in enumerate(netlist.nets)}
-    driven = set(netlist.external_rails())
-    rows = []
-    for inst in netlist.topo_order():
-        if inst.out in driven:
-            raise NetlistError(f"net {inst.out} has a second driver, gate {inst.name}")
-        driven.add(inst.out)
-        rows.append((tuple(tuple(index[inst.ins[k]] for k in prod)
-                           for prod in spec_from_name(inst.kind).products),
-                     tuple((i,) for i in dict.fromkeys(index[p] for p in inst.ins)),
-                     index[inst.out]))
-    return index, tuple(rows)
+    order = netlist.topo_order()
+    seconds = netlist._structure()[1]
+    if seconds:
+        raise NetlistError(f"net {seconds[0].out} has a second driver, gate {seconds[0].name}")
+    rows = tuple((tuple(tuple(index[inst.ins[k]] for k in prod)
+                        for prod in spec_from_name(inst.kind).products),
+                  tuple((i,) for i in dict.fromkeys(index[p] for p in inst.ins)),
+                  index[inst.out])
+                 for inst in order)
+    return index, rows
 
 
 def settle(

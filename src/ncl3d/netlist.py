@@ -87,12 +87,13 @@ class Defect(NamedTuple):
 
 class GateGraph:
     """Gate instances over named nets, the structure Netlist and BoolNetlist
-    share: unique instance names, drivers, readers, net order, and one
-    topological sort.
+    share: unique instance names, drivers, readers, net order, one
+    topological sort and one validator.
 
-    Subclasses name the nets listed before and after the gates' own pins
-    (``_ends``); one that caches derived structure rebuilds it while
-    ``_dirty`` is set.
+    Subclasses hold ``inputs`` and ``outputs`` ports, name the nets the
+    environment drives and reads (``_ends``) and may resolve a gate kind's
+    arity their own way (``_arity``); one that caches derived structure
+    rebuilds it while ``_dirty`` is set.
     """
 
     def __init__(self):
@@ -110,37 +111,6 @@ class GateGraph:
         self._names.add(name)
         self._dirty = True
         return inst
-
-    def _ends(self) -> Tuple[Sequence[str], Sequence[str]]:
-        raise NotImplementedError
-
-    def _structure(self) -> tuple:
-        """(first driver per net, nets driven again, readers per net, nets).
-
-        Nets are ordered head first, then pins and outputs in gate order,
-        then tail.
-        """
-        head, tail = self._ends()
-        driver: Dict[str, GateInst] = {}
-        multi: list[str] = []
-        readers: Dict[str, list] = {}
-        nets = dict.fromkeys(head)
-        for inst in self.gates:
-            if inst.out in driver:
-                multi.append(inst.out)
-            else:
-                driver[inst.out] = inst
-            for pin in inst.ins:
-                readers.setdefault(pin, []).append(inst)
-                nets.setdefault(pin)
-            nets.setdefault(inst.out)
-        for net in tail:
-            nets.setdefault(net)
-        return driver, multi, readers, tuple(nets)
-
-    @property
-    def nets(self) -> Tuple[str, ...]:
-        return self._structure()[3]
 
     def topo_order(self) -> Tuple[GateInst, ...]:
         """Gates in dependency order; raises CycleError on feedback."""
@@ -164,6 +134,69 @@ class GateGraph:
             stuck = sorted(n for n, k in pending.items() if k > 0)
             raise CycleError(f"combinational cycle through {', '.join(stuck[:8])}")
         return tuple(order)
+
+    def validate(self) -> list:
+        """Structural defects as data; empty list iff all invariants hold."""
+        driver, multi, _, nets = self._structure()
+        external = set(self._ends()[0])
+        defects = []
+        for kind, ports in (("input", self.inputs), ("output", self.outputs)):
+            if not ports:
+                defects.append(Defect("missing-port", kind, f"the netlist has no {kind} port"))
+        again = {inst.out for inst in multi if driver[inst.out] is not inst}
+        for net in sorted({inst.out for inst in multi}):
+            defects.append(Defect("multiple-drivers", net, "more than one gate drives this net"
+                                  if net in again else "an input and a gate drive this net"))
+        for net in nets:
+            if net not in driver and net not in external:
+                defects.append(Defect("undriven-net", net, "no gate output or primary input drives it"))
+        for inst in self.gates:
+            try:
+                arity = self._arity(inst.kind)
+            except GateError as exc:
+                defects.append(Defect("unknown-gate", inst.name, str(exc)))
+                continue
+            if len(inst.ins) != arity:
+                defects.append(Defect(
+                    "arity-mismatch", inst.name,
+                    f"{inst.kind} takes {arity} inputs, got {len(inst.ins)}"))
+        try:
+            self.topo_order()
+        except CycleError as exc:
+            defects.append(Defect("cycle", "netlist", str(exc)))
+        return defects
+
+    def _arity(self, kind: str) -> int:
+        return spec_from_name(kind).arity
+
+    def _structure(self) -> tuple:
+        """(first gate driver per net, second drivers, readers per net, nets).
+
+        A second driver is a gate, in gate order, that drives a net the
+        environment or an earlier gate drives.  Nets are ordered head
+        first, then pins and outputs in gate order, then tail.
+        """
+        head, tail = self._ends()
+        external = set(head)
+        driver: Dict[str, GateInst] = {}
+        multi: list[GateInst] = []
+        readers: Dict[str, list] = {}
+        nets = dict.fromkeys(head)
+        for inst in self.gates:
+            if inst.out in driver or inst.out in external:
+                multi.append(inst)
+            driver.setdefault(inst.out, inst)
+            for pin in inst.ins:
+                readers.setdefault(pin, []).append(inst)
+                nets.setdefault(pin)
+            nets.setdefault(inst.out)
+        for net in tail:
+            nets.setdefault(net)
+        return driver, multi, readers, tuple(nets)
+
+    @property
+    def nets(self) -> Tuple[str, ...]:
+        return self._structure()[3]
 
 
 class Netlist(GateGraph):
@@ -231,34 +264,6 @@ class Netlist(GateGraph):
 
     def fanout(self, net: str) -> int:
         return len(self._structure()[2].get(net, ()))
-
-    # -- validation ---------------------------------------------------------
-
-    def validate(self) -> list:
-        """Structural defects as data; empty list iff all invariants hold."""
-        driver, multi, _, nets = self._structure()
-        external = set(self.external_rails())
-        defects = [Defect("multiple-drivers", net, "more than one gate drives this net"
-                          if net in multi else "an input and a gate drive this net")
-                   for net in sorted(set(multi) | external.intersection(driver))]
-        for net in nets:
-            if net not in driver and net not in external:
-                defects.append(Defect("undriven-net", net, "no gate output or primary input drives it"))
-        for inst in self.gates:
-            try:
-                spec = spec_from_name(inst.kind)
-            except GateError as exc:
-                defects.append(Defect("unknown-gate", inst.name, str(exc)))
-                continue
-            if len(inst.ins) != spec.arity:
-                defects.append(Defect(
-                    "arity-mismatch", inst.name,
-                    f"{inst.kind} takes {spec.arity} inputs, got {len(inst.ins)}"))
-        try:
-            self.topo_order()
-        except CycleError as exc:
-            defects.append(Defect("cycle", "netlist", str(exc)))
-        return defects
 
 
 # perfbench/child.py's TRACED list names settle and both checkers as

@@ -722,16 +722,17 @@ BAD_SPEC = ("bad fold ratio spec {!r}; use values like '0.7', '0.6,0.8', "
 # SHA-256 of stderr; every other run leaves it empty.
 STDERR_PINS = {
     "check-unknown-kind": "570a7d6825b21923b4b1d3bcb3df2f6a348311eccc7852ee5760e15003ebeabc",
-    "synth-broken": "6cc0aabf24c5d002bff43d15dc7809b59e4a5d55b87f2ce216bac8171109172d",
+    "synth-broken": error_sha("line 1: multiple-drivers: x (more than one gate drives this "
+                              "net); cycle: netlist (combinational cycle through g4, g5)"),
     # a port declared twice: one error line, which names the file line (.ncl and .bnl)
     "check-dup-input": error_sha("line 1: duplicate input port A"),
     "simulate-dup-input": error_sha("line 1: duplicate input port A"),
     "synth-dup-input": "3cae217e44295e252d01bd83e0bd6bfdf82b3fd46c50b7e2f3235521eac721f2",
     "synth-dup-output": "32880b2fd0246f72001998545a62d0aa41159f77dd3bd59ef841b7aa9ae97461",
-    "synth-empty": error_sha("empty.bnl: the dual-rail result is not a valid .ncl file "
-                             "(line 1: no input declaration)"),
-    "synth-no-output": error_sha("no_output.bnl: the dual-rail result is not a valid .ncl "
-                                 "file (line 1: no output declaration)"),
+    "synth-empty": error_sha("line 1: missing-port: input (the netlist has no input port); "
+                             "missing-port: output (the netlist has no output port)"),
+    "synth-no-output": error_sha("line 1: missing-port: output (the netlist has no output "
+                                 "port)"),
     "check-ctl": error_sha("checkers expect pure dual-rail netlists (no control inputs)"),
     "simulate-ctl": error_sha("combinational netlist must not use control nets"),
     "simulate-broken": error_sha("combinational netlist invalid: multiple-drivers: Z.1 "

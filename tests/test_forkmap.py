@@ -362,6 +362,27 @@ def test_a_child_that_dies_has_its_jobs_run_again_in_the_parent(cpus, forks, whe
     assert not hasattr(forkmap, "open")
 
 
+def test_a_child_whose_results_marshal_cannot_write_leaves_with_1(monkeypatch, cpus, forks):
+    """Each worker holds one job, and each job returns a function, which
+    marshal cannot write: the child leaves by ``os._exit(1)`` with nothing
+    sent, and the parent runs the child's job again."""
+    real_exit = os._exit
+
+    def job(here, k):
+        both_started(here, k)
+        return serial_loop
+
+    with mmap.mmap(-1, 4) as here:            # shared with the child: jobs, exit codes
+        def recorded_exit(code):
+            here[2 + code] = 1
+            real_exit(code)
+
+        monkeypatch.setattr(os, "_exit", recorded_exit)
+        jobs = [partial(job, here, k) for k in range(2)]
+        assert fork_map(jobs) == serial_loop(jobs) == [serial_loop, serial_loop]
+        assert here[2:] == b"\x00\x01" and forks() == 1
+
+
 def test_fewer_than_two_jobs_or_no_fork_runs_serially(monkeypatch, cpus):
     assert fork_map([]) == []
     assert fork_map([os.getpid]) == [os.getpid()]

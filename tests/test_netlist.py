@@ -76,6 +76,21 @@ def test_validate_reports_each_structural_defect():
     assert codes == {"multiple-drivers", "arity-mismatch", "unknown-gate", "undriven-net"}
 
 
+def test_validate_asks_for_an_input_and_an_output_port():
+    nl = Netlist([], ["Z"])
+    assert [str(d) for d in nl.validate()] == [
+        "missing-port: input (the netlist has no input port)",
+        "undriven-net: Z.1 (no gate output or primary input drives it)",
+        "undriven-net: Z.0 (no gate output or primary input drives it)"]
+    nl = Netlist(["A"], [])
+    nl.add("TH12", ["A.1", "A.0"], "x")
+    assert [str(d) for d in nl.validate()] == [
+        "missing-port: output (the netlist has no output port)"]
+    assert [str(d) for d in BoolNetlist().validate()] == [
+        "missing-port: input (the netlist has no input port)",
+        "missing-port: output (the netlist has no output port)"]
+
+
 def test_cycle_detection():
     nl = Netlist(["A"], ["Z"])
     nl.add("TH22", ["A.1", "x"], "y", name="g1")

@@ -109,6 +109,14 @@ def test_build_rejects_bad_input():
         build_pipeline(bad, 1)
 
 
+def test_a_netlist_without_an_output_port_is_refused():
+    nl = Netlist(["A"], [])
+    nl.add("TH12", ["A.1", "A.0"], "x")
+    with pytest.raises(NetlistError, match=r"^combinational netlist invalid: missing-port: "
+                                           r"output \(the netlist has no output port\)$"):
+        build_pipeline(nl, 1)
+
+
 # build_pipeline checks only its argument: the plumbing it adds validates
 # whenever the combinational netlist does.
 @settings(max_examples=60, deadline=None)
@@ -132,6 +140,24 @@ def test_gate_named_like_plumbing_is_refused(name, n_stages):
     assert cl.validate() == []
     with pytest.raises(NetlistError, match=f"^duplicate instance name {name}$"):
         build_pipeline(cl, n_stages)
+
+
+def test_a_lone_leftover_bit_joins_the_next_level_of_the_tree():
+    """Five register bits: four meet in a TH44, and the fifth passes up a
+    level to meet its output in the TH22 that drives the detector."""
+    bnl = parse_boolean_netlist("XOR2 a b -> t\nAND2 t c -> u\nOR2 u d -> v\n"
+                                "XNOR2 v e -> z\n")
+    system = build_pipeline(expand_dual_rail(bnl), 1)
+    tree = {g.name: (g.kind, g.ins, g.out) for g in system.netlist.gates
+            if g.name.startswith("cdet1_l")}
+    assert tree == {"cdet1_l0_0": ("TH44", ("cd1.b0", "cd1.b1", "cd1.b2", "cd1.b3"),
+                                   "cd1.l0.0"),
+                    "cdet1_l1_0": ("TH22", ("cd1.l0.0", "cd1.b4"), "cd1")}
+    vectors = list(range(32))
+    want = [evaluate_outputs(bnl, {x: v >> i & 1 for i, x in enumerate(bnl.inputs)})[0]
+            for v in vectors]
+    assert simulate(system, vectors).words() == want
+    assert want.count(1) == 16
 
 
 # ---------------------------------------------------------------- behavior

@@ -201,6 +201,9 @@ def test_wire_validation(tech):
         wire_parasitics(Scenario.NODE_TO_NODE, tech, "M3D", 1.2, 0.5)
     with pytest.raises(PpaError):
         wire_parasitics(Scenario.NODE_TO_NODE, tech, "2D", 1.0, 0.0)
+    # a scenario's value is not the scenario
+    with pytest.raises(PpaError, match="^unknown wire scenario 'node_to_node'$"):
+        wire_parasitics("node_to_node", tech, "2D", 1.0, 1.0)
 
 
 def test_miv_counts():

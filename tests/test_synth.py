@@ -146,15 +146,19 @@ def test_transistor_count_rejects_unpriced_gate():
         count_transistors(nl)
 
 
-@pytest.mark.parametrize("kind,ins,defect", [
-    ("FOO2", ["a", "b"], "unknown-gate: u1 (kind FOO2)"),
-    ("AND2", ["a"], "arity-mismatch: u1 (AND2 takes 2 inputs)"),
-    ("AND2", ["a", "q"], "undriven-net: q (no driver or input declaration)"),
-], ids=["unknown-gate", "arity-mismatch", "undriven-net"])
-def test_expansion_refuses_an_invalid_boolean_netlist(kind, ins, defect):
+@pytest.mark.parametrize("gates,defect", [
+    ([("FOO2", ["a", "b"], "z")], "unknown-gate: u1 (kind FOO2)"),
+    ([("AND2", ["a"], "z")], "arity-mismatch: u1 (AND2 takes 2 inputs, got 1)"),
+    ([("AND2", ["a", "q"], "z")], "undriven-net: q (no gate output or primary input drives it)"),
+    ([("AND2", ["b", "b"], "a"), ("AND2", ["a", "b"], "z")],
+     "multiple-drivers: a (an input and a gate drive this net)"),
+], ids=["unknown-gate", "arity-mismatch", "undriven-net", "input-driven"])
+def test_expansion_refuses_an_invalid_boolean_netlist(gates, defect):
     """The parser refuses these, so they are built gate by gate."""
     bnl = BoolNetlist(["a", "b"], ["z"])
-    bnl.add(kind, ins, "z")
+    for kind, ins, out in gates:
+        bnl.add(kind, ins, out)
+    assert [str(d) for d in bnl.validate()] == [defect]
     with pytest.raises(SynthError) as err:
         expand_dual_rail(bnl)
     assert str(err.value) == f"boolean netlist does not validate: {defect}"
